@@ -111,54 +111,35 @@ def cmd_moves_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _read_moves(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(ln) for ln in fh if ln.strip()]
-
-
-def _rebuild_rewrite(rec: dict):
-    def p(s):
-        return None if s == "outer" else tuple(int(x) for x in s.split("."))
-
-    kind = rec["kind"]
-    if kind == "add_empty":
-        return moves.AddEmpty(p(rec["region"]))
-    if kind == "delete_empty":
-        return moves.DeleteEmpty(p(rec["oval"]))
-    if kind == "fuse_siblings":
-        return moves.FuseSiblings(p(rec["first"]), p(rec["second"]))
-    if kind == "fuse_parent_child":
-        return moves.FuseParentChild(p(rec["parent"]), p(rec["child"]))
-    if kind == "split_sibling":
-        return moves.SplitSibling(p(rec["oval"]), tuple(rec["keep"]))
-    if kind == "split_nest":
-        return moves.SplitNest(p(rec["oval"]), tuple(p(x) for x in rec["enclosed"]))
-    raise ValueError(f"unknown rewrite kind {kind}")
+def _run_moves(args) -> tuple[list[TrackedScheme], list[moves.MoveRecord]]:
+    """Decode the move file and apply it from the start state; returns the
+    states visited (start first) and the moves made."""
+    with open(args.moves, encoding="utf-8") as fh:
+        recs = [json.loads(ln) for ln in fh if ln.strip()]
+    states = [_tracked(args.code, args.degree, args.side)]
+    made = []
+    for rec in recs:
+        if isinstance(rec, dict) and "rewrite" in rec:  # a full move record
+            rec = rec["rewrite"]
+        made.append(moves.make_move(states[-1], moves.rewrite_from_record(rec)))
+        states.append(moves.apply(states[-1], made[-1]))
+    return states, made
 
 
 def cmd_moves_apply(args) -> int:
-    t = _tracked(args.code, args.degree, args.side)
-    state = t
-    out = []
-    for rec in _read_moves(args.moves):
-        m = moves.make_move(state, _rebuild_rewrite(rec["rewrite"] if "rewrite" in rec else rec))
-        state = moves.apply(state, m)
-        out.append({"scheme": schemes.format_viro(state.scheme), **m.record()})
+    states, made = _run_moves(args)
+    out = [
+        {"scheme": schemes.format_viro(s.scheme), **m.record()}
+        for s, m in zip(states[1:], made)
+    ]
     _emit(out, args.format)
     return EXIT_OK
 
 
 def cmd_moves_trace(args) -> int:
-    t = _tracked(args.code, args.degree, args.side)
-    steps = []
-    state = t
-    records = []
-    for rec in _read_moves(args.moves):
-        m = moves.make_move(state, _rebuild_rewrite(rec["rewrite"] if "rewrite" in rec else rec))
-        steps.append((state, m))
-        state = moves.apply(state, m)
-    records = moves.trace_records(t, [m for _, m in steps])
-    for ev in moves.detect_log_transform(steps):
+    states, made = _run_moves(args)
+    records = moves.trace_records(states[0], made)
+    for ev in moves.detect_log_transform(list(zip(states, made))):
         records.append({"event": "log_transform", **ev.record()})
     _emit(records, args.format)
     return EXIT_OK
@@ -192,8 +173,8 @@ def cmd_facts_propagate(args) -> int:
             if rec.get("edge") == "axiom":
                 axioms.append(
                     (
-                        _tracked(rec["from"][:-1], args.degree, rec["from"][-1]),
-                        _tracked(rec["to"][:-1], args.degree, rec["to"][-1]),
+                        propagation.parse_state_label(rec["from"], args.degree),
+                        propagation.parse_state_label(rec["to"], args.degree),
                     )
                 )
             else:
@@ -267,9 +248,7 @@ def cmd_construct(args) -> int:
             for item in args.basepoints.split(","):
                 key, _, count = item.partition(":")
                 points[
-                    constructions.PSEUDOLINE
-                    if key == "J"
-                    else tuple(int(x) for x in key.split("."))
+                    constructions.PSEUDOLINE if key == "J" else domains.parse_path(key)
                 ] = int(count)
         spec = constructions.BaseCurveSpec(base, args.base_degree, points)
         res = constructions.perturb_u(spec)

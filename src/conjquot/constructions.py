@@ -23,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .domains import Path, iter_ovals
 from .fourman import FourManifoldWord, word
 from .schemes import CurveType, Oval, RealScheme, format_viro
 
 PSEUDOLINE = "pseudoline"
-
-Path = tuple[int, ...]
 
 
 class ConstructionError(ValueError):
@@ -67,20 +66,8 @@ class BaseCurveSpec:
             if key == PSEUDOLINE:
                 if not scheme.pseudoline:
                     raise ConstructionError("no pseudoline to carry basepoints")
-            else:
-                self._oval_at(key)
-
-    def _oval_at(self, path: Path) -> Oval:
-        node = None
-        siblings = self.scheme.roots
-        for i in path:
-            if i >= len(siblings):
-                raise ConstructionError(f"no oval at path {path}")
-            node = siblings[i]
-            siblings = node.children
-        if node is None:
-            raise ConstructionError(f"no oval at path {path}")
-        return node
+            elif key not in {path for path, _ in iter_ovals(scheme)}:
+                raise ConstructionError(f"no oval at path {key}")
 
     @property
     def total_basepoints(self) -> int:
@@ -141,23 +128,17 @@ def perturb_u(b: BaseCurveSpec) -> PerturbResult:
             f"basepoints total {b.total_basepoints}, expected d = {b.d}"
         )
 
-    def check_no_marked_descendant(path: Path, oval: Oval) -> None:
-        for i, child in enumerate(oval.children):
-            cp = path + (i,)
-            if b.count_at(cp) > 0:
-                raise ConstructionError(
-                    "basepoints on nested ovals: the bead region of the inner "
-                    "oval is not well defined"
-                )
-            check_no_marked_descendant(cp, child)
-
     def transform(path: Path, oval: Oval) -> list[Oval]:
         r = b.count_at(path)
         kids: list[Oval] = []
         for i, child in enumerate(oval.children):
             kids.extend(transform(path + (i,), child))
         if r >= 1:
-            check_no_marked_descendant(path, oval)
+            if any(b.count_at(path + sub) for sub, _ in iter_ovals(RealScheme(oval.children))):
+                raise ConstructionError(
+                    "basepoints on nested ovals: the bead region of the inner "
+                    "oval is not well defined"
+                )
             return [Oval() for _ in range(r)] + kids
         return [Oval((Oval(tuple(kids)),))]
 

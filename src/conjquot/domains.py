@@ -24,6 +24,21 @@ OUTER = None  # region owner marker
 Path = tuple[int, ...]
 
 
+def format_path(path: Path | None) -> str:
+    """``"outer"`` for the outer region, else the dotted child indices."""
+    return "outer" if path is OUTER else ".".join(map(str, path))
+
+
+def parse_path(text: str) -> Path | None:
+    """Inverse of :func:`format_path`; raises ValueError on anything else."""
+    if text == "outer":
+        return OUTER
+    parts = text.split(".")
+    if not all(p.isdigit() for p in parts):
+        raise ValueError(f"bad oval path {text!r}")
+    return tuple(map(int, parts))
+
+
 class Side(Enum):
     TRACKED = "tracked"
     NONTRACKED = "nontracked"
@@ -81,9 +96,8 @@ class Region:
     tracked: bool
 
     def record(self) -> dict:
-        owner = "outer" if self.owner is OUTER else ".".join(map(str, self.owner))
         return {
-            "owner": owner,
+            "owner": format_path(self.owner),
             "level": self.level,
             "euler": self.euler,
             "tracked": self.tracked,

@@ -32,12 +32,12 @@ combinatorially distinct outcome (identical siblings are interchangeable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .domains import Path, Side, TrackedScheme, euler_W
-from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key
+from .domains import Path, Side, TrackedScheme, euler_W, format_path, iter_ovals, parse_path
+from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key, subtree_key
 
 
 class Classification(Enum):
@@ -71,24 +71,14 @@ class MoveError(ValueError):
     pass
 
 
-def _path_str(path: Path | None) -> str:
-    return "outer" if path is None else ".".join(map(str, path))
-
-
 @dataclass(frozen=True)
 class AddEmpty:
     region: Path | None  # owning oval, or None for the outer region
-
-    def record(self) -> dict:
-        return {"kind": "add_empty", "region": _path_str(self.region)}
 
 
 @dataclass(frozen=True)
 class DeleteEmpty:
     oval: Path
-
-    def record(self) -> dict:
-        return {"kind": "delete_empty", "oval": _path_str(self.oval)}
 
 
 @dataclass(frozen=True)
@@ -96,25 +86,11 @@ class FuseSiblings:
     first: Path
     second: Path
 
-    def record(self) -> dict:
-        return {
-            "kind": "fuse_siblings",
-            "first": _path_str(self.first),
-            "second": _path_str(self.second),
-        }
-
 
 @dataclass(frozen=True)
 class FuseParentChild:
     parent: Path
     child: Path
-
-    def record(self) -> dict:
-        return {
-            "kind": "fuse_parent_child",
-            "parent": _path_str(self.parent),
-            "child": _path_str(self.child),
-        }
 
 
 @dataclass(frozen=True)
@@ -122,27 +98,65 @@ class SplitSibling:
     oval: Path
     keep: tuple[int, ...]  # child indices staying with the first copy
 
-    def record(self) -> dict:
-        return {"kind": "split_sibling", "oval": _path_str(self.oval), "keep": list(self.keep)}
-
 
 @dataclass(frozen=True)
 class SplitNest:
     oval: Path
     enclosed: tuple[Path, ...]  # neighbours pulled inside the new child
 
-    def record(self) -> dict:
-        return {
-            "kind": "split_nest",
-            "oval": _path_str(self.oval),
-            "enclosed": [_path_str(p) for p in self.enclosed],
-        }
-
 
 Rewrite = AddEmpty | DeleteEmpty | FuseSiblings | FuseParentChild | SplitSibling | SplitNest
 
 FUSIONS = (FuseSiblings, FuseParentChild)
 SPLITS = (SplitSibling, SplitNest)
+
+# ------------------------------------------------------------ record codec
+
+_KINDS = {
+    "add_empty": AddEmpty,
+    "delete_empty": DeleteEmpty,
+    "fuse_siblings": FuseSiblings,
+    "fuse_parent_child": FuseParentChild,
+    "split_sibling": SplitSibling,
+    "split_nest": SplitNest,
+}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+# Fields other than a single oval path, held as lists: (encode, decode).
+_FIELD_CODECS = {
+    "keep": (list, tuple),
+    "enclosed": (
+        lambda paths: [format_path(p) for p in paths],
+        lambda texts: tuple(parse_path(t) for t in texts),
+    ),
+}
+_PATH_CODEC = (format_path, parse_path)
+
+
+def rewrite_record(rw: Rewrite) -> dict:
+    """The external record of a rewrite: its kind, then its fields."""
+    rec = {"kind": _KIND_OF[type(rw)]}
+    for f in fields(rw):
+        encode, _ = _FIELD_CODECS.get(f.name, _PATH_CODEC)
+        rec[f.name] = encode(getattr(rw, f.name))
+    return rec
+
+
+def rewrite_from_record(rec: dict) -> Rewrite:
+    """Inverse of :func:`rewrite_record`; a malformed record raises
+    :class:`MoveError`.  Whether the rewrite applies is checked later."""
+    try:
+        cls = _KINDS[rec["kind"]]
+        args = {}
+        for f in fields(cls):
+            value = rec[f.name]
+            if f.name in _FIELD_CODECS and not isinstance(value, list):
+                raise TypeError(f"{f.name} must be a list")
+            _, decode = _FIELD_CODECS.get(f.name, _PATH_CODEC)
+            args[f.name] = decode(value)
+        return cls(**args)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise MoveError(f"bad rewrite record {rec!r}: {err!r}") from None
 
 
 @dataclass(frozen=True)
@@ -153,10 +167,17 @@ class MoveRecord:
 
     def record(self) -> dict:
         return {
-            "rewrite": self.rewrite.record(),
+            "rewrite": rewrite_record(self.rewrite),
             "classification": self.classification.value,
             "delta_chi": self.delta_chi_tracked,
         }
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "MoveRecord":
+        """Inverse of :meth:`record`; raises KeyError or ValueError on a
+        malformed record."""
+        rewrite = rewrite_from_record(rec["rewrite"])
+        return cls(rewrite, Classification(rec["classification"]), rec["delta_chi"])
 
 
 # ---------------------------------------------------------------- surgery
@@ -167,7 +188,7 @@ def _get(roots: tuple[Oval, ...], path: Path) -> Oval:
     siblings = roots
     for i in path:
         if i >= len(siblings):
-            raise MoveError(f"no oval at path {_path_str(path)}")
+            raise MoveError(f"no oval at path {format_path(path)}")
         node = siblings[i]
         siblings = node.children
     if node is None:
@@ -189,7 +210,7 @@ def _edit_siblings(roots, region: Path | None, func):
             return ovals
         i = target[len(prefix)]
         if i >= len(ovals):
-            raise MoveError(f"no region at {_path_str(target)}")
+            raise MoveError(f"no region at {format_path(target)}")
         o = ovals[i]
         new = Oval(walk(o.children, prefix + (i,)))
         return ovals[:i] + (new,) + ovals[i + 1 :]
@@ -233,8 +254,7 @@ def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
     if isinstance(rw, FuseParentChild):
         if rw.child[:-1] != rw.parent:
             raise MoveError("child path must extend the parent path by one step")
-        parent = _get(roots, rw.parent)
-        child = parent.children[rw.child[-1]]
+        parent, child = _get(roots, rw.parent), _get(roots, rw.child)
         ci = rw.child[-1]
         fused = Oval(parent.children[:ci] + parent.children[ci + 1 :])
         pi = rw.parent[-1]
@@ -266,6 +286,8 @@ def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
         for p in rw.enclosed:
             if _ambient(p) != ambient or p == rw.oval:
                 raise MoveError("enclosed ovals must share the ambient region")
+        if len(set(rw.enclosed)) != len(rw.enclosed):
+            raise MoveError("enclosed ovals must be distinct")
         oval = _get(roots, rw.oval)
         enclosed = tuple(_get(roots, p) for p in rw.enclosed)
         drop = {p[-1] for p in rw.enclosed}
@@ -279,12 +301,6 @@ def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
         return _edit_siblings(roots, ambient, split)
 
     raise MoveError(f"unknown rewrite {rw!r}")
-
-
-def _result_scheme(t: TrackedScheme, rw: Rewrite) -> RealScheme:
-    roots = _apply_rewrite(t.scheme, rw)
-    curve_type = CurveType.TWO if isinstance(rw, FUSIONS) else CurveType.UNKNOWN
-    return RealScheme(roots, t.scheme.pseudoline, curve_type)
 
 
 def _classify(t: TrackedScheme, rw: Rewrite, delta: int) -> Classification:
@@ -301,9 +317,13 @@ def _classify(t: TrackedScheme, rw: Rewrite, delta: int) -> Classification:
     raise MoveError(f"band move with delta {delta}")
 
 
-def make_move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
-    """Classify a rewrite on this state and package it as a record."""
-    after = TrackedScheme(_result_scheme(t, rw), t.degree, t.outer_tracked)
+def _move(t: TrackedScheme, rw: Rewrite) -> tuple[MoveRecord, TrackedScheme]:
+    """Classify a rewrite on this state; also return the state it leads to."""
+    roots = _apply_rewrite(t.scheme, rw)
+    curve_type = CurveType.TWO if isinstance(rw, FUSIONS) else CurveType.UNKNOWN
+    after = TrackedScheme(
+        RealScheme(roots, t.scheme.pseudoline, curve_type), t.degree, t.outer_tracked
+    )
     delta = euler_W(after, Side.TRACKED) - euler_W(t, Side.TRACKED)
     if abs(delta) != 1:
         raise MoveError(f"rewrite changes tracked Euler characteristic by {delta}")
@@ -311,31 +331,26 @@ def make_move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
     expected = -1 if cls in DECREASING else 1
     if delta != expected:
         raise MoveError(f"{cls.value} must have delta {expected}, got {delta}")
-    return MoveRecord(rw, cls, delta)
+    return MoveRecord(rw, cls, delta), after
+
+
+def make_move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
+    """Classify a rewrite on this state and package it as a record."""
+    return _move(t, rw)[0]
 
 
 def apply(t: TrackedScheme, m: MoveRecord) -> TrackedScheme:
     """Apply a move; the tracked class follows through the rewrite."""
-    check = make_move(t, m.rewrite)
+    check, after = _move(t, m.rewrite)
     if check.classification is not m.classification or check.delta_chi_tracked != m.delta_chi_tracked:
         raise MoveError(
             f"record says {m.classification.value}/{m.delta_chi_tracked}, "
             f"state gives {check.classification.value}/{check.delta_chi_tracked}"
         )
-    return TrackedScheme(_result_scheme(t, m.rewrite), t.degree, t.outer_tracked)
+    return after
 
 
 # ------------------------------------------------------------ enumeration
-
-
-def _regions_of(scheme: RealScheme) -> list[Path | None]:
-    out: list[Path | None] = [None]
-    def walk(ovals, prefix):
-        for i, o in enumerate(ovals):
-            out.append(prefix + (i,))
-            walk(o.children, prefix + (i,))
-    walk(scheme.roots, ())
-    return out
 
 
 def _sibling_paths(scheme: RealScheme, region: Path | None) -> list[Path]:
@@ -367,28 +382,30 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
     """All applicable rewrites, deduplicated up to identical-sibling
     symmetry, in a deterministic order."""
     scheme = t.scheme
+    ovals = list(iter_ovals(scheme))
+    regions = [None, *(path for path, _ in ovals)]
     candidates: list[Rewrite] = []
 
-    for region in _regions_of(scheme):
+    for region in regions:
         candidates.append(AddEmpty(region))
 
-    for path, oval in _iter_with_paths(scheme):
+    for path, oval in ovals:
         if not oval.children:
             candidates.append(DeleteEmpty(path))
 
-    for region in _regions_of(scheme):
+    for region in regions:
         sibs = _sibling_paths(scheme, region)
         for i in range(len(sibs)):
             for j in range(i + 1, len(sibs)):
                 candidates.append(FuseSiblings(sibs[i], sibs[j]))
 
-    for path, oval in _iter_with_paths(scheme):
+    for path, oval in ovals:
         for ci in range(len(oval.children)):
             candidates.append(FuseParentChild(path, path + (ci,)))
 
-    for path, oval in _iter_with_paths(scheme):
+    for path, oval in ovals:
         n = len(oval.children)
-        child_keys = [_subtree_key(c) for c in oval.children]
+        child_keys = [subtree_key(c) for c in oval.children]
         seen_parts = set()
         for mask in range(2 ** n):
             keep = tuple(i for i in range(n) if mask >> i & 1)
@@ -404,10 +421,10 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
             seen_parts.add(part_key)
             candidates.append(SplitSibling(path, keep))
 
-    for path, oval in _iter_with_paths(scheme):
+    for path, oval in ovals:
         region = _ambient(path)
         neighbours = [
-            (p, _subtree_key(_get(scheme.roots, p)))
+            (p, subtree_key(_get(scheme.roots, p)))
             for p in _sibling_paths(scheme, region)
             if p != path
         ]
@@ -417,29 +434,13 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
     moves = []
     seen: set[tuple[str, str, Classification]] = set()
     for rw in candidates:
-        m = make_move(t, rw)
-        key = (
-            type(rw).__name__,
-            canonical_key(_result_scheme(t, rw)),
-            m.classification,
-        )
+        m, after = _move(t, rw)
+        key = (type(rw).__name__, canonical_key(after.scheme), m.classification)
         if key in seen:
             continue
         seen.add(key)
         moves.append(m)
     return moves
-
-
-def _iter_with_paths(scheme: RealScheme):
-    def walk(ovals, prefix):
-        for i, o in enumerate(ovals):
-            yield prefix + (i,), o
-            yield from walk(o.children, prefix + (i,))
-    yield from walk(scheme.roots, ())
-
-
-def _subtree_key(o: Oval) -> str:
-    return "(" + "".join(sorted(_subtree_key(c) for c in o.children)) + ")"
 
 
 def inverse_move(t: TrackedScheme, m: MoveRecord) -> MoveRecord:
@@ -448,43 +449,29 @@ def inverse_move(t: TrackedScheme, m: MoveRecord) -> MoveRecord:
     rw = m.rewrite
     inv: Rewrite
     if isinstance(rw, AddEmpty):
-        prefix = () if rw.region is None else rw.region
-        sibs = after.scheme.roots if rw.region is None else _get(after.scheme.roots, rw.region).children
-        inv = DeleteEmpty(prefix + (len(sibs) - 1,))
+        inv = DeleteEmpty(_sibling_paths(after.scheme, rw.region)[-1])
     elif isinstance(rw, DeleteEmpty):
         inv = AddEmpty(_ambient(rw.oval))
     elif isinstance(rw, FuseSiblings):
         oa = _get(t.scheme.roots, rw.first)
-        region = _ambient(rw.first)
-        sibs = after.scheme.roots if region is None else _get(after.scheme.roots, region).children
-        prefix = () if region is None else region
-        merged = prefix + (len(sibs) - 1,)
+        merged = _sibling_paths(after.scheme, _ambient(rw.first))[-1]
         inv = SplitSibling(merged, tuple(range(len(oa.children))))
     elif isinstance(rw, FuseParentChild):
-        child = _get(t.scheme.roots, rw.child)
         region = _ambient(rw.parent)
-        prefix = () if region is None else region
-        n_before = len(t.scheme.roots if region is None else _get(t.scheme.roots, region).children)
-        escaped = tuple(
-            prefix + (n_before + k,) for k in range(len(child.children))
-        )
+        n_before = len(_sibling_paths(t.scheme, region))
+        escaped = tuple(_sibling_paths(after.scheme, region)[n_before:])
         inv = SplitNest(rw.parent, escaped)
     elif isinstance(rw, SplitSibling):
-        region = _ambient(rw.oval)
-        prefix = () if region is None else region
-        sibs = after.scheme.roots if region is None else _get(after.scheme.roots, region).children
-        inv = FuseSiblings(prefix + (len(sibs) - 2,), prefix + (len(sibs) - 1,))
+        *_, first, second = _sibling_paths(after.scheme, _ambient(rw.oval))
+        inv = FuseSiblings(first, second)
     elif isinstance(rw, SplitNest):
-        region = _ambient(rw.oval)
-        prefix = () if region is None else region
-        sibs = after.scheme.roots if region is None else _get(after.scheme.roots, region).children
-        grown = prefix + (len(sibs) - 1,)
+        grown = _sibling_paths(after.scheme, _ambient(rw.oval))[-1]
         oval = _get(t.scheme.roots, rw.oval)
         inv = FuseParentChild(grown, grown + (len(oval.children),))
     else:
         raise MoveError(f"unknown rewrite {rw!r}")
-    record = make_move(after, inv)
-    if forest_key(apply(after, record).scheme) != forest_key(t.scheme):
+    record, back = _move(after, inv)
+    if forest_key(back.scheme) != forest_key(t.scheme):
         raise MoveError("inverse does not restore the forest")
     return record
 

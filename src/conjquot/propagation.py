@@ -23,13 +23,15 @@ Two graph semantics are exposed:
   the type-2 state of the same forest.
 
 Facts always carry a replayable path: a chain of move records and axiom
-edges back to a seed.
+edges back to a seed.  One replay check serves search certificates and
+fact paths; a fact's path must end on its typed state (forest, dividing
+type and side), so a fact does not replay after its side or type changes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -39,6 +41,7 @@ from .moves import (
     FUSIONS,
     SPLITS,
     Classification,
+    MoveError,
     MoveRecord,
     apply,
     enumerate_moves,
@@ -86,7 +89,48 @@ def state_label(t: TrackedScheme) -> str:
     return f"{format_viro(t.scheme)}{t.tracked_label}"
 
 
+def parse_state_label(label: str, degree: int) -> TrackedScheme:
+    """Inverse of :func:`state_label`: a typed code followed by its side."""
+    if label[-1:] not in ("+", "-"):
+        raise ValueError(f"state label {label!r} does not end in a side")
+    return TrackedScheme(parse_viro(label[:-1]), degree, label[-1] == "-")
+
+
 # ------------------------------------------------------------- certificates
+
+
+def _replay(
+    start: TrackedScheme,
+    steps: Iterable[tuple[MoveRecord | None, TrackedScheme]],
+    rel: RelationSpec,
+) -> TrackedScheme | None:
+    """Run (move, expected state) steps, a None move being a trusted axiom
+    edge.  A move must apply, be in ``rel``, reach the expected forest and
+    side with a compatible type (a fusion lands on type 2) and, along
+    SUCC, strictly drop the tracked Euler characteristic.  Returns the end
+    state, typed as the steps say, or None at the first failing step."""
+    state, chi = start, euler_W(start, Side.TRACKED)
+    for m, expected in steps:
+        if m is None:
+            state, chi = expected, euler_W(expected, Side.TRACKED)
+            continue
+        if m.classification not in rel.allowed:
+            return None
+        try:
+            after = apply(state, m)
+        except MoveError:
+            return None
+        if state_key(after) != state_key(expected):
+            return None
+        curve_type = expected.scheme.curve_type
+        if after.scheme.curve_type not in (CurveType.UNKNOWN, curve_type):
+            return None
+        new_chi = euler_W(after, Side.TRACKED)
+        if rel is SUCC and new_chi >= chi:
+            return None
+        # Keep the stored forest: later steps address ovals by index paths.
+        state, chi = replace(after, scheme=after.scheme.with_type(curve_type)), new_chi
+    return state
 
 
 @dataclass(frozen=True)
@@ -97,21 +141,11 @@ class Certificate:
     states: tuple[TrackedScheme, ...]  # includes source and final state
 
     def replay(self, rel: RelationSpec = SUCC) -> bool:
-        state = self.states[0]
-        if state_key(state) != state_key(self.source):
+        start = self.states[0]
+        if state_key(start) != state_key(self.source) or len(self.states) != len(self.moves) + 1:
             return False
-        chi = euler_W(state, Side.TRACKED)
-        for m, expected in zip(self.moves, self.states[1:]):
-            if m.classification not in rel.allowed:
-                return False
-            state = apply(state, m)
-            if forest_key(state.scheme) != forest_key(expected.scheme):
-                return False
-            new_chi = euler_W(state, Side.TRACKED)
-            if rel is SUCC and new_chi >= chi:
-                return False
-            chi = new_chi
-        return state_key(state) == state_key(self.target)
+        end = _replay(start, zip(self.moves, self.states[1:]), rel)
+        return end is not None and state_key(end) == state_key(self.target)
 
     def records(self) -> list[dict]:
         return [
@@ -308,70 +342,26 @@ def propagate(
 
 
 def replay_fact(fact: Fact, rel: RelationSpec = SUCC, degree: int = 6) -> bool:
-    """Re-run a fact's path; move steps must transform the forests as
-    recorded, stay inside the relation, and (for SUCC) strictly drop the
-    tracked Euler characteristic."""
-    from .moves import (  # local import to rebuild rewrites from records
-        AddEmpty,
-        DeleteEmpty,
-        FuseParentChild,
-        FuseSiblings,
-        SplitNest,
-        SplitSibling,
-    )
-
-    def parse_path(s: str) -> tuple[int, ...] | None:
-        return None if s == "outer" else tuple(int(x) for x in s.split("."))
-
-    def rebuild(rec: dict):
-        kind = rec["kind"]
-        if kind == "add_empty":
-            return AddEmpty(parse_path(rec["region"]))
-        if kind == "delete_empty":
-            return DeleteEmpty(parse_path(rec["oval"]))
-        if kind == "fuse_siblings":
-            return FuseSiblings(parse_path(rec["first"]), parse_path(rec["second"]))
-        if kind == "fuse_parent_child":
-            return FuseParentChild(parse_path(rec["parent"]), parse_path(rec["child"]))
-        if kind == "split_sibling":
-            return SplitSibling(parse_path(rec["oval"]), tuple(rec["keep"]))
-        if kind == "split_nest":
-            return SplitNest(parse_path(rec["oval"]), tuple(parse_path(p) for p in rec["enclosed"]))
-        raise ValueError(f"unknown rewrite kind {kind}")
-
-    state: TrackedScheme | None = None
-    chi: int | None = None
-    for step in fact.path:
-        label = step["from"]
-        scheme = parse_viro(label[:-1])
-        side = label[-1] == "-"
-        if state is None:
-            state = TrackedScheme(scheme, degree, side)
-            chi = euler_W(state, Side.TRACKED)
-        if forest_key(state.scheme) != forest_key(scheme) or state.outer_tracked != side:
-            return False
-        if step["edge"] == "axiom":
-            to = step["to"]
-            state = TrackedScheme(parse_viro(to[:-1]), degree, to[-1] == "-")
-            chi = euler_W(state, Side.TRACKED)
-            continue
-        cls = Classification(step["classification"])
-        if cls not in rel.allowed:
-            return False
-        from .moves import make_move
-
-        m = make_move(state, rebuild(step["rewrite"]))
-        if m.classification is not cls:
-            return False
-        state = apply(state, m)
-        new_chi = euler_W(state, Side.TRACKED)
-        assert chi is not None
-        if rel is SUCC and new_chi >= chi:
-            return False
-        chi = new_chi
-    if state is None:  # a seed: nothing to replay
+    """Re-run a fact's path with the one replay check; each step must start
+    where the last one ended, and the path must end on the fact's typed
+    state (forest, dividing type and side).  A malformed or non-applying
+    path gives False, never an error."""
+    if not fact.path:  # a seed: nothing to replay
         return True
-    return forest_key(state.scheme) == forest_key(fact.state.scheme)
+    try:
+        label = fact.path[0]["from"]
+        start = parse_state_label(label, degree)
+        steps = []
+        for step in fact.path:
+            if step["from"] != label:
+                return False
+            label = step["to"]
+            m = None if step["edge"] == "axiom" else MoveRecord.from_record(step)
+            steps.append((m, parse_state_label(label, degree)))
+    except (KeyError, TypeError, ValueError):
+        return False
+    end = _replay(start, steps, rel)
+    return end is not None and typed_key(end) == typed_key(fact.state)
 
 
 # ------------------------------------------------------------------- sweep
@@ -479,7 +469,10 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
     }
     rows = []
     minus_exc, plus_exc = [], []
-    for e in sorted(catalog, key=lambda e: (e.scheme.oval_count, e.code)):
+    # Type 2 sorts before type 1 of one code, as the packaged catalog lists them.
+    for e in sorted(
+        catalog, key=lambda e: (e.scheme.oval_count, e.code, e.curve_type is not CurveType.TWO)
+    ):
         for outer in (False, True):
             t = TrackedScheme(e.scheme, degree, outer)
             fact = table.marked(e.scheme, outer)

@@ -84,6 +84,11 @@ class RealScheme:
         return format_viro(self)
 
 
+# Deepest nest a code may describe: the nest-depth bound d/2 for every
+# degree d <= 256, and shallow enough for the recursive key and format.
+MAX_DEPTH = 128
+
+
 class ViroSyntaxError(ValueError):
     """Raised on malformed codes; carries the 0-based offset of the error."""
 
@@ -116,7 +121,8 @@ class _Parser:
             raise ViroSyntaxError("count has a leading zero", start)
         return int(digits)
 
-    def parse_body(self, top_level: bool) -> tuple[tuple[Oval, ...], bool]:
+    def parse_body(self, depth: int) -> tuple[tuple[Oval, ...], bool]:
+        """Parse a body whose ovals sit ``depth`` deep (1 at top level)."""
         ovals: list[Oval] = []
         pseudoline = False
         first = True
@@ -124,7 +130,7 @@ class _Parser:
             item_start = self.pos
             if self.peek() == "J":
                 self.pos += 1
-                if not top_level:
+                if depth > 1:
                     raise ViroSyntaxError("J is only allowed at top level", item_start)
                 if pseudoline:
                     raise ViroSyntaxError("duplicate J", item_start)
@@ -138,8 +144,10 @@ class _Parser:
                     raise ViroSyntaxError("count 0 inside a body", item_start)
                 children: tuple[Oval, ...] = ()
                 if self.peek() == "<":
+                    if depth == MAX_DEPTH:
+                        raise ViroSyntaxError(f"nest deeper than {MAX_DEPTH}", self.pos)
                     self.pos += 1
-                    children, _ = self.parse_body(top_level=False)
+                    children, _ = self.parse_body(depth + 1)
                     self.expect(">")
                 ovals.extend(Oval(children) for _ in range(count))
             first = False
@@ -153,12 +161,12 @@ def parse_viro(code: str) -> RealScheme:
     """Parse an angle-bracket code into a :class:`RealScheme`.
 
     Raises :class:`ViroSyntaxError` with the offending position on bad
-    input.  A ``_1``/``_2`` suffix is allowed on any body, including the
-    empty one.
+    input, including a nest deeper than :data:`MAX_DEPTH`.  A ``_1``/``_2``
+    suffix is allowed on any body, including the empty one.
     """
     p = _Parser(code)
     p.expect("<")
-    roots, pseudoline = p.parse_body(top_level=True)
+    roots, pseudoline = p.parse_body(depth=1)
     p.expect(">")
     curve_type = CurveType.UNKNOWN
     if p.peek() == "_":
@@ -173,13 +181,14 @@ def parse_viro(code: str) -> RealScheme:
     return RealScheme(roots, pseudoline, curve_type)
 
 
-def _oval_key(o: Oval) -> str:
-    return "(" + "".join(sorted(_oval_key(c) for c in o.children)) + ")"
+def subtree_key(o: Oval) -> str:
+    """Canonical encoding of one oval with everything inside it."""
+    return "(" + "".join(sorted(subtree_key(c) for c in o.children)) + ")"
 
 
 def forest_key(s: RealScheme) -> str:
     """Canonical encoding of the forest alone, ignoring flags."""
-    return "".join(sorted(_oval_key(r) for r in s.roots))
+    return "".join(sorted(subtree_key(r) for r in s.roots))
 
 
 def canonical_key(s: RealScheme) -> str:
@@ -197,10 +206,10 @@ def _format_group(o: Oval, count: int) -> str:
 def _format_forest(ovals: tuple[Oval, ...]) -> str:
     groups: dict[str, tuple[Oval, int]] = {}
     for o in ovals:
-        k = _oval_key(o)
+        k = subtree_key(o)
         rep, n = groups.get(k, (o, 0))
         groups[k] = (rep, n + 1)
-    ordered = sorted(groups.values(), key=lambda g: (g[0].size, _oval_key(g[0])))
+    ordered = sorted(groups.values(), key=lambda g: (g[0].size, subtree_key(g[0])))
     return " u ".join(_format_group(o, n) for o, n in ordered)
 
 
@@ -353,17 +362,15 @@ def iter_forests(max_ovals: int) -> Iterator[tuple[Oval, ...]]:
         out = []
         for k in range(1, n + 1):
             for t in trees(k):
-                tk = _oval_key(t)
+                tk = subtree_key(t)
                 for rest in forests(n - k):
-                    if rest and _oval_key(rest[0]) < tk:
+                    if rest and subtree_key(rest[0]) < tk:
                         continue
-                    if rest and _oval_key(rest[0]) == tk:
-                        pass
                     out.append((t, *rest))
         # Dedupe by key; recursion above can still repeat mixed sizes.
         seen = {}
         for f in out:
-            seen.setdefault("".join(sorted(map(_oval_key, f))), f)
+            seen.setdefault(forest_key(RealScheme(f)), f)
         return list(seen.values())
 
     for n in range(0, max_ovals + 1):

@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
+from .domains import OUTER, Path, format_path
 from .schemes import (
     CurveType,
     Oval,
@@ -318,12 +319,12 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
 
     signs: dict[str, int] = {}
     if p.degree % 2 == 0:
-        def walk(region: int, name: str) -> None:
+        def walk(region: int, path: Path | None) -> None:
             comp = next(iter(regions[region]))
-            signs[name] = comp_sign[comp]
+            signs[format_path(path)] = comp_sign[comp]
             for k, c in enumerate(sorted(children[region])):
-                walk(c, f"{name}.{k}" if name != "outer" else str(k))
-        walk(root, "outer")
+                walk(c, (path or ()) + (k,))
+        walk(root, OUTER)
 
     return _PixelTopology(forest, signs, ambiguous)
 

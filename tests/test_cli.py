@@ -24,6 +24,14 @@ def test_scheme_parse_error_exit(capsys):
     assert main(["scheme", "parse", "<1"]) == 2
 
 
+def test_scheme_parse_too_deep_exit(capsys):
+    depth = 129
+    code = "<" + "1<" * (depth - 1) + "1" + ">" * depth
+    assert main(["scheme", "parse", code]) == 2
+    err = capsys.readouterr().err
+    assert "nest deeper than 128" in err and "Traceback" not in err
+
+
 def test_scheme_validate_failure_exit(capsys):
     code, out = run(capsys, "scheme", "validate", "<12>", "--degree", "6", "--format", "records")
     assert code == 2
@@ -74,6 +82,14 @@ def test_moves_trace_with_log_transform(tmp_path, capsys):
     recs = records(out)
     assert recs[0]["classification"] == "M1"
     assert recs[-1].get("event") == "log_transform"
+
+
+def test_moves_apply_bad_lines_exit(tmp_path, capsys):
+    for line in ("5", '{"kind": "fuse_parent_child", "parent": "0", "child": "0.5"}'):
+        seq = tmp_path / "moves.jsonl"
+        seq.write_text(line + "\n")
+        assert main(["moves", "apply", "<1<1>>", str(seq)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_search_derive(capsys):

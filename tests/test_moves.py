@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from conjquot.moves import (
     FuseParentChild,
     FuseSiblings,
     MoveError,
+    MoveRecord,
     SplitNest,
     SplitSibling,
     apply,
@@ -19,9 +21,17 @@ from conjquot.moves import (
     inverse_move,
     ledger_effect,
     make_move,
+    rewrite_from_record,
     trace_records,
 )
-from conjquot.schemes import CurveType, RealScheme, forest_key, format_viro, parse_viro
+from conjquot.schemes import (
+    CurveType,
+    RealScheme,
+    forest_key,
+    format_viro,
+    iter_forests,
+    parse_viro,
+)
 
 from conftest import forests, random_forest
 
@@ -151,6 +161,39 @@ def test_apply_rejects_nonapplicable_rewrite():
         make_move(t, DeleteEmpty((0,)))  # not childless
     with pytest.raises(MoveError):
         make_move(t, FuseSiblings((0,), (0, 0)))  # not siblings
+    with pytest.raises(MoveError):
+        make_move(t, FuseParentChild((0,), (0, 5)))  # no such child
+    with pytest.raises(MoveError):  # one oval enclosed thrice would copy it
+        make_move(tracked("<1<1<1>> u 2>", outer=True), SplitNest((1,), ((2,),) * 3))
+
+
+def test_move_records_round_trip_through_json():
+    for roots in iter_forests(5):
+        for outer in (False, True):
+            t = TrackedScheme(RealScheme(roots), 6, outer)
+            for m in enumerate_moves(t):
+                rec = json.loads(json.dumps(m.record()))
+                assert rewrite_from_record(rec["rewrite"]) == m.rewrite
+                assert MoveRecord.from_record(rec) == m
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        {"kind": "grow", "oval": "0"},
+        {"oval": "0"},
+        {"kind": "fuse_siblings", "first": "0"},
+        {"kind": "delete_empty", "oval": "-1"},
+        {"kind": "delete_empty", "oval": "0.x"},
+        {"kind": "delete_empty", "oval": ""},
+        {"kind": "delete_empty", "oval": 0},
+        {"kind": "split_nest", "oval": "0", "enclosed": "1"},
+        ["delete_empty", "0"],
+    ],
+)
+def test_malformed_rewrite_records_raise_move_error(rec):
+    with pytest.raises(MoveError):
+        rewrite_from_record(rec)
 
 
 def test_enumerate_is_deterministic_and_deduped():

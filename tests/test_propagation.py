@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from conjquot.domains import (
@@ -6,7 +9,7 @@ from conjquot.domains import (
     TrackedScheme,
     euler_W,
 )
-from conjquot.moves import Classification
+from conjquot.moves import Classification, DeleteEmpty, MoveRecord
 from conjquot.propagation import (
     EXPECTED_MINUS_EXCEPTIONS,
     Fact,
@@ -20,7 +23,7 @@ from conjquot.propagation import (
     sextic_sweep,
     state_label,
 )
-from conjquot.schemes import load_catalog, parse_viro
+from conjquot.schemes import CurveType, load_catalog, parse_viro
 
 
 def tracked(code, outer=False):
@@ -55,6 +58,14 @@ def test_search_respects_relation():
     assert relation_search(tracked("<1>"), tracked("<2>"), SUCC, max_steps=6) is None
     cert = relation_search(tracked("<1>"), tracked("<2>"), RHD, max_steps=6)
     assert cert is not None and cert.replay(RHD)
+
+
+def test_certificate_with_a_nonapplying_move_does_not_replay():
+    cert = relation_search(tracked("<5>"), tracked("<2>"))
+    assert cert is not None and cert.replay(SUCC)
+    bogus = MoveRecord(DeleteEmpty((7,)), Classification.M0_INV, -1)
+    assert not replace(cert, moves=(bogus, *cert.moves[1:])).replay(SUCC)
+    assert not replace(cert, moves=cert.moves[1:]).replay(SUCC)
 
 
 def test_search_degree_mismatch():
@@ -140,6 +151,39 @@ def test_propagated_facts_replay(catalog):
     assert all(replay_fact(f, SUCC) for f in table.facts.values())
 
 
+@pytest.fixture(scope="module")
+def sweep_fact(catalog):
+    """A propagated sweep fact reached by three or more moves."""
+    facts = sextic_sweep(catalog).table.facts.values()
+    return next(
+        f for f in facts
+        if len(f.path) >= 3 and all(step["edge"] == "move" for step in f.path)
+    )
+
+
+def _with_step(fact, i, **changes):
+    path = list(fact.path)
+    path[i] = {**path[i], **changes}
+    return replace(fact, path=tuple(path))
+
+
+def test_replay_fact_pins_the_typed_end_state(sweep_fact):
+    fact, state, path = sweep_fact, sweep_fact.state, sweep_fact.path
+    other_type = CurveType.ONE if state.scheme.curve_type is CurveType.TWO else CurveType.TWO
+    assert replay_fact(fact, SUCC)
+    flipped = replace(state, outer_tracked=not state.outer_tracked)
+    retyped = replace(state, scheme=state.scheme.with_type(other_type))
+    corpus = {
+        "flipped side": replace(fact, state=flipped),
+        "swapped type": replace(fact, state=retyped),
+        "swapped steps": replace(fact, path=(path[1], path[0], *path[2:])),
+        "outside SUCC": _with_step(fact, 0, classification="M2^-1"),
+        "no such oval": _with_step(fact, 0, rewrite={"kind": "delete_empty", "oval": "9.9.9"}),
+    }
+    replays = {name: replay_fact(f, SUCC) for name, f in corpus.items()}
+    assert replays == dict.fromkeys(corpus, False)
+
+
 # ------------------------------------------------------------------ sweep
 
 
@@ -165,6 +209,14 @@ def test_sweep_quotient_words(catalog):
     assert rows[("<9>_1", "+")].words == ("(S2xS2)",)
     assert rows[("<9 u 1<1>>_1", "+")].words == ("(S2xS2)",)
     assert rows[("<9>_2", "+")].b2plus_y == 1
+
+
+def test_sweep_row_order_ignores_catalog_order(catalog):
+    shuffled = [list(catalog), list(catalog)]
+    random.Random(1).shuffle(shuffled[0])
+    random.Random(2).shuffle(shuffled[1])
+    assert shuffled[0] != shuffled[1]
+    assert sextic_sweep(shuffled[0]).records() == sextic_sweep(shuffled[1]).records()
 
 
 def test_sweep_requires_driver_rows(catalog):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjquot.schemes import (
+    MAX_DEPTH,
     CurveType,
     Oval,
     RealScheme,
@@ -81,6 +82,26 @@ def test_parse_errors_with_position(bad, pos):
     with pytest.raises(ViroSyntaxError) as err:
         parse_viro(bad)
     assert err.value.position == pos
+
+
+def nest_code(depth):
+    return "<" + "1<" * (depth - 1) + "1" + ">" * depth
+
+
+def test_parse_accepts_the_deepest_nest():
+    code = nest_code(MAX_DEPTH)
+    s = parse_viro(code)
+    assert s.depth == MAX_DEPTH == 128
+    assert format_viro(s) == code
+    assert canonical_key(parse_viro(format_viro(s))) == canonical_key(s)
+
+
+def test_parse_rejects_a_deeper_nest_at_its_bracket():
+    with pytest.raises(ViroSyntaxError) as err:
+        parse_viro(nest_code(MAX_DEPTH + 1))
+    assert err.value.position == 2 * MAX_DEPTH
+    with pytest.raises(ViroSyntaxError):
+        parse_viro(nest_code(1200))
 
 
 def test_format_nest_of_three():
