@@ -2,8 +2,8 @@
 
 Batch-oriented: every subcommand reads its inputs from flags or files,
 prints either an aligned table or sorted-key JSON records (one object
-per line), and exits 0 on success, 2 on validation failure, 3 on an
-unstable trace.
+per line), and exits 0 on success, 2 on validation failure (invalid
+trace input included), 3 on an unstable or untrustworthy trace.
 """
 
 from __future__ import annotations
@@ -166,11 +166,17 @@ def cmd_facts_propagate(args) -> int:
     seeds = []
     axioms = []
     with open(args.seeds, encoding="utf-8") as fh:
-        for ln in fh:
+        for num, ln in enumerate(fh, 1):
             if not ln.strip():
                 continue
             rec = json.loads(ln)
-            if rec.get("edge") == "axiom":
+            axiom = isinstance(rec, dict) and rec.get("edge") == "axiom"
+            need = ("from", "to") if axiom else ("scheme", "side")
+            if not isinstance(rec, dict) or not all(isinstance(rec.get(k), str) for k in need):
+                raise ValueError(f"seed line {num}: needs string {need[0]!r} and {need[1]!r}")
+            if not axiom and rec["side"] not in ("+", "-"):
+                raise ValueError(f"seed line {num}: side must be '+' or '-'")
+            if axiom:
                 axioms.append(
                     (
                         propagation.parse_state_label(rec["from"], args.degree),
@@ -305,7 +311,7 @@ def cmd_trace_lcurve(args) -> int:
         result = tracer.l_curve_sample(
             lines, g, epsilon=args.epsilon, grid=tracer.GridConfig(args.grid, args.grid_cap)
         )
-    except tracer.TraceError as err:
+    except (tracer.UnstableTraceError, tracer.TracerInternalError) as err:
         _emit([{"error": str(err)}], args.format)
         return EXIT_UNSTABLE
     _emit([result.record()], args.format)

@@ -88,6 +88,10 @@ class RealScheme:
 # degree d <= 256, and shallow enough for the recursive key and format.
 MAX_DEPTH = 128
 
+# Most ovals a code may describe: harnack_bound(256), for the same degree
+# range.  Counts multiply through nesting, so the parser counts as it goes.
+MAX_OVALS = 32386
+
 
 class ViroSyntaxError(ValueError):
     """Raised on malformed codes; carries the 0-based offset of the error."""
@@ -101,6 +105,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.ovals = 0  # ovals parsed so far, copies included
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -143,12 +148,16 @@ class _Parser:
                         return (), pseudoline
                     raise ViroSyntaxError("count 0 inside a body", item_start)
                 children: tuple[Oval, ...] = ()
+                before = self.ovals
                 if self.peek() == "<":
                     if depth == MAX_DEPTH:
                         raise ViroSyntaxError(f"nest deeper than {MAX_DEPTH}", self.pos)
                     self.pos += 1
                     children, _ = self.parse_body(depth + 1)
                     self.expect(">")
+                self.ovals = before + count * (1 + self.ovals - before)
+                if self.ovals > MAX_OVALS:
+                    raise ViroSyntaxError(f"more than {MAX_OVALS} ovals", item_start)
                 ovals.extend(Oval(children) for _ in range(count))
             first = False
             if self.text.startswith(" u ", self.pos):
@@ -161,7 +170,8 @@ def parse_viro(code: str) -> RealScheme:
     """Parse an angle-bracket code into a :class:`RealScheme`.
 
     Raises :class:`ViroSyntaxError` with the offending position on bad
-    input, including a nest deeper than :data:`MAX_DEPTH`.  A ``_1``/``_2``
+    input, including a nest deeper than :data:`MAX_DEPTH` or more than
+    :data:`MAX_OVALS` ovals.  A ``_1``/``_2``
     suffix is allowed on any body, including the empty one.
     """
     p = _Parser(code)

@@ -4,14 +4,16 @@ A homogeneous polynomial is sampled on the unit-disc model of the
 projective plane: the point (u, v) with u^2 + v^2 <= 1 stands for the
 projective point (u : v : w), w = sqrt(1 - u^2 - v^2), with antipodal
 points of the rim glued.  Working with both hemispheres keeps the gluing
-exact: complement regions are connected components of the nonzero-sign
-pixels on the two sheets, stitched along the rim and folded by the
-antipodal involution.
+exact.  Complement regions come from one union-find pass over the sign
+components of both sheets, numbered in one run of ids: rim pairs of equal
+sign are stitched into sphere components, whose roots are snapshotted,
+then antipodal pairs are folded into projective regions.  A region is
+one-sided exactly when one sphere component covers it.
 
 For disjoint embedded circles the region adjacency graph is a tree whose
-edges are the curve components; the root is the unique region whose
-double cover stays connected (it carries the one-sided core of the
-plane), and the tree below it is exactly the oval nesting forest.  A
+edges are the curve components; the root is the unique one-sided region
+(it carries the one-sided core of the plane), and the tree below it is
+exactly the oval nesting forest, children ordered by region id.  A
 region bounded by itself is the one-sided component of an odd-degree
 curve.
 
@@ -22,6 +24,7 @@ cap otherwise.  Unstable traces are flagged, never silently guessed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -41,6 +44,10 @@ from .schemes import (
 
 class TraceError(ValueError):
     pass
+
+
+class UnstableTraceError(TraceError):
+    """No resolution up to the cap gave a scheme that could be trusted."""
 
 
 class TracerInternalError(RuntimeError):
@@ -158,16 +165,17 @@ class TraceResult:
 
 
 class _Dsu:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
+    """Union-find over ``0..n-1``; ``union(a, b)`` keeps the root of ``a``."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
     def find(self, x: int) -> int:
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
+        parent = self.parent
+        while x != parent[x]:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
     def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
@@ -182,151 +190,104 @@ class _PixelTopology:
     ambiguous: int
 
 
-def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
+def _disc_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel centres ``u, v`` of an n-by-n grid on the square around the
+    unit disc, the upper-sheet ``w`` and the mask of centres in the disc."""
     half = np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n
     u, v = np.meshgrid(half, half, indexing="ij")
     rr = u * u + v * v
-    inside = rr <= 1.0
-    w = np.sqrt(np.maximum(1.0 - rr, 0.0))
+    return u, v, np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
 
+
+def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
+    u, v, w, inside = _disc_grid(n)
     values = [p.evaluate(u, v, w), p.evaluate(u, v, -w)]
     ambiguous = int(sum((inside & (f == 0.0)).sum() for f in values))
 
+    # Sign components of both sheets in one run of ids 1, 2, ...; id 0 is
+    # the curve and the outside of the disc.
     labels = []
-    offset = 0
-    counts = []
+    sign = [0]
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     for f in values:
         lab = np.zeros(f.shape, dtype=np.int64)
-        pos, npos = ndimage.label(inside & (f > 0), structure=structure)
-        neg, nneg = ndimage.label(inside & (f < 0), structure=structure)
-        lab[pos > 0] = pos[pos > 0] + offset
-        offset += npos
-        lab[neg > 0] = neg[neg > 0] + offset
-        offset += nneg
+        for s, mask in ((1, f > 0), (-1, f < 0)):
+            comp, count = ndimage.label(inside & mask, structure=structure)
+            lab[comp > 0] = comp[comp > 0] + (len(sign) - 1)
+            sign += [s] * count
         labels.append(lab)
-        counts.append((npos, nneg))
+    base = len(sign)
 
-    def unique_pairs(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def pairs(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> list[tuple[int, int]]:
+        """Distinct ``(lo, hi)`` label pairs over ``mask``, ascending, found
+        as one-dimensional keys ``lo * base + hi``."""
         xs, ys = a[mask], b[mask]
-        if xs.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        lo, hi = np.minimum(xs, ys), np.maximum(xs, ys)
-        return np.unique(np.stack([lo, hi], axis=1), axis=0)
-
-    def label_sign(x: int) -> int:
-        if x <= counts[0][0]:
-            return 1
-        if x <= counts[0][0] + counts[0][1]:
-            return -1
-        return 1 if x - counts[0][0] - counts[0][1] <= counts[1][0] else -1
-
-    dsu = _Dsu()
-    for i in range(1, offset + 1):
-        dsu.find(i)
+        keys = np.unique(np.minimum(xs, ys) * base + np.maximum(xs, ys))
+        return [divmod(k, base) for k in keys.tolist()]
 
     # Stitch the two sheets along the rim: same grid point, w of either sign.
+    dsu = _Dsu(base)
     rim = inside.copy()
     rim[1:-1, 1:-1] &= ~(
         inside[:-2, 1:-1] & inside[2:, 1:-1] & inside[1:-1, :-2] & inside[1:-1, 2:]
     )
-    adjacency: set[tuple[int, int]] = set()
-    for x, y in unique_pairs(labels[0], labels[1], rim & (labels[0] > 0) & (labels[1] > 0)).tolist():
-        if label_sign(x) == label_sign(y):
+    adjacency: list[tuple[int, int]] = []
+    for x, y in pairs(labels[0], labels[1], rim & (labels[0] > 0) & (labels[1] > 0)):
+        if sign[x] == sign[y]:
             dsu.union(x, y)
         else:
-            adjacency.add((x, y))
+            adjacency.append((x, y))
 
     # In-sheet adjacencies across the curve.
     for lab in labels:
         for p1, p2 in ((lab[:-1, :], lab[1:, :]), (lab[:, :-1], lab[:, 1:])):
-            mask = (p1 > 0) & (p2 > 0) & (p1 != p2)
-            adjacency.update(map(tuple, unique_pairs(p1, p2, mask).tolist()))
+            adjacency += pairs(p1, p2, (p1 > 0) & (p2 > 0) & (p1 != p2))
 
     # Fold by the antipodal involution: (u, v, w) and (-u, -v, -w) agree.
+    sphere = {dsu.find(i) for i in range(1, base)}
     anti = labels[1][::-1, ::-1]
-    pairs = unique_pairs(labels[0], anti, (labels[0] > 0) & (anti > 0))
-    sphere_parent = {i: dsu.find(i) for i in range(1, offset + 1)}
-    quotient = _Dsu()
-    for i in set(sphere_parent.values()):
-        quotient.find(i)
-    for x, y in pairs.tolist():
-        quotient.union(sphere_parent[x], sphere_parent[y])
+    for x, y in pairs(labels[0], anti, (labels[0] > 0) & (anti > 0)):
+        dsu.union(x, y)
+    preimages = Counter(dsu.find(c) for c in sphere)
 
-    # Projective regions and their sphere preimage component counts.
-    regions: dict[int, set[int]] = {}
-    for comp in set(sphere_parent.values()):
-        regions.setdefault(quotient.find(comp), set()).add(comp)
-
-    edges: dict[tuple[int, int], None] = {}
     loops: set[int] = set()
-    for x, y in sorted(adjacency):
-        qa = quotient.find(sphere_parent[x])
-        qb = quotient.find(sphere_parent[y])
+    nbrs: dict[int, set[int]] = {r: set() for r in preimages}
+    for x, y in adjacency:
+        qa, qb = dsu.find(x), dsu.find(y)
         if qa == qb:
             loops.add(qa)
         else:
-            edges[(min(qa, qb), max(qa, qb))] = None
+            nbrs[qa].add(qb)
+            nbrs[qb].add(qa)
 
-    # Signs per sphere component (well defined for even degree).
-    comp_sign: dict[int, int] = {}
-    for raw in range(1, offset + 1):
-        comp_sign[sphere_parent[raw]] = label_sign(raw)
-
-    graph: dict[int, list[int]] = {r: [] for r in regions}
-    for qa, qb in edges:
-        graph[qa].append(qb)
-        graph[qb].append(qa)
-
-    n_regions = len(regions)
-    n_edges = len(edges)
+    n_regions = len(preimages)
+    n_edges = sum(map(len, nbrs.values())) // 2
     if p.degree % 2 == 0:
         if loops or n_edges != n_regions - 1:
             raise TraceError("region graph is not a tree")
-        roots = [r for r, comps in regions.items() if len(comps) == 1]
+        roots = [r for r, k in preimages.items() if k == 1]
         if len(roots) != 1:
             raise TraceError("no unique one-sided region")
-        pseudoline = False
+    elif len(loops) != 1 or n_edges != n_regions - 1:
+        raise TraceError("odd degree curve needs exactly one one-sided component")
     else:
-        if len(loops) != 1 or n_edges != n_regions - 1:
-            raise TraceError("odd degree curve needs exactly one one-sided component")
         roots = list(loops)
-        pseudoline = True
-    root = roots[0]
 
-    seen = {root}
-    stack = [root]
-    children: dict[int, list[int]] = {r: [] for r in regions}
-    while stack:
-        node = stack.pop()
-        for nb in graph[node]:
-            if nb in seen:
-                continue
-            seen.add(nb)
-            children[node].append(nb)
-            stack.append(nb)
+    # Children in ascending region id; the sign is well defined for even
+    # degree, where the antipodal map keeps it.
+    signs: dict[str, int] = {}
+    seen = {roots[0]}
+
+    def build(region: int, path: Path | None) -> tuple[Oval, ...]:
+        signs[format_path(path)] = sign[region]
+        kids = sorted(nbrs[region] - seen)
+        seen.update(kids)
+        return tuple(Oval(build(c, (path or ()) + (k,))) for k, c in enumerate(kids))
+
+    forest = RealScheme(build(roots[0], OUTER), p.degree % 2 == 1, CurveType.UNKNOWN)
     if len(seen) != n_regions:
         raise TraceError("region graph is disconnected")
-
-    def build(region: int) -> Oval:
-        return Oval(tuple(build(c) for c in sorted(children[region])))
-
-    forest = RealScheme(
-        tuple(build(c) for c in sorted(children[root])),
-        pseudoline,
-        CurveType.UNKNOWN,
-    )
-
-    signs: dict[str, int] = {}
-    if p.degree % 2 == 0:
-        def walk(region: int, path: Path | None) -> None:
-            comp = next(iter(regions[region]))
-            signs[format_path(path)] = comp_sign[comp]
-            for k, c in enumerate(sorted(children[region])):
-                walk(c, (path or ()) + (k,))
-        walk(root, OUTER)
-
-    return _PixelTopology(forest, signs, ambiguous)
+    return _PixelTopology(forest, signs if p.degree % 2 == 0 else {}, ambiguous)
 
 
 def _same_scheme(a: RealScheme, b: RealScheme) -> bool:
@@ -359,7 +320,7 @@ def trace_scheme(p: PolySpec, grid: GridConfig = GridConfig()) -> TraceResult:
             last, last_n = current, n
         n *= 2
     if last is None:
-        raise TraceError("; ".join(notes) or "no resolution produced a scheme")
+        raise UnstableTraceError("; ".join(notes) or "no resolution produced a scheme")
     notes.append("refinement cap reached without agreement")
     return TraceResult(
         last.forest, tuple(sorted(last.signs.items())), last_n, stable=False,
@@ -427,17 +388,13 @@ def l_curve_sample(
     for coeffs in lines[1:]:
         prod = poly_mul(prod, line(*coeffs))
     if epsilon is None:
-        k = 64
-        half = np.linspace(-1.0, 1.0, k, endpoint=False) + 1.0 / k
-        u, v = np.meshgrid(half, half, indexing="ij")
-        rr = u * u + v * v
-        w = np.sqrt(np.maximum(1.0 - rr, 0.0))
-        samples = np.abs(prod.evaluate(u, v, w)[rr <= 1.0])
+        u, v, w, inside = _disc_grid(64)
+        samples = np.abs(prod.evaluate(u, v, w)[inside])
         epsilon = 1e-2 * float(np.quantile(samples[samples > 0], 0.1))
     f = poly_add(prod, g, scale=-epsilon)
     trace = trace_scheme(f, grid)
     if not trace.stable:
-        raise TraceError(f"unstable perturbation trace: {'; '.join(trace.notes)}")
+        raise UnstableTraceError(f"unstable perturbation trace: {'; '.join(trace.notes)}")
     if not l_curve_bound(trace.scheme, m):
         raise TracerInternalError(
             f"{trace.scheme.oval_count} ovals from {m} lines break the "

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from conjquot import tracer
 from conjquot.cli import main
 
 
@@ -30,6 +33,12 @@ def test_scheme_parse_too_deep_exit(capsys):
     assert main(["scheme", "parse", code]) == 2
     err = capsys.readouterr().err
     assert "nest deeper than 128" in err and "Traceback" not in err
+
+
+def test_scheme_parse_too_many_ovals_exit(capsys):
+    assert main(["scheme", "parse", "<32387>"]) == 2
+    err = capsys.readouterr().err
+    assert "more than 32386 ovals" in err and "Traceback" not in err
 
 
 def test_scheme_validate_failure_exit(capsys):
@@ -127,6 +136,26 @@ def test_facts_propagate(tmp_path, capsys):
     assert ("<1<8>>_1", "-") in marked
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        {"side": "+"},
+        {"scheme": "<1>"},
+        [1, 2],
+        {"scheme": 5, "side": "+"},
+        {"scheme": "<1>", "side": "x"},
+        {"edge": "axiom", "from": "<9>_2+"},
+        {"edge": "axiom", "to": "<1<8>>_1-"},
+    ],
+)
+def test_facts_propagate_bad_seed_line_exit(tmp_path, capsys, line):
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_text(json.dumps({"scheme": "<10>_2", "side": "+"}) + "\n" + json.dumps(line) + "\n")
+    assert main(["facts", "propagate", str(seeds)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed line 2:") and "Traceback" not in err
+
+
 def test_sweep_sextics(capsys):
     code, out = run(capsys, "sweep", "sextics", "--format", "records")
     assert code == 0
@@ -198,3 +227,36 @@ def test_table_output(capsys):
     code, out = run(capsys, "k3", "classify", "--xr", "8S0", "--class-vanishes")
     assert code == 0
     assert "CP2 # CP2bar^17" in out
+
+
+def lcurve_args(tmp_path, lines, g):
+    (tmp_path / "lines.txt").write_text(lines)
+    (tmp_path / "g.poly").write_text(g)
+    return [
+        "trace", "lcurve", "--lines", str(tmp_path / "lines.txt"), "--g",
+        str(tmp_path / "g.poly"), "--epsilon", "0.001", "--format", "records",
+    ]
+
+
+@pytest.mark.parametrize(
+    "lines, g, message",
+    [
+        ("1 0 0\n1 0 0\n", "2 0 0 1.0\n", "error: lines 0 and 1 coincide"),
+        ("1 0 0\n0 1 0\n", "4 0 0 1.0\n", "error: perturbation must have degree 2, got 4"),
+    ],
+)
+def test_trace_lcurve_invalid_input_exit(tmp_path, capsys, lines, g, message):
+    assert main(lcurve_args(tmp_path, lines, g)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip() == message
+
+
+def test_trace_lcurve_internal_error_exit(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise tracer.TracerInternalError("11 ovals from 6 lines break the one-third bound")
+
+    monkeypatch.setattr(tracer, "l_curve_sample", broken)
+    code, out = run(capsys, *lcurve_args(tmp_path, "1 0 0\n0 1 0\n", "2 0 0 1.0\n"))
+    assert code == 3
+    assert "one-third bound" in records(out)[0]["error"]
+    assert "Traceback" not in capsys.readouterr().err

@@ -2,8 +2,11 @@
 
 Each ``<name>.out`` file is the stdout of the command line below, captured
 before the forest primitives were merged into one walker, one subtree key,
-one path codec and one move-record codec.  ``{goldens}`` in an argument
-stands for the snapshot directory, which also holds the input files.
+one path codec and one move-record codec; the ``trace-*`` snapshots were
+captured before the tracer's region graph became one union-find pass.
+``{goldens}`` in an argument stands for the snapshot directory, which also
+holds the input files (the ``.poly`` files are products of circles written
+with ``poly_mul``, except the cubic and the definite sextic).
 """
 
 import contextlib
@@ -47,6 +50,29 @@ CASES = {
     "derive-1l1-2-rhd.records": [
         "search", "derive", "<1<1>>", "<2>", "--side", "-", "--relation", "rhd",
         "--format", "records",
+    ],
+    # Sibling order, and so the w_signs names, follows the region ids.
+    "trace-sibling-nest.records": [
+        "trace", "poly", "--file", "{goldens}/sibling-nest.poly",
+        "--grid", "128", "--grid-cap", "1024", "--format", "records",
+    ],
+    "trace-sibling-nest-mirrored.records": [
+        "trace", "poly", "--file", "{goldens}/sibling-nest-mirrored.poly",
+        "--grid", "128", "--grid-cap", "1024", "--format", "records",
+    ],
+    # At 128 the region graph is not a tree, which lands in the notes.
+    "trace-mixed-nest.records": [
+        "trace", "poly", "--file", "{goldens}/mixed-nest.poly",
+        "--grid", "128", "--grid-cap", "1024", "--format", "records",
+    ],
+    "trace-cubic.records": [
+        "trace", "poly", "--file", "{goldens}/cubic.poly",
+        "--grid", "128", "--grid-cap", "1024", "--format", "records",
+    ],
+    "trace-lcurve-ten-ovals.records": [
+        "trace", "lcurve", "--lines", "{goldens}/ten-oval-lines.txt",
+        "--g", "{goldens}/definite-sextic.poly", "--epsilon=-7.8e-08",
+        "--grid", "512", "--grid-cap", "1024", "--format", "records",
     ],
     "facts-propagate.records": [
         "facts", "propagate", "{goldens}/seeds.jsonl", "--catalog", "{goldens}/catalog.tsv",

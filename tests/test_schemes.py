@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conjquot.schemes import (
     MAX_DEPTH,
+    MAX_OVALS,
     CurveType,
     Oval,
     RealScheme,
@@ -102,6 +103,16 @@ def test_parse_rejects_a_deeper_nest_at_its_bracket():
     assert err.value.position == 2 * MAX_DEPTH
     with pytest.raises(ViroSyntaxError):
         parse_viro(nest_code(1200))
+
+
+def test_parse_caps_the_oval_count_through_nesting():
+    assert MAX_OVALS == harnack_bound(256) == 32386
+    assert parse_viro(f"<{MAX_OVALS}>").oval_count == MAX_OVALS
+    assert parse_viro("<2<16192>>").oval_count == MAX_OVALS
+    for code in (f"<{MAX_OVALS + 1}>", "<2<16193>>", "<99999999>"):
+        with pytest.raises(ViroSyntaxError) as err:
+            parse_viro(code)
+        assert err.value.position == 1 and "more than 32386 ovals" in str(err.value)
 
 
 def test_format_nest_of_three():

@@ -1,7 +1,12 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conjquot
+from conjquot.domains import format_path, iter_ovals
 from conjquot.schemes import RealScheme, format_viro, forest_key
 from conjquot.tracer import (
     GridConfig,
@@ -104,7 +109,23 @@ def test_round_trip_random_forests():
         result = trace_scheme(f, GridConfig(256, 1024))
         assert result.stable
         assert forest_key(result.scheme) == forest_key(RealScheme(roots))
+        # one sign per region, named by the stored child order
+        assert set(dict(result.w_signs)) == {"outer"} | {
+            format_path(path) for path, _ in iter_ovals(result.scheme)
+        }
         done += 1
+
+
+def test_trace_leaves_scipy_sparse_unimported():
+    # scipy.sparse (csgraph) adds about 11 MB and 0.1 s to every CLI start
+    src = str(Path(conjquot.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import conjquot\n"
+        "conjquot.trace_scheme(conjquot.tracer.circle(0, 0, 0.5), conjquot.GridConfig(32, 64))\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_empty_real_locus_is_the_empty_scheme():
