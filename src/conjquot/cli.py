@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -81,7 +82,6 @@ def cmd_scheme_validate(args) -> int:
 
 def cmd_domains_invariants(args) -> int:
     t = _tracked(args.code, args.degree, args.side)
-    rs = domains.regions(t)
     arl = domains.arnold_descriptor(t)
     summary = {
         "scheme": schemes.format_viro(t.scheme),
@@ -94,7 +94,7 @@ def cmd_domains_invariants(args) -> int:
         "double_plane": fourman.double_plane_invariants(t).record(),
     }
     if args.regions:
-        _emit(rs.records(), args.format)
+        _emit([r.record() for r in domains.regions(t)], args.format)
     else:
         _emit([summary], args.format)
     return EXIT_OK
@@ -426,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lines", required=True, help="file of 'a b c' rows")
     p.add_argument("--g", required=True, help="perturbation polynomial file")
     p.add_argument("--epsilon", type=float, default=None)
+    # Read an exponent-form negative such as -7.8e-08 as a value, not an option.
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--grid-cap", type=int, default=4096)
     p.set_defaults(func=cmd_trace_lcurve)

@@ -151,12 +151,8 @@ def perturb_u(b: BaseCurveSpec) -> PerturbResult:
             roots.extend(Oval() for _ in range(rp))
         else:
             roots.append(Oval())  # boundary of the one-sided neighbourhood
-    curve_type = (
-        CurveType.ONE if b.scheme.curve_type is CurveType.ONE else
-        CurveType.TWO if b.scheme.curve_type is CurveType.TWO else CurveType.UNKNOWN
-    )
     return PerturbResult(
-        RealScheme(tuple(roots), False, curve_type),
+        RealScheme(tuple(roots), False, b.scheme.curve_type),
         handlebody_orientable=b.scheme.curve_type is CurveType.ONE,
         notes=("arnold surface isotopic to the base curve",)
         if b.scheme.curve_type is CurveType.ONE

@@ -10,6 +10,10 @@ The class not containing the outer region is orientable.  A
 Euler characteristics are combinatorial: the outer region contributes
 ``1 - #roots`` and the region inside an oval ``1 - #children``; the total
 over all regions is 1, the Euler characteristic of the projective plane.
+Summed over the orientable class this is the p - n count behind
+Petrovskii's inequality: ovals at odd depth minus ovals at even depth.
+Each region is a disc minus its child discs, so a class has
+``(#ovals + euler + [holds the outer region]) / 2`` components.
 """
 
 from __future__ import annotations
@@ -104,20 +108,6 @@ class Region:
         }
 
 
-@dataclass(frozen=True)
-class RegionSet:
-    regions: tuple[Region, ...]
-
-    def __iter__(self):
-        return iter(self.regions)
-
-    def side(self, tracked: bool) -> tuple[Region, ...]:
-        return tuple(r for r in self.regions if r.tracked == tracked)
-
-    def records(self) -> list[dict]:
-        return [r.record() for r in self.regions]
-
-
 def iter_ovals(scheme: RealScheme):
     """Yield (path, oval) pairs, depth first in stored order."""
 
@@ -130,10 +120,14 @@ def iter_ovals(scheme: RealScheme):
     yield from walk(scheme.roots, ())
 
 
-def regions(t: TrackedScheme) -> RegionSet:
-    """One region per oval plus the outer one, with Euler data."""
+def _require_two_sided(t: TrackedScheme) -> None:
     if t.scheme.pseudoline:
         raise ValueError("region structure is defined for schemes without a one-sided component")
+
+
+def regions(t: TrackedScheme) -> tuple[Region, ...]:
+    """One region per oval plus the outer one, with Euler data."""
+    _require_two_sided(t)
     out = [
         Region(OUTER, 0, 1 - len(t.scheme.roots), t.is_tracked_level(0))
     ]
@@ -142,17 +136,17 @@ def regions(t: TrackedScheme) -> RegionSet:
         out.append(
             Region(path, level, 1 - len(oval.children), t.is_tracked_level(level))
         )
-    return RegionSet(tuple(out))
+    return tuple(out)
 
 
 def euler_W(t: TrackedScheme, side: Side = Side.TRACKED) -> int:
-    tracked = side is Side.TRACKED
-    return sum(r.euler for r in regions(t).side(tracked))
+    _require_two_sided(t)
+    chi = sum(1 if len(path) % 2 else -1 for path, _ in iter_ovals(t.scheme))
+    return 1 - chi if side_contains_outer(t, side) else chi
 
 
 def components_W(t: TrackedScheme, side: Side = Side.TRACKED) -> int:
-    tracked = side is Side.TRACKED
-    return len(regions(t).side(tracked))
+    return (t.scheme.oval_count + euler_W(t, side) + side_contains_outer(t, side)) // 2
 
 
 def side_contains_outer(t: TrackedScheme, side: Side) -> bool:
@@ -226,15 +220,21 @@ def real_part_X(
     region of the covered class contributes one closed component of twice
     its Euler characteristic.  For odd half-degree the covering orients;
     for even half-degree the double of the outer region stays one-sided.
+    With no ovals at even half-degree the sheets never meet and the plane
+    lifts to two projective planes: the one case where the part count
+    exceeds :func:`components_W`.
     """
     k = t.half_degree if half_degree is None else half_degree
     parts = []
-    for r in regions(t).side(covered is Side.TRACKED):
+    for r in regions(t):
+        if r.tracked != (covered is Side.TRACKED):
+            continue
         if k % 2 or r.owner is not OUTER:
-            orient = Orientability.ORIENTABLE
+            parts.append(SurfaceDescriptor(2 * r.euler, Orientability.ORIENTABLE))
+        elif t.scheme.roots:
+            parts.append(SurfaceDescriptor(2 * r.euler, Orientability.NON_ORIENTABLE))
         else:
-            orient = Orientability.NON_ORIENTABLE
-        parts.append(SurfaceDescriptor(2 * r.euler, orient))
+            parts += [SurfaceDescriptor(1, Orientability.NON_ORIENTABLE)] * 2
     return tuple(parts)
 
 
@@ -249,13 +249,7 @@ def arnold_descriptor(t: TrackedScheme) -> SurfaceDescriptor:
     undetermined; no general rule is assumed.
     """
     euler = euler_W(t, Side.TRACKED) + curve_euler(t.degree) // 2
-    if curve_euler(t.degree) % 2:
-        raise ValueError("curve Euler characteristic must be even")
-    isolated = sum(
-        1
-        for r in regions(t).side(True)
-        if r.owner is OUTER and not t.scheme.roots
-    )
+    isolated = int(t.outer_tracked and not t.scheme.roots)
     notes = ()
     if t.scheme.is_empty:
         notes = ("real part empty: decomposition claims do not apply",)

@@ -145,6 +145,13 @@ class GridConfig:
     resolution: int = 512
     cap: int = 4096
 
+    def __post_init__(self):
+        if self.resolution < 1 or self.cap < self.resolution:
+            raise ValueError(
+                f"grid needs 1 <= resolution <= cap, got resolution {self.resolution}"
+                f" and cap {self.cap}"
+            )
+
 
 @dataclass(frozen=True)
 class TraceResult:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,19 @@ def test_trace_poly_unstable_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--grid", "0"], "resolution 0 and cap 4096"),
+        (["--grid", "64", "--grid-cap", "32"], "resolution 64 and cap 32"),
+    ],
+)
+def test_trace_poly_bad_grid_exit(capsys, grid, message):
+    assert main(["trace", "poly", "--poly", "2 0 0 1.0; 0 2 0 1.0; 0 0 2 -0.25", *grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_record_output_is_stable(capsys):
     _, out1 = run(capsys, "sweep", "sextics", "--format", "records")
     _, out2 = run(capsys, "sweep", "sextics", "--format", "records")
@@ -260,3 +274,20 @@ def test_trace_lcurve_internal_error_exit(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "one-third bound" in records(out)[0]["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_trace_lcurve_bad_grid_exit(tmp_path, capsys):
+    assert main([*lcurve_args(tmp_path, "1 0 0\n0 1 0\n", "2 0 0 1.0\n"), "--grid", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "resolution 0" in err and "Traceback" not in err
+
+
+def test_trace_lcurve_exponent_negative_epsilon(capsys):
+    goldens = Path(__file__).parent / "goldens"
+    code, out = run(
+        capsys, "trace", "lcurve", "--lines", str(goldens / "ten-oval-lines.txt"),
+        "--g", str(goldens / "definite-sextic.poly"), "--epsilon", "-7.8e-08",
+        "--grid", "512", "--grid-cap", "1024", "--format", "records",
+    )
+    assert code == 0
+    assert out == (goldens / "trace-lcurve-ten-ovals.records.out").read_text("utf-8")

@@ -16,7 +16,7 @@ from conjquot.domains import (
     regions,
     side_orientable,
 )
-from conjquot.schemes import RealScheme, parse_viro
+from conjquot.schemes import RealScheme, iter_forests, parse_viro
 
 from conftest import forests, random_forest
 from oracles import pixel_euler_by_side
@@ -44,8 +44,22 @@ def test_regions_one_next_to_nest():
 
 
 def test_regions_reject_pseudoline():
-    with pytest.raises(ValueError):
-        regions(TrackedScheme(parse_viro("<J u 1>"), 6))
+    t = TrackedScheme(parse_viro("<J u 1>"), 6)
+    for fn in (regions, euler_W, components_W, arnold_descriptor):
+        with pytest.raises(ValueError, match="without a one-sided component"):
+            fn(t)
+
+
+def test_domain_counts_match_region_list():
+    for roots in iter_forests(7):
+        for degree in (2, 4, 6, 8):
+            for outer in (False, True):
+                t = TrackedScheme(RealScheme(roots), degree, outer)
+                rs = regions(t)
+                for side in Side:
+                    own = [r for r in rs if r.tracked == (side is Side.TRACKED)]
+                    assert euler_W(t, side) == sum(r.euler for r in own)
+                    assert components_W(t, side) == len(own)
 
 
 def test_euler_sum_is_projective_plane():
@@ -125,6 +139,20 @@ def test_real_part_even_half_degree_keeps_one_sided():
     parts = real_part_X(tracked("<1>", outer=True, degree=4), Side.TRACKED, 2)
     outer_part = next(p for p in parts if p.euler == 0)
     assert outer_part.orientability is Orientability.NON_ORIENTABLE
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6, 8])
+def test_real_part_empty_scheme(degree):
+    """Even half-degree: two projective planes, one part more than
+    components_W.  Odd half-degree: one sphere."""
+    t = TrackedScheme(parse_viro("<0>"), degree, True)
+    parts = [(p.euler, p.orientability) for p in real_part_X(t, Side.TRACKED)]
+    if degree % 4:
+        assert parts == [(2, Orientability.ORIENTABLE)]
+    else:
+        assert parts == [(1, Orientability.NON_ORIENTABLE)] * 2
+    assert len(parts) == components_W(t, Side.TRACKED) + (degree % 4 == 0)
+    assert real_part_X(t, Side.NONTRACKED) == ()
 
 
 def test_real_part_doubling_identity():

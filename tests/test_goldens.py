@@ -3,7 +3,9 @@
 Each ``<name>.out`` file is the stdout of the command line below, captured
 before the forest primitives were merged into one walker, one subtree key,
 one path codec and one move-record codec; the ``trace-*`` snapshots were
-captured before the tracer's region graph became one union-find pass.
+captured before the tracer's region graph became one union-find pass, and
+the ``domains-*`` snapshots before the domain Euler characteristics and
+component counts were computed without building a region list.
 ``{goldens}`` in an argument stands for the snapshot directory, which also
 holds the input files (the ``.poly`` files are products of circles written
 with ``poly_mul``, except the cubic and the definite sextic).
@@ -21,6 +23,17 @@ GOLDENS = Path(__file__).parent / "goldens"
 
 ENUMERATE_STATES = {"3u1l2": "<3 u 1<2>>", "nest3": "<1<1<1>>>_1", "mixed": "<2 u 1<1<1> u 1>>"}
 
+DOMAIN_STATES = {
+    "empty-plus": ["<0>", "--side", "+"],
+    "empty-minus": ["<0>", "--side", "-"],
+    "nest3-plus": ["<1<1<1>>>", "--side", "+"],
+    "nest3-minus": ["<1<1<1>>>", "--side", "-"],
+    "one-nest9-minus": ["<1 u 1<9>>_1", "--side", "-"],
+    "ten-plus": ["<10>_2", "--side", "+"],
+    "conic": ["<1>", "--degree", "2"],
+    "quartic-oval": ["<1>", "--degree", "4"],
+}
+
 CASES = {
     "sweep-sextics.records": ["sweep", "sextics", "--format", "records"],
     **{
@@ -30,6 +43,14 @@ CASES = {
         for name, code in ENUMERATE_STATES.items()
         for side in "+-"
         for fmt in ("table", "records")
+    },
+    **{
+        f"domains-{name}{'-regions' if listed else ''}.records": [
+            "domains", "invariants", *args, *(["--regions"] if listed else []),
+            "--format", "records",
+        ]
+        for name, args in DOMAIN_STATES.items()
+        for listed in (False, True)
     },
     "trace-log-transform.records": [
         "moves", "trace", "<1<1>>", "{goldens}/trace-moves.jsonl", "--side", "-",
