@@ -21,7 +21,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conjquot.schemes import format_viro
-from conjquot.tracer import GridConfig, PolySpec, TraceError, l_curve_sample
+from conjquot.tracer import (
+    GridConfig,
+    PolySpec,
+    TraceError,
+    TracerInternalError,
+    l_curve_sample,
+)
 
 
 def definite_sextic() -> PolySpec:
@@ -63,7 +69,7 @@ def search(target: str, tries: int = 200, seed: int = 5) -> None:
                     # epsilon autoscale is positive; redo with explicit sign
                     eps = sign * abs(res.epsilon) * eps_scale / 1e-2
                     res = l_curve_sample(lines, g, epsilon=eps, grid=grid)
-                except (TraceError, ValueError):
+                except (TraceError, TracerInternalError, ValueError):
                     continue
                 code = format_viro(res.trace.scheme)
                 if code == target:

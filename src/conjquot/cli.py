@@ -242,7 +242,6 @@ def cmd_construct(args) -> int:
             {constructions.PSEUDOLINE: args.base_degree ** 2}
             if args.on_pseudoline
             else {(0,): args.base_degree ** 2} if parse_viro(args.base).roots else {},
-            d=args.base_degree ** 2,
         )
         res = constructions.perturb_v(spec)
         _emit([res.record()], args.format)
@@ -253,9 +252,10 @@ def cmd_construct(args) -> int:
         if args.basepoints:
             for item in args.basepoints.split(","):
                 key, _, count = item.partition(":")
-                points[
-                    constructions.PSEUDOLINE if key == "J" else domains.parse_path(key)
-                ] = int(count)
+                component = constructions.PSEUDOLINE if key == "J" else domains.parse_path(key)
+                if component in points:
+                    raise ValueError(f"--basepoints names component {key!r} twice")
+                points[component] = int(count)
         spec = constructions.BaseCurveSpec(base, args.base_degree, points)
         res = constructions.perturb_u(spec)
         _emit([res.record()], args.format)
@@ -417,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("trace").add_subparsers(dest="sub", required=True)
     p = tr.add_parser("poly", parents=[fmt])
-    p.add_argument("--poly", help="inline 'a b c coeff' rows separated by ';'")
-    p.add_argument("--file", help="polynomial file")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--poly", help="inline 'a b c coeff' rows separated by ';'")
+    given.add_argument("--file", help="polynomial file")
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--grid-cap", type=int, default=4096)
     p.set_defaults(func=cmd_trace_poly)

@@ -40,26 +40,23 @@ class BaseCurveSpec:
 
     ``basepoints`` maps an oval path (or the PSEUDOLINE marker) to a
     count; unmapped components carry zero.  The total must be the
-    self-intersection d of the pencil class, k*k in the plane case.
+    self-intersection :attr:`d` of the pencil class in the plane.
     """
 
     scheme: RealScheme
     degree: int
     basepoints: tuple[tuple[Path | str, int], ...]
-    d: int | None = None
 
     def __init__(
         self,
         scheme: RealScheme,
         degree: int,
         basepoints: Mapping[Path | str, int] | None = None,
-        d: int | None = None,
     ):
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "degree", degree)
         items = tuple(sorted((basepoints or {}).items(), key=str))
         object.__setattr__(self, "basepoints", items)
-        object.__setattr__(self, "d", degree * degree if d is None else d)
         for key, n in items:
             if n < 0:
                 raise ConstructionError("basepoint counts must be >= 0")
@@ -68,6 +65,11 @@ class BaseCurveSpec:
                     raise ConstructionError("no pseudoline to carry basepoints")
             elif key not in {path for path, _ in iter_ovals(scheme)}:
                 raise ConstructionError(f"no oval at path {key}")
+
+    @property
+    def d(self) -> int:
+        """Self-intersection of the pencil class: degree * degree."""
+        return self.degree * self.degree
 
     @property
     def total_basepoints(self) -> int:
@@ -191,30 +193,21 @@ class FiberedSpec:
 
     ``double_fiber_types`` lists the dividing type of the real part of
     each doubled real fiber (length r); ``imaginary_pairs`` counts the
-    conjugate fiber pairs (s).  The standing hypotheses are asserted:
-    nonsingular connected total space, fiber and base; nonempty real
-    part; an even branch locus; doubled fibers close together with
-    nonempty real parts.
+    conjugate fiber pairs (s).  The standing hypotheses are assumed,
+    not checked: nonsingular connected total space, fiber and base;
+    nonempty real part; an even branch locus; doubled fibers close
+    together with nonempty real parts.
     """
 
     quotient_q: FourManifoldWord
     fiber_genus: int
     double_fiber_types: tuple[CurveType, ...]
     imaginary_pairs: int = 0
-    base_nonsingular_connected: bool = True
-    real_part_nonempty: bool = True
-    double_fibers_real_nonempty: bool = True
     elliptic_name: str | None = None
 
     def __post_init__(self):
         if self.imaginary_pairs < 0:
             raise ConstructionError("imaginary pair count must be >= 0")
-        if not self.base_nonsingular_connected:
-            raise ConstructionError("the fibration data must be nonsingular and connected")
-        if not self.real_part_nonempty:
-            raise ConstructionError("the total space needs a nonempty real part")
-        if self.double_fiber_types and not self.double_fibers_real_nonempty:
-            raise ConstructionError("doubled real fibers need nonempty real parts")
         if self.elliptic_name is not None and self.fiber_genus != 1:
             raise ConstructionError("a named elliptic surface has fiber genus 1")
 

@@ -162,13 +162,11 @@ def side_orientable(t: TrackedScheme, side: Side) -> bool:
 @dataclass(frozen=True)
 class SurfaceDescriptor:
     """A closed surface, or one sitting in a four-manifold, by its
-    numerical data.  ``normal_data`` lists normal Euler numbers when the
-    surface is embedded somewhere."""
+    numerical data."""
 
     euler: int
     orientability: Orientability
     components: int = 1
-    normal_data: tuple[int, ...] | None = None
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -199,8 +197,6 @@ class SurfaceDescriptor:
             "orientability": self.orientability.value,
             "components": self.components,
         }
-        if self.normal_data is not None:
-            rec["normal_data"] = list(self.normal_data)
         if self.notes:
             rec["notes"] = list(self.notes)
         return rec
@@ -211,9 +207,7 @@ def curve_euler(degree: int) -> int:
     return 2 - (degree - 1) * (degree - 2)
 
 
-def real_part_X(
-    t: TrackedScheme, covered: Side, half_degree: int | None = None
-) -> tuple[SurfaceDescriptor, ...]:
+def real_part_X(t: TrackedScheme, covered: Side) -> tuple[SurfaceDescriptor, ...]:
     """Components of the real part of the double plane covering one domain.
 
     The covering is two-sheeted, glued along the boundary ovals, so every
@@ -224,7 +218,7 @@ def real_part_X(
     lifts to two projective planes: the one case where the part count
     exceeds :func:`components_W`.
     """
-    k = t.half_degree if half_degree is None else half_degree
+    k = t.half_degree
     parts = []
     for r in regions(t):
         if r.tracked != (covered is Side.TRACKED):

@@ -45,9 +45,8 @@ class FourManifoldWord:
     s2xs2: int = 0
     s1xs3: int = 0
     named: tuple[str, ...] = ()
-    # advisory flags, not part of the word's identity
+    # advisory flag, not part of the word's identity
     simply_connected: bool | None = field(default=None, compare=False)
-    spin: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if min(self.cp2, self.cp2bar, self.s2xs2, self.s1xs3) < 0:
@@ -99,7 +98,6 @@ class FourManifoldWord:
             self.s1xs3 + other.s1xs3,
             self.named + other.named,
             both(self.simply_connected, other.simply_connected),
-            both(self.spin, other.spin),
         )
 
     def doubled(self) -> "FourManifoldWord":
@@ -121,10 +119,10 @@ class FourManifoldWord:
         return " # ".join(parts) if parts else "S4"
 
 
-S4 = FourManifoldWord(simply_connected=True, spin=True)
-CP2 = FourManifoldWord(cp2=1, simply_connected=True, spin=False)
-CP2BAR = FourManifoldWord(cp2bar=1, simply_connected=True, spin=False)
-S2XS2 = FourManifoldWord(s2xs2=1, simply_connected=True, spin=True)
+S4 = FourManifoldWord(simply_connected=True)
+CP2 = FourManifoldWord(cp2=1, simply_connected=True)
+CP2BAR = FourManifoldWord(cp2bar=1, simply_connected=True)
+S2XS2 = FourManifoldWord(s2xs2=1, simply_connected=True)
 S1XS3 = FourManifoldWord(s1xs3=1, simply_connected=False)
 
 

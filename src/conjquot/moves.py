@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .domains import Path, Side, TrackedScheme, euler_W, format_path, iter_ovals, parse_path
 from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key, subtree_key
@@ -493,31 +493,22 @@ class EffectRecord:
         }
 
 
-_FORWARD_EFFECTS = {
-    Classification.M0_INV: EffectRecord(
-        "# RP2bar (real blow-up)", "# CP2bar (blow-up)", "Morse index 2"
-    ),
-    Classification.M1: EffectRecord(
-        "# RP2bar (real blow-up)", "# CP2bar (blow-up)", "Morse index 2"
-    ),
+_BLOW_UP = EffectRecord("# RP2bar (real blow-up)", "# CP2bar (blow-up)", "Morse index 2")
+_BLOW_DOWN = EffectRecord(
+    "split off RP2bar (inverse real blow-up)",
+    "split off CP2bar (blow-down)",
+    "Morse index 1",
+)
+_EFFECTS = {
+    Classification.M0_INV: _BLOW_UP,
+    Classification.M1: _BLOW_UP,
     Classification.M2: EffectRecord(
         "real rational blow-down",
         "rational blow-down of degree 2",
         "Morse index 3 (sphere component dies)",
     ),
-}
-
-_OPPOSITE_EFFECTS = {
-    Classification.M0: EffectRecord(
-        "split off RP2bar (inverse real blow-up)",
-        "split off CP2bar (blow-down)",
-        "Morse index 1",
-    ),
-    Classification.M1_INV: EffectRecord(
-        "split off RP2bar (inverse real blow-up)",
-        "split off CP2bar (blow-down)",
-        "Morse index 1",
-    ),
+    Classification.M0: _BLOW_DOWN,
+    Classification.M1_INV: _BLOW_DOWN,
     Classification.M2_INV: EffectRecord(
         "inverse real rational blow-down",
         "inverse rational blow-down of degree 2",
@@ -529,9 +520,7 @@ _OPPOSITE_EFFECTS = {
 def ledger_effect(c: Classification) -> EffectRecord:
     """Symbolic effect of a move on the Arnold surface, the quotient and
     the real part; inverse classifications carry the formal opposites."""
-    if c in _FORWARD_EFFECTS:
-        return _FORWARD_EFFECTS[c]
-    return _OPPOSITE_EFFECTS[c]
+    return _EFFECTS[c]
 
 
 # --------------------------------------------------- logarithmic transforms
@@ -541,7 +530,7 @@ def ledger_effect(c: Classification) -> EffectRecord:
 class LogTransformEvent:
     fuse_step: int
     delete_step: int
-    note: str = "log transform multiplicity 2 along torus component of X_R"
+    note: ClassVar[str] = "log transform multiplicity 2 along torus component of X_R"
 
     def record(self) -> dict:
         return {

@@ -75,6 +75,11 @@ RHD = RelationSpec(
 
 RELATIONS = {"succ": SUCC, "rhd": RHD}
 
+# Search never leaves the sextic Harnack bound: at most 11 ovals.
+MAX_SEARCH_OVALS = 11
+
+PENCIL_SEED = "pencil-perturbation-seed"
+
 
 def state_key(t: TrackedScheme) -> tuple[str, bool]:
     """Search identity: forest up to isomorphism plus the tracked side."""
@@ -87,6 +92,15 @@ def typed_key(t: TrackedScheme) -> tuple[str, str, bool]:
 
 def state_label(t: TrackedScheme) -> str:
     return f"{format_viro(t.scheme)}{t.tracked_label}"
+
+
+def _split_from_wrong_type(m: MoveRecord | None, state: TrackedScheme) -> bool:
+    """A split runs a fusion backwards, so it only leaves a type-2 state."""
+    return (
+        m is not None
+        and isinstance(m.rewrite, SPLITS)
+        and state.scheme.curve_type is not CurveType.TWO
+    )
 
 
 def parse_state_label(label: str, degree: int) -> TrackedScheme:
@@ -159,13 +173,12 @@ def relation_search(
     target: TrackedScheme,
     rel: RelationSpec = SUCC,
     max_steps: int = 64,
-    max_ovals: int = 11,
 ) -> Certificate | None:
     """Breadth-first derivation search over canonical state keys.
 
     Returns a replayable certificate, or None when no path of at most
-    ``max_steps`` moves exists inside the oval bound; absence of a
-    certificate never means the relation fails to hold.
+    ``max_steps`` moves exists within :data:`MAX_SEARCH_OVALS` ovals;
+    absence of a certificate never means the relation fails to hold.
     """
     if source.degree != target.degree:
         raise ValueError("relation search needs equal degrees")
@@ -184,7 +197,7 @@ def relation_search(
             if m.classification not in rel.allowed:
                 continue
             nxt = apply(state, m)
-            if nxt.scheme.oval_count > max_ovals:
+            if nxt.scheme.oval_count > MAX_SEARCH_OVALS:
                 continue
             key = state_key(nxt)
             if key in seen:
@@ -208,7 +221,12 @@ class Fact:
     predicate: Predicate
     provenance: str  # "lcurve-seed" | "pencil-perturbation-seed" | "axiom-edge" | "propagated"
     path: tuple[dict, ...] = ()
-    orientable_arnold: bool | None = None
+
+    @property
+    def orientable_arnold(self) -> bool:
+        """A pencil-perturbation seed: its Arnold surface bounds an
+        orientable handlebody."""
+        return self.provenance == PENCIL_SEED
 
     def record(self) -> dict:
         return {
@@ -297,12 +315,9 @@ def propagate(
     while work:
         fact = work.popleft()
         state = fact.state
-        src_type = state.scheme.curve_type
         for m in enumerate_moves(state):
-            if m.classification not in rel.allowed:
+            if m.classification not in rel.allowed or _split_from_wrong_type(m, state):
                 continue
-            if isinstance(m.rewrite, SPLITS) and src_type is not CurveType.TWO:
-                continue  # a split runs a fusion backwards, from its type-2 side
             after = apply(state, m)
             fk = forest_key(after.scheme)
             if isinstance(m.rewrite, FUSIONS):
@@ -341,23 +356,27 @@ def propagate(
     return table
 
 
-def replay_fact(fact: Fact, rel: RelationSpec = SUCC, degree: int = 6) -> bool:
+def replay_fact(fact: Fact, rel: RelationSpec = SUCC) -> bool:
     """Re-run a fact's path with the one replay check; each step must start
-    where the last one ended, and the path must end on the fact's typed
-    state (forest, dividing type and side).  A malformed or non-applying
-    path gives False, never an error."""
+    where the last one ended, a split must start from a type-2 state, and
+    the path must end on the fact's typed state (forest, dividing type and
+    side).  A malformed or non-applying path gives False, never an error."""
     if not fact.path:  # a seed: nothing to replay
         return True
+    degree = fact.state.degree
     try:
         label = fact.path[0]["from"]
-        start = parse_state_label(label, degree)
+        start = state = parse_state_label(label, degree)
         steps = []
         for step in fact.path:
             if step["from"] != label:
                 return False
-            label = step["to"]
             m = None if step["edge"] == "axiom" else MoveRecord.from_record(step)
-            steps.append((m, parse_state_label(label, degree)))
+            if _split_from_wrong_type(m, state):
+                return False
+            label = step["to"]
+            state = parse_state_label(label, degree)
+            steps.append((m, state))
     except (KeyError, TypeError, ValueError):
         return False
     end = _replay(start, steps, rel)
@@ -441,18 +460,8 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
         Fact(tracked("<10>_2", True), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
         Fact(tracked("<1<1<1>>>_1", False), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
         Fact(tracked("<1<1<1>>>_1", True), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
-        Fact(
-            tracked("<9>_1", False),
-            Predicate.ARNOLD_STANDARD,
-            "pencil-perturbation-seed",
-            orientable_arnold=True,
-        ),
-        Fact(
-            tracked("<9 u 1<1>>_1", False),
-            Predicate.ARNOLD_STANDARD,
-            "pencil-perturbation-seed",
-            orientable_arnold=True,
-        ),
+        Fact(tracked("<9>_1", False), Predicate.ARNOLD_STANDARD, PENCIL_SEED),
+        Fact(tracked("<9 u 1<1>>_1", False), Predicate.ARNOLD_STANDARD, PENCIL_SEED),
     ]
     for exc in EXPECTED_MINUS_EXCEPTIONS:
         _entry(catalog, exc)  # required rows, even though never marked
@@ -464,9 +473,7 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
     ]
     table = propagate(seeds, axiom_edges, SUCC, catalog)
 
-    seed_orientable = {
-        typed_key(f.state): f.orientable_arnold for f in seeds if f.orientable_arnold
-    }
+    seed_orientable = {typed_key(f.state) for f in seeds if f.orientable_arnold}
     rows = []
     minus_exc, plus_exc = [], []
     # Type 2 sorts before type 1 of one code, as the packaged catalog lists them.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -342,7 +342,7 @@ def trace_scheme(p: PolySpec, grid: GridConfig = GridConfig()) -> TraceResult:
 class LCurveResult:
     trace: TraceResult
     epsilon: float
-    provenance_tag: str = "L-curve"
+    provenance_tag: ClassVar[str] = "L-curve"
 
     def record(self) -> dict:
         return {

@@ -187,6 +187,13 @@ def test_construct_v_and_u(capsys):
     assert code == 0 and records(out)[0]["scheme"] == "<9 u 1<1>>_1"
 
 
+def test_construct_u_basepoints_named_twice_exit(capsys):
+    argv = ["construct", "u", "<J u 1>_1", "--base-degree", "3", "--basepoints", "J:4,J:9"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "twice" in err and "Traceback" not in err
+
+
 def test_construct_fibered(capsys):
     code, out = run(
         capsys, "construct", "fibered", "--quotient", "S4", "--fiber-genus", "1",
@@ -213,6 +220,18 @@ def test_trace_poly_unstable_exit(capsys):
         "--grid", "64", "--grid-cap", "64", "--format", "records",
     )
     assert code == 3
+
+
+CUBIC_POLY = str(Path(__file__).parent / "goldens" / "cubic.poly")
+
+
+@pytest.mark.parametrize("given", [[], ["--poly", "2 0 0 1.0", "--file", CUBIC_POLY]])
+def test_trace_poly_needs_exactly_one_polynomial(capsys, given):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "poly", *given])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--poly" in err and "--file" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

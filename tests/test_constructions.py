@@ -16,8 +16,8 @@ from conjquot.fourman import S4, double_plane_invariants, word
 from conjquot.schemes import CurveType, format_viro, parse_viro
 
 
-def base(code, degree, points=None, d=None):
-    return BaseCurveSpec(parse_viro(code), degree, points, d)
+def base(code, degree, points=None):
+    return BaseCurveSpec(parse_viro(code), degree, points)
 
 
 # -------------------------------------------------------------- v-curves
@@ -200,8 +200,6 @@ def test_rational_fiber_surgery_notes():
 def test_fibered_validates_inputs():
     with pytest.raises(ConstructionError):
         fibered_quotient(elliptic(""))
-    with pytest.raises(ConstructionError):
-        FiberedSpec(S4, 1, (CurveType.ONE,), real_part_nonempty=False)
     with pytest.raises(ConstructionError):
         fibered_quotient(elliptic("?"))
 

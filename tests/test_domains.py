@@ -117,7 +117,7 @@ def test_pixel_complex_oracle(roots):
 
 
 def test_real_part_nine_ovals():
-    parts = real_part_X(tracked("<9>_1"), Side.NONTRACKED, 3)
+    parts = real_part_X(tracked("<9>_1"), Side.NONTRACKED)
     assert len(parts) == 1
     assert parts[0].euler == -16
     assert parts[0].orientability is Orientability.ORIENTABLE
@@ -125,18 +125,18 @@ def test_real_part_nine_ovals():
 
 
 def test_real_part_nine_plus_nest():
-    parts = real_part_X(tracked("<9 u 1<1>>"), Side.NONTRACKED, 3)
+    parts = real_part_X(tracked("<9 u 1<1>>"), Side.NONTRACKED)
     assert sorted(p.euler for p in parts) == [-18, 2]
     assert all(p.orientability is Orientability.ORIENTABLE for p in parts)
 
 
 def test_real_part_conic_cover():
-    parts = real_part_X(tracked("<1>", degree=2), Side.TRACKED, 1)
+    parts = real_part_X(tracked("<1>", degree=2), Side.TRACKED)
     assert [p.euler for p in parts] == [2]
 
 
 def test_real_part_even_half_degree_keeps_one_sided():
-    parts = real_part_X(tracked("<1>", outer=True, degree=4), Side.TRACKED, 2)
+    parts = real_part_X(tracked("<1>", outer=True, degree=4), Side.TRACKED)
     outer_part = next(p for p in parts if p.euler == 0)
     assert outer_part.orientability is Orientability.NON_ORIENTABLE
 

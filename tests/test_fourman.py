@@ -49,9 +49,7 @@ def test_word_serialization_round_trip():
 
 
 def test_sphere_summands_absorbed():
-    assert (S4 + CP2 + S4) == FourManifoldWord(
-        cp2=1, simply_connected=True, spin=False
-    )
+    assert (S4 + CP2 + S4) == FourManifoldWord(cp2=1, simply_connected=True)
 
 
 def test_word_betti_bookkeeping():

@@ -5,7 +5,9 @@ before the forest primitives were merged into one walker, one subtree key,
 one path codec and one move-record codec; the ``trace-*`` snapshots were
 captured before the tracer's region graph became one union-find pass, and
 the ``domains-*`` snapshots before the domain Euler characteristics and
-component counts were computed without building a region list.
+component counts were computed without building a region list, and the
+``construct-*`` and ``k3-*`` snapshots before the settings that no caller
+varied were dropped from the construction specs and quotient words.
 ``{goldens}`` in an argument stands for the snapshot directory, which also
 holds the input files (the ``.poly`` files are products of circles written
 with ``poly_mul``, except the cubic and the definite sextic).
@@ -94,6 +96,39 @@ CASES = {
         "trace", "lcurve", "--lines", "{goldens}/ten-oval-lines.txt",
         "--g", "{goldens}/definite-sextic.poly", "--epsilon=-7.8e-08",
         "--grid", "512", "--grid-cap", "1024", "--format", "records",
+    ],
+    "construct-v-pseudoline.records": [
+        "construct", "v", "<J>", "--base-degree", "3", "--on-pseudoline", "--format", "records",
+    ],
+    "construct-v-conic.records": [
+        "construct", "v", "<1>_1", "--base-degree", "2", "--format", "records",
+    ],
+    "construct-u-cubic.records": [
+        "construct", "u", "<J u 1>_1", "--base-degree", "3", "--basepoints", "J:9",
+        "--format", "records",
+    ],
+    "construct-u-type2.records": [
+        "construct", "u", "<2>_2", "--base-degree", "4", "--basepoints", "0:16",
+        "--format", "records",
+    ],
+    "construct-fibered-elliptic.records": [
+        "construct", "fibered", "--elliptic-name", "E(2)_3", "--format", "records",
+    ],
+    "construct-fibered-mixed.records": [
+        "construct", "fibered", "--double-fiber-types", "1,2", "--imaginary-pairs", "1",
+        "--format", "records",
+    ],
+    "construct-imaginary-full.records": [
+        "construct", "imaginary", "--base-degree", "3", "--real-intersections", "9",
+        "--format", "records",
+    ],
+    "construct-imaginary-short.records": [
+        "construct", "imaginary", "--base-degree", "3", "--real-intersections", "5",
+        "--format", "records",
+    ],
+    "k3-s10-s0.records": ["k3", "classify", "--xr", "S10+S0", "--format", "records"],
+    "k3-8s0-vanishes.records": [
+        "k3", "classify", "--xr", "8S0", "--class-vanishes", "--format", "records",
     ],
     "facts-propagate.records": [
         "facts", "propagate", "{goldens}/seeds.jsonl", "--catalog", "{goldens}/catalog.tsv",

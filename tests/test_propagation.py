@@ -9,7 +9,7 @@ from conjquot.domains import (
     TrackedScheme,
     euler_W,
 )
-from conjquot.moves import Classification, DeleteEmpty, MoveRecord
+from conjquot.moves import Classification, DeleteEmpty, MoveRecord, SplitSibling, make_move
 from conjquot.propagation import (
     EXPECTED_MINUS_EXCEPTIONS,
     Fact,
@@ -167,10 +167,18 @@ def _with_step(fact, i, **changes):
     return replace(fact, path=tuple(path))
 
 
+def _split_fact(source_type):
+    """A one-step fact splitting an oval of nine on the outer side."""
+    m = make_move(tracked(f"<9>_{source_type}", outer=True), SplitSibling((0,), ()))
+    step = {"edge": "move", **m.record(), "from": f"<9>_{source_type}-", "to": "<10>_2-"}
+    return Fact(tracked("<10>_2", outer=True), Predicate.ARNOLD_STANDARD, "propagated", (step,))
+
+
 def test_replay_fact_pins_the_typed_end_state(sweep_fact):
     fact, state, path = sweep_fact, sweep_fact.state, sweep_fact.path
     other_type = CurveType.ONE if state.scheme.curve_type is CurveType.TWO else CurveType.TWO
     assert replay_fact(fact, SUCC)
+    assert replay_fact(_split_fact(2), SUCC)
     flipped = replace(state, outer_tracked=not state.outer_tracked)
     retyped = replace(state, scheme=state.scheme.with_type(other_type))
     corpus = {
@@ -179,6 +187,7 @@ def test_replay_fact_pins_the_typed_end_state(sweep_fact):
         "swapped steps": replace(fact, path=(path[1], path[0], *path[2:])),
         "outside SUCC": _with_step(fact, 0, classification="M2^-1"),
         "no such oval": _with_step(fact, 0, rewrite={"kind": "delete_empty", "oval": "9.9.9"}),
+        "split from type 1": _split_fact(1),
     }
     replays = {name: replay_fact(f, SUCC) for name, f in corpus.items()}
     assert replays == dict.fromkeys(corpus, False)
