@@ -74,12 +74,19 @@ from .constructions import (
     perturb_v,
     quotient_Y_minus,
 )
-from .tracer import (
-    GridConfig,
-    PolySpec,
-    TraceResult,
-    l_curve_sample,
-    trace_scheme,
+# The tracer needs numpy and scipy; it is loaded on first use (PEP 562),
+# so the symbolic half starts without them.
+_TRACER_NAMES = ("GridConfig", "PolySpec", "TraceResult", "l_curve_sample", "trace_scheme")
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")} | {"tracer", *_TRACER_NAMES}
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    if name == "tracer" or name in _TRACER_NAMES:
+        import importlib
+
+        tracer = importlib.import_module(".tracer", __name__)
+        return tracer if name == "tracer" else getattr(tracer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

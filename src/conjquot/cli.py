@@ -14,7 +14,7 @@ import re
 import sys
 from typing import Sequence
 
-from . import constructions, domains, fourman, moves, propagation, schemes, tracer
+from . import constructions, domains, fourman, moves, propagation, schemes
 from .domains import Side, TrackedScheme
 from .schemes import CurveType, parse_viro
 
@@ -211,21 +211,34 @@ def cmd_sweep_sextics(args) -> int:
     return EXIT_OK
 
 
+# Smith-Thom: b*(X_R) <= b*(K3) = 24, and each component adds at least 2.
+MAX_XR_COMPONENTS = 12
+_XR_PART = re.compile(r"(-?\d+)?S(\d+)")
+
+
 def _parse_xr(text: str):
     """Real-part descriptors like 'S10+S0' or '8S0'."""
-    parts = []
+    counts = []
     for tok in text.replace(" ", "").split("+"):
         if not tok:
             continue
-        mult = 1
-        if "S" in tok and not tok.startswith("S"):
-            mult, tok = int(tok[: tok.index("S")]), tok[tok.index("S") :]
-        genus = int(tok[1:])
-        for _ in range(mult):
-            parts.append(
-                domains.SurfaceDescriptor(2 - 2 * genus, domains.Orientability.ORIENTABLE)
-            )
-    return parts
+        m = _XR_PART.fullmatch(tok)
+        if m is None:
+            raise ValueError(f"real-part component {tok!r} is not of the form kSg, e.g. 8S0")
+        mult = int(m[1] or 1)
+        if mult < 1:
+            raise ValueError(f"multiplicity {mult} of S{m[2]} must be at least 1")
+        counts.append((mult, int(m[2])))
+    total = sum(mult for mult, _ in counts)
+    if total > MAX_XR_COMPONENTS:
+        raise ValueError(
+            f"a real K3 surface has at most {MAX_XR_COMPONENTS} components, got {total}"
+        )
+    return [
+        domains.SurfaceDescriptor(2 - 2 * genus, domains.Orientability.ORIENTABLE)
+        for mult, genus in counts
+        for _ in range(mult)
+    ]
 
 
 def cmd_k3_classify(args) -> int:
@@ -287,6 +300,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_trace_poly(args) -> int:
+    from . import tracer
+
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             spec = tracer.PolySpec.from_text(fh.read())
@@ -298,6 +313,8 @@ def cmd_trace_poly(args) -> int:
 
 
 def cmd_trace_lcurve(args) -> int:
+    from . import tracer
+
     lines = []
     with open(args.lines, encoding="utf-8") as fh:
         for ln in fh:
@@ -440,12 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        schemes.ViroSyntaxError,
-        ValueError,
-        tracer.TraceError,
-        OSError,
-    ) as err:
+    except (schemes.ViroSyntaxError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

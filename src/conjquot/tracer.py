@@ -89,19 +89,41 @@ class PolySpec:
         degree = max(sum(k) for k in coeffs)
         return cls.from_dict(degree, coeffs)
 
-    def evaluate(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        maxdeg = self.degree
+    def evaluate(
+        self, u: np.ndarray, v: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Values ``(f(u, v, w), f(u, v, -w))`` on both sheets in one pass.
+
+        The arguments broadcast against each other, so ``u`` and ``v`` may
+        be an ``(n, 1)`` column and a ``(1, n)`` row.  Each term
+        ``coef * u^a * v^b * w^c`` is computed once, in the order the
+        one-sheet sum uses, and added to the upper sheet; the lower sheet
+        adds it for even ``c`` and subtracts it for odd ``c``.  That is
+        exact: ``(-w)^c`` by repeated products is ``+-w^c`` bit for bit,
+        since negation is exact and rounding is symmetric in sign, so
+        each lower-sheet term is the upper one negated, and ``x - t`` is
+        ``x + (-t)`` in IEEE arithmetic.
+        """
         pu = [np.ones_like(u)]
         pv = [np.ones_like(v)]
-        pw = [np.ones_like(w)]
-        for _ in range(maxdeg):
+        for _ in range(self.degree):
             pu.append(pu[-1] * u)
             pv.append(pv[-1] * v)
+        pw = [None, w]  # terms with c = 0 skip the factor w^0 = 1
+        while len(pw) <= self.degree:
             pw.append(pw[-1] * w)
-        out = np.zeros_like(u)
+        shape = np.broadcast_shapes(u.shape, v.shape, w.shape)
+        upper, lower, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
         for (a, b, c), coef in self.coeffs:
-            out += coef * pu[a] * pv[b] * pw[c]
-        return out
+            np.multiply(coef * pu[a], pv[b], out=term)
+            if c:
+                np.multiply(term, pw[c], out=term)
+            upper += term
+            if c % 2:
+                lower -= term
+            else:
+                lower += term
+        return upper, lower
 
 
 def poly_mul(p: PolySpec, q: PolySpec) -> PolySpec:
@@ -198,17 +220,18 @@ class _PixelTopology:
 
 
 def _disc_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pixel centres ``u, v`` of an n-by-n grid on the square around the
-    unit disc, the upper-sheet ``w`` and the mask of centres in the disc."""
+    """Pixel centres of an n-by-n grid on the square around the unit disc,
+    as an ``(n, 1)`` column ``u`` and a ``(1, n)`` row ``v`` that broadcast
+    to the grid, the upper-sheet ``w`` and the mask of centres in the disc."""
     half = np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n
     u, v = np.meshgrid(half, half, indexing="ij")
     rr = u * u + v * v
-    return u, v, np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
+    return half[:, None], half[None, :], np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
 
 
 def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     u, v, w, inside = _disc_grid(n)
-    values = [p.evaluate(u, v, w), p.evaluate(u, v, -w)]
+    values = p.evaluate(u, v, w)
     ambiguous = int(sum((inside & (f == 0.0)).sum() for f in values))
 
     # Sign components of both sheets in one run of ids 1, 2, ...; id 0 is
@@ -396,7 +419,7 @@ def l_curve_sample(
         prod = poly_mul(prod, line(*coeffs))
     if epsilon is None:
         u, v, w, inside = _disc_grid(64)
-        samples = np.abs(prod.evaluate(u, v, w)[inside])
+        samples = np.abs(prod.evaluate(u, v, w)[0][inside])
         epsilon = 1e-2 * float(np.quantile(samples[samples > 0], 0.1))
     f = poly_add(prod, g, scale=-epsilon)
     trace = trace_scheme(f, grid)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import conjquot
 from conjquot import tracer
 from conjquot.cli import main
 
@@ -174,6 +178,22 @@ def test_k3_classify(capsys):
     assert records(out)[0]["quotient"] == "(S2xS2)"
 
 
+@pytest.mark.parametrize(
+    "xr, message",
+    [
+        ("13S0", "at most 12 components, got 13"),
+        ("S0+-2S1", "multiplicity -2 of S1 must be at least 1"),
+        ("1000000S0", "at most 12 components, got 1000000"),
+        ("X5", "component 'X5' is not of the form kSg"),
+    ],
+)
+def test_k3_classify_impossible_real_part_exit(capsys, xr, message):
+    assert main(["k3", "classify", "--xr", xr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_construct_v_and_u(capsys):
     code, out = run(
         capsys, "construct", "v", "<J>", "--base-degree", "3", "--on-pseudoline",
@@ -310,3 +330,34 @@ def test_trace_lcurve_exponent_negative_epsilon(capsys):
     )
     assert code == 0
     assert out == (goldens / "trace-lcurve-ten-ovals.records.out").read_text("utf-8")
+
+
+SRC = str(Path(conjquot.__file__).parents[1])
+
+
+def fresh_python(*args):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_symbolic_start_loads_neither_numpy_nor_scipy():
+    code = (
+        "import sys, conjquot, conjquot.cli\n"
+        "assert conjquot.cli.main(['scheme', 'parse', '<1 u 1<9>>_1']) == 0\n"
+        "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "assert not loaded, f'symbolic start loaded {loaded}'\n"
+        "from conjquot import GridConfig\n"
+        "result = conjquot.trace_scheme(conjquot.tracer.circle(0, 0, 0.5), GridConfig(32, 64))\n"
+        "assert result.stable and result.scheme.oval_count == 1\n"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_trace_error_exit_in_fresh_interpreter():
+    done = fresh_python("-m", "conjquot.cli", "trace", "poly", "--poly", "0 0 2 0")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: the zero polynomial has no curve\n"

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conjquot
@@ -12,6 +13,7 @@ from conjquot.tracer import (
     GridConfig,
     PolySpec,
     TraceError,
+    _disc_grid,
     circle,
     l_curve_sample,
     line,
@@ -157,6 +159,52 @@ def test_poly_text_round_trip():
     spec = PolySpec.from_text("2 0 0 1.0\n0 2 0 1.0\n# comment\n0 0 2 -1.0")
     assert spec.degree == 2
     assert format_viro(trace_scheme(spec, FAST).scheme) == "<1>"
+
+
+def one_sheet_reference(p, u, v, w):
+    """Reference value f(u, v, w): full-grid power tables, one sum."""
+    pu, pv, pw = [np.ones_like(u)], [np.ones_like(v)], [np.ones_like(w)]
+    for _ in range(p.degree):
+        pu.append(pu[-1] * u)
+        pv.append(pv[-1] * v)
+        pw.append(pw[-1] * w)
+    out = np.zeros_like(u)
+    for (a, b, c), coef in p.coeffs:
+        out += coef * pu[a] * pv[b] * pw[c]
+    return out
+
+
+def evaluate_cases():
+    rng = random.Random(6)
+    for degree in range(1, 13):
+        monomials = [
+            (a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)
+        ]
+        yield f"random-{degree}", PolySpec.from_dict(
+            degree, {m: rng.uniform(-2.0, 2.0) for m in monomials}
+        )
+    for k in range(1, 7):
+        yield f"circles-{k}", circles_product(
+            [(0.1 * i - 0.2, 0.05 * i, 0.2 + 0.1 * i) for i in range(k)]
+        )
+    prod = line(*TEN_OVAL_LINES[0])
+    for coeffs in TEN_OVAL_LINES[1:]:
+        prod = poly_mul(prod, line(*coeffs))
+    yield "ten-oval", poly_add(prod, definite(6), scale=-TEN_OVAL_EPSILON)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_evaluate_matches_one_sheet_sums_exactly(n):
+    u, v, w, _ = _disc_grid(n)
+    gu, gv = np.broadcast_to(u, w.shape), np.broadcast_to(v, w.shape)
+    for name, p in evaluate_cases():
+        want = (one_sheet_reference(p, gu, gv, w), one_sheet_reference(p, gu, gv, -w))
+        for args in ((gu, gv, w), (u, v, w)):
+            got = p.evaluate(*args)
+            assert len(got) == 2, name
+            for sheet, g, x in zip(("upper", "lower"), got, want):
+                assert g.shape == (n, n), (name, sheet)
+                assert np.array_equal(g, x), (name, sheet, args[0].shape)
 
 
 # ---------------------------------------------------------------- L-curves
