@@ -12,7 +12,9 @@ Euler characteristics are combinatorial: the outer region contributes
 over all regions is 1, the Euler characteristic of the projective plane.
 Summed over the orientable class this is the p - n count behind
 Petrovskii's inequality: ovals at odd depth minus ovals at even depth.
-Each region is a disc minus its child discs, so a class has
+Each oval caches its subtree's share of that count (``Oval.signed``), so
+:func:`euler_W` sums over the roots alone and walks no forest.  Each
+region is a disc minus its child discs, so a class has
 ``(#ovals + euler + [holds the outer region]) / 2`` components.
 """
 
@@ -141,7 +143,7 @@ def regions(t: TrackedScheme) -> tuple[Region, ...]:
 
 def euler_W(t: TrackedScheme, side: Side = Side.TRACKED) -> int:
     _require_two_sided(t)
-    chi = sum(1 if len(path) % 2 else -1 for path, _ in iter_ovals(t.scheme))
+    chi = sum(r.signed for r in t.scheme.roots)
     return 1 - chi if side_contains_outer(t, side) else chi
 
 

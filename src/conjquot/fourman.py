@@ -32,6 +32,7 @@ from .domains import (
     curve_euler,
     euler_W,
 )
+from .schemes import harnack_bound
 
 
 class WordError(ValueError):
@@ -205,7 +206,14 @@ def double_plane_invariants(t: TrackedScheme) -> DoublePlaneInvariants:
     Y is the quotient branched along the tracked Arnold surface; the real
     part inside it covers the non-tracked domain.  The two covering
     identities are recomputed as a cross-check and inconsistencies raise.
+    A scheme with more ovals than the Harnack bound of its degree has no
+    curve, and raises too.
     """
+    bound = harnack_bound(t.degree)
+    if t.scheme.oval_count > bound:
+        raise WordError(
+            f"{t.scheme.oval_count} ovals exceed the Harnack bound {bound} of degree {t.degree}"
+        )
     k = t.half_degree
     chi_a = curve_euler(t.degree)
     chi_x = 2 * 3 - chi_a

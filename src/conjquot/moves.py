@@ -37,7 +37,7 @@ from enum import Enum
 from typing import ClassVar, Iterable, Sequence
 
 from .domains import Path, Side, TrackedScheme, euler_W, format_path, iter_ovals, parse_path
-from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key, subtree_key
+from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key
 
 
 class Classification(Enum):
@@ -197,11 +197,8 @@ def _get(roots: tuple[Oval, ...], path: Path) -> Oval:
 
 
 def _edit_siblings(roots, region: Path | None, func):
-    """Rebuild the forest, applying func to the sibling list of a region."""
-    if region is None or region == ():
-        target: Path = ()
-    else:
-        target = region
+    """Rebuild the ovals on the path to a region, applying func to its siblings."""
+    target: Path = region or ()
 
     def walk(ovals: tuple[Oval, ...], prefix: Path) -> tuple[Oval, ...]:
         if prefix == target:
@@ -405,7 +402,7 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
 
     for path, oval in ovals:
         n = len(oval.children)
-        child_keys = [subtree_key(c) for c in oval.children]
+        child_keys = [c.key for c in oval.children]
         seen_parts = set()
         for mask in range(2 ** n):
             keep = tuple(i for i in range(n) if mask >> i & 1)
@@ -424,7 +421,7 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
     for path, oval in ovals:
         region = _ambient(path)
         neighbours = [
-            (p, subtree_key(_get(scheme.roots, p)))
+            (p, _get(scheme.roots, p).key)
             for p in _sibling_paths(scheme, region)
             if p != path
         ]

@@ -182,16 +182,20 @@ def relation_search(
     """
     if source.degree != target.degree:
         raise ValueError("relation search needs equal degrees")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     goal = state_key(target)
     start = state_key(source)
     if start == goal:
         return Certificate(source, target, (), (source,))
     seen = {start}
-    frontier: deque[tuple[TrackedScheme, tuple[MoveRecord, ...], tuple[TrackedScheme, ...]]]
-    frontier = deque([(source, (), (source,))])
+    # A node is (state, move into it, parent node, steps from the source);
+    # the path is read back through the parents once, at the goal.
+    frontier: deque[tuple] = deque([(source, None, None, 0)])
     while frontier:
-        state, path, states = frontier.popleft()
-        if len(path) >= max_steps:
+        node = frontier.popleft()
+        state, _, _, steps = node
+        if steps >= max_steps:
             continue
         for m in enumerate_moves(state):
             if m.classification not in rel.allowed:
@@ -203,9 +207,16 @@ def relation_search(
             if key in seen:
                 continue
             seen.add(key)
+            child = (nxt, m, node, steps + 1)
             if key == goal:
-                return Certificate(source, target, path + (m,), states + (nxt,))
-            frontier.append((nxt, path + (m,), states + (nxt,)))
+                moves, states = [], []
+                while child is not None:
+                    reached, move, child, _ = child
+                    states.append(reached)
+                    if move is not None:
+                        moves.append(move)
+                return Certificate(source, target, tuple(moves[::-1]), tuple(states[::-1]))
+            frontier.append(child)
     return None
 
 

@@ -21,11 +21,14 @@ odd-degree inputs, a single ``J`` item at top level marks the one-sided
 component (it never nests and carries no count).
 
 Counts expand eagerly: the in-memory forest has no multiplicities.
-All values here are immutable and safe to share between workers.
+All values here are immutable and safe to share between workers.  Each
+oval caches its size, key and signed level count, so forest keys, oval
+counts and Euler characteristics (:mod:`conjquot.domains`) read only roots.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -44,15 +47,25 @@ class CurveType(Enum):
         return "" if self is CurveType.UNKNOWN else "_" + self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Oval:
-    """A two-sided component; ``children`` are the ovals directly inside."""
+    """A two-sided component; ``children`` are the ovals directly inside.
+    ``size``, the canonical ``key`` and ``signed`` (the subtree's odd minus
+    even depth count, this oval at odd depth) are built from the children's."""
 
     children: tuple["Oval", ...] = ()
+    size: int = field(init=False, repr=False, compare=False)
+    key: str = field(init=False, repr=False, compare=False)
+    signed: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        return 1 + sum(c.size for c in self.children)
+    def __post_init__(self):
+        size, signed, keys = 1, 1, []
+        for c in self.children:
+            size, signed = size + c.size, signed - c.signed
+            keys.append(c.key)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "key", "(" + "".join(sorted(keys)) + ")")
+        object.__setattr__(self, "signed", signed)
 
     @property
     def depth(self) -> int:
@@ -85,7 +98,7 @@ class RealScheme:
 
 
 # Deepest nest a code may describe: the nest-depth bound d/2 for every
-# degree d <= 256, and shallow enough for the recursive key and format.
+# degree d <= 256, and shallow enough for the recursive format and equality.
 MAX_DEPTH = 128
 
 # Most ovals a code may describe: harnack_bound(256), for the same degree
@@ -158,7 +171,7 @@ class _Parser:
                 self.ovals = before + count * (1 + self.ovals - before)
                 if self.ovals > MAX_OVALS:
                     raise ViroSyntaxError(f"more than {MAX_OVALS} ovals", item_start)
-                ovals.extend(Oval(children) for _ in range(count))
+                ovals += [Oval(children)] * count  # immutable: copies share one node
             first = False
             if self.text.startswith(" u ", self.pos):
                 self.pos += 3
@@ -191,14 +204,10 @@ def parse_viro(code: str) -> RealScheme:
     return RealScheme(roots, pseudoline, curve_type)
 
 
-def subtree_key(o: Oval) -> str:
-    """Canonical encoding of one oval with everything inside it."""
-    return "(" + "".join(sorted(subtree_key(c) for c in o.children)) + ")"
-
-
 def forest_key(s: RealScheme) -> str:
-    """Canonical encoding of the forest alone, ignoring flags."""
-    return "".join(sorted(subtree_key(r) for r in s.roots))
+    """Canonical encoding of the forest alone, ignoring flags: the sorted
+    cached keys of its roots."""
+    return "".join(sorted(r.key for r in s.roots))
 
 
 def canonical_key(s: RealScheme) -> str:
@@ -214,13 +223,9 @@ def _format_group(o: Oval, count: int) -> str:
 
 
 def _format_forest(ovals: tuple[Oval, ...]) -> str:
-    groups: dict[str, tuple[Oval, int]] = {}
-    for o in ovals:
-        k = subtree_key(o)
-        rep, n = groups.get(k, (o, 0))
-        groups[k] = (rep, n + 1)
-    ordered = sorted(groups.values(), key=lambda g: (g[0].size, subtree_key(g[0])))
-    return " u ".join(_format_group(o, n) for o, n in ordered)
+    counts = Counter(o.key for o in ovals)
+    reps = sorted({o.key: o for o in ovals}.values(), key=lambda o: (o.size, o.key))
+    return " u ".join(_format_group(o, counts[o.key]) for o in reps)
 
 
 def format_viro(s: RealScheme) -> str:
@@ -365,23 +370,18 @@ def iter_forests(max_ovals: int) -> Iterator[tuple[Oval, ...]]:
         return out
 
     def forests(n: int) -> list[tuple[Oval, ...]]:
-        # Multisets of trees with n total ovals, built in key order to
-        # avoid duplicates.
+        # Multisets of trees with n total ovals.  Each forest lists a tree
+        # of least key first, so a multiset arises once, from its least tree.
         if n == 0:
             return [()]
         out = []
         for k in range(1, n + 1):
             for t in trees(k):
-                tk = subtree_key(t)
                 for rest in forests(n - k):
-                    if rest and subtree_key(rest[0]) < tk:
+                    if rest and rest[0].key < t.key:
                         continue
                     out.append((t, *rest))
-        # Dedupe by key; recursion above can still repeat mixed sizes.
-        seen = {}
-        for f in out:
-            seen.setdefault(forest_key(RealScheme(f)), f)
-        return list(seen.values())
+        return out
 
     for n in range(0, max_ovals + 1):
         for f in forests(n):

@@ -1,16 +1,17 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own formulas: forest isomorphism
-is decided by backtracking over child matchings, and Euler
-characteristics of the domains come from rasterizing an explicit circle
-realization and counting cells of the resulting square complex.
+is decided by backtracking over child matchings, Euler characteristics
+of the domains come from rasterizing an explicit circle realization and
+counting cells of the resulting square complex, and the values each oval
+caches are recomputed by walking its whole subtree.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from conjquot.schemes import Oval, RealScheme
+from conjquot.schemes import Oval, RealScheme, forest_key
 
 
 # ---------------------------------------------------- forest isomorphism
@@ -39,6 +40,37 @@ def schemes_isomorphic(a: RealScheme, b: RealScheme) -> bool:
         and a.curve_type == b.curve_type
         and forests_isomorphic(a.roots, b.roots)
     )
+
+
+# ---------------------------------------------------- cached oval fields
+
+
+def subtree_size(o: Oval) -> int:
+    return 1 + sum(subtree_size(c) for c in o.children)
+
+
+def subtree_key(o: Oval) -> str:
+    return "(" + "".join(sorted(subtree_key(c) for c in o.children)) + ")"
+
+
+def level_count(o: Oval, depth: int = 1) -> int:
+    """Ovals of the subtree at odd depth minus those at even depth, with
+    ``o`` itself at ``depth``."""
+    own = 1 if depth % 2 else -1
+    return own + sum(level_count(c, depth + 1) for c in o.children)
+
+
+def check_cached_fields(roots: tuple[Oval, ...]) -> None:
+    """Assert that every oval's cached size, key and signed level count,
+    and the forest's oval count and key, match the walks above."""
+    stack = list(roots)
+    while stack:
+        o = stack.pop()
+        assert (o.size, o.key, o.signed) == (subtree_size(o), subtree_key(o), level_count(o))
+        stack.extend(o.children)
+    s = RealScheme(roots)
+    assert s.oval_count == sum(subtree_size(r) for r in roots)
+    assert forest_key(s) == "".join(sorted(subtree_key(r) for r in roots))
 
 
 # -------------------------------------------------------- circle layouts

@@ -63,6 +63,15 @@ def test_domains_invariants(capsys):
     assert rec["double_plane"]["b2minus_Y"] == 0
 
 
+def test_domains_invariants_over_harnack_exit(capsys):
+    # Twelve ovals exceed the sextic Harnack bound of 11: no curve has them.
+    assert main(["domains", "invariants", "<12>", "--degree", "6", "--side", "+"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "12 ovals exceed the Harnack bound 11" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_domains_regions_records(capsys):
     code, out = run(
         capsys, "domains", "invariants", "<1>", "--regions", "--format", "records"
@@ -124,6 +133,13 @@ def test_search_derive_not_found(capsys):
     assert code == 0
     (rec,) = records(out)
     assert rec["found"] is False and "not found" in rec["note"]
+
+
+def test_search_derive_negative_max_steps_exit(capsys):
+    assert main(["search", "derive", "<10>", "<9>", "--max-steps", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_steps must be >= 0, got -1\n"
 
 
 def test_facts_propagate(tmp_path, capsys):

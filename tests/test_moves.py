@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjquot.domains import Side, TrackedScheme, euler_W
 from conjquot.moves import (
@@ -34,6 +35,7 @@ from conjquot.schemes import (
 )
 
 from conftest import forests, random_forest
+from oracles import check_cached_fields
 
 
 def tracked(code, outer=False):
@@ -116,16 +118,24 @@ def test_every_move_changes_chi_by_one():
             assert d_tracked == expected
 
 
-def test_inverse_restores_forest():
-    rng = random.Random(6)
-    for _ in range(25):
-        s = RealScheme(random_forest(rng, rng.randrange(0, 7)))
-        t = TrackedScheme(s, 6, rng.random() < 0.5)
+@settings(max_examples=100, deadline=None)
+@given(forests(6), st.booleans())
+def test_inverse_restores_forest(roots, outer):
+    t = TrackedScheme(RealScheme(roots), 6, outer)
+    for m in enumerate_moves(t):
+        inv = inverse_move(t, m)
+        back = apply(apply(t, m), inv)
+        assert forest_key(back.scheme) == forest_key(t.scheme)
+        assert inv.classification is m.classification.inverse
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_successors_carry_correct_cached_fields(outer):
+    # Rewrites rebuild only the edited path and share every other subtree.
+    for roots in iter_forests(5):
+        t = TrackedScheme(RealScheme(roots), 6, outer)
         for m in enumerate_moves(t):
-            inv = inverse_move(t, m)
-            back = apply(apply(t, m), inv)
-            assert forest_key(back.scheme) == forest_key(t.scheme)
-            assert inv.classification is m.classification.inverse
+            check_cached_fields(apply(t, m).scheme.roots)
 
 
 def test_split_then_fuse_restores_canonical_key():

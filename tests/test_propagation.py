@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjquot.domains import (
     Orientability,
@@ -124,10 +126,18 @@ def test_propagate_axiom_edges_cross_sides():
     assert replay_fact(fact, SUCC)
 
 
-def test_propagate_is_idempotent(catalog):
-    seeds = [Fact(tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "lcurve-seed")]
-    table1 = propagate(seeds, [], SUCC, catalog)
-    table2 = propagate(list(table1.facts.values()), [], SUCC, catalog)
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_propagate_is_idempotent(catalog, data):
+    states = [(e.scheme, outer) for e in catalog for outer in (False, True)]
+    picked = data.draw(st.sets(st.integers(0, len(states) - 1), min_size=1, max_size=4))
+    rel = data.draw(st.sampled_from([SUCC, RHD]))
+    seeds = [
+        Fact(TrackedScheme(scheme, 6, outer), Predicate.ARNOLD_STANDARD, "lcurve-seed")
+        for scheme, outer in (states[i] for i in sorted(picked))
+    ]
+    table1 = propagate(seeds, [], rel, catalog)
+    table2 = propagate(list(table1.facts.values()), [], rel, catalog)
     assert set(table2.facts) == set(table1.facts)
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from conjquot.schemes import (
 )
 
 from conftest import forests, random_forest
-from oracles import forests_isomorphic
+from oracles import check_cached_fields, forests_isomorphic
 
 
 def test_parse_ten_ovals_type2():
@@ -95,6 +96,9 @@ def test_parse_accepts_the_deepest_nest():
     assert s.depth == MAX_DEPTH == 128
     assert format_viro(s) == code
     assert canonical_key(parse_viro(format_viro(s))) == canonical_key(s)
+    (root,) = s.roots
+    assert (root.size, root.signed) == (MAX_DEPTH, 0)
+    assert root.key == "(" * MAX_DEPTH + ")" * MAX_DEPTH
 
 
 def test_parse_rejects_a_deeper_nest_at_its_bracket():
@@ -107,7 +111,10 @@ def test_parse_rejects_a_deeper_nest_at_its_bracket():
 
 def test_parse_caps_the_oval_count_through_nesting():
     assert MAX_OVALS == harnack_bound(256) == 32386
-    assert parse_viro(f"<{MAX_OVALS}>").oval_count == MAX_OVALS
+    flat = parse_viro(f"<{MAX_OVALS}>")
+    assert flat.oval_count == MAX_OVALS
+    assert forest_key(flat) == "()" * MAX_OVALS
+    assert sum(r.signed for r in flat.roots) == MAX_OVALS
     assert parse_viro("<2<16192>>").oval_count == MAX_OVALS
     for code in (f"<{MAX_OVALS + 1}>", "<2<16193>>", "<99999999>"):
         with pytest.raises(ViroSyntaxError) as err:
@@ -118,6 +125,26 @@ def test_parse_caps_the_oval_count_through_nesting():
 def test_format_nest_of_three():
     s = RealScheme((Oval((Oval((Oval(),)),)),))
     assert format_viro(s) == "<1<1<1>>>"
+
+
+def test_cached_fields_match_recursive_definitions():
+    for roots in iter_forests(7):
+        check_cached_fields(roots)
+
+
+def test_cached_fields_stay_out_of_repr_and_equality():
+    nest = Oval((Oval(), Oval((Oval(),))))
+    assert repr(Oval((Oval(),))) == "Oval(children=(Oval(children=()),))"
+    assert repr(nest) == (
+        "Oval(children=(Oval(children=()), Oval(children=(Oval(children=()),))))"
+    )
+    twin = Oval((Oval(), Oval((Oval(),))))
+    assert nest == twin and hash(nest) == hash(twin)
+    # same key, but equality still compares children in stored order
+    swapped = Oval((Oval((Oval(),)), Oval()))
+    assert swapped.key == nest.key and swapped != nest
+    with pytest.raises(FrozenInstanceError):
+        nest.key = "()"
 
 
 def test_format_empty():
