@@ -123,6 +123,8 @@ def _run_moves(args) -> tuple[list[TrackedScheme], list[moves.MoveRecord]]:
             rec = rec["rewrite"]
         made.append(moves.make_move(states[-1], moves.rewrite_from_record(rec)))
         states.append(moves.apply(states[-1], made[-1]))
+        if states[-1].scheme.depth > schemes.MAX_DEPTH:
+            raise ValueError(f"move {len(made)} nests deeper than {schemes.MAX_DEPTH}")
     return states, made
 
 

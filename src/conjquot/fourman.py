@@ -22,7 +22,7 @@ chi(X) = 24 and sigma(X) = -16, the K3 lattice (3, 19).
 from __future__ import annotations
 
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .domains import (
     Orientability,
@@ -46,12 +46,15 @@ class FourManifoldWord:
     s2xs2: int = 0
     s1xs3: int = 0
     named: tuple[str, ...] = ()
-    # advisory flag, not part of the word's identity
-    simply_connected: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if min(self.cp2, self.cp2bar, self.s2xs2, self.s1xs3) < 0:
             raise WordError("summand counts must be >= 0")
+
+    @property
+    def simply_connected(self) -> bool | None:
+        """Unknown through named blocks; otherwise no S1xS3 summand."""
+        return None if self.named else self.s1xs3 == 0
 
     @property
     def is_sphere(self) -> bool:
@@ -87,18 +90,12 @@ class FourManifoldWord:
         return 2 + self.cp2 + self.cp2bar + 2 * self.s2xs2 - 2 * self.s1xs3
 
     def __add__(self, other: "FourManifoldWord") -> "FourManifoldWord":
-        def both(a, b):
-            if a is None or b is None:
-                return None
-            return a and b
-
         return FourManifoldWord(
             self.cp2 + other.cp2,
             self.cp2bar + other.cp2bar,
             self.s2xs2 + other.s2xs2,
             self.s1xs3 + other.s1xs3,
             self.named + other.named,
-            both(self.simply_connected, other.simply_connected),
         )
 
     def doubled(self) -> "FourManifoldWord":
@@ -120,16 +117,15 @@ class FourManifoldWord:
         return " # ".join(parts) if parts else "S4"
 
 
-S4 = FourManifoldWord(simply_connected=True)
-CP2 = FourManifoldWord(cp2=1, simply_connected=True)
-CP2BAR = FourManifoldWord(cp2bar=1, simply_connected=True)
-S2XS2 = FourManifoldWord(s2xs2=1, simply_connected=True)
-S1XS3 = FourManifoldWord(s1xs3=1, simply_connected=False)
+S4 = FourManifoldWord()
+CP2 = FourManifoldWord(cp2=1)
+CP2BAR = FourManifoldWord(cp2bar=1)
+S2XS2 = FourManifoldWord(s2xs2=1)
+S1XS3 = FourManifoldWord(s1xs3=1)
 
 
 def word(cp2=0, cp2bar=0, s2xs2=0, s1xs3=0, named=()) -> FourManifoldWord:
-    sc = None if named else s1xs3 == 0
-    return FourManifoldWord(cp2, cp2bar, s2xs2, s1xs3, tuple(named), sc)
+    return FourManifoldWord(cp2, cp2bar, s2xs2, s1xs3, tuple(named))
 
 
 def parse_word(text: str) -> FourManifoldWord:
@@ -416,7 +412,8 @@ def k3_classify(
     """Quotient of a real K3 surface from its real part.
 
     The real part must be S_g together with k spheres (g + k <= 11) or a
-    pair of tori.  The quotient is CP2 # k CP2bar with
+    pair of tori, and Comessatti's bound 2 - h^{1,1} <= chi(XR) <= h^{1,1}
+    holds with h^{1,1} = 20.  The quotient is CP2 # k CP2bar with
     k = 9 + chi(XR) / 2, except for the two spin cases: a genus-10
     component with a sphere, or a genus-9 real part whose mod-2 class
     vanishes, where it is S2xS2.
@@ -436,6 +433,8 @@ def k3_classify(
     chi_xr = sum(p.euler for p in parts)
     if chi_xr % 2:
         raise WordError("real part Euler characteristic must be even")
+    if not -18 <= chi_xr <= 20:
+        raise WordError(f"chi(XR) = {chi_xr} breaks Comessatti's bound -18 <= chi(XR) <= 20")
     if genera == [10, 0]:
         return word(s2xs2=1)
     if genera == [9] and class_vanishes:

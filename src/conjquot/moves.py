@@ -26,8 +26,12 @@ side.  After any fusion the curve is of dividing type 2; every other move
 leaves the type unknown.
 
 Rewrites address ovals by index paths into the stored forest, so records
-replay deterministically.  Enumeration lists one representative per
-combinatorially distinct outcome (identical siblings are interchangeable).
+replay deterministically.  Each rewrite is one edit of one sibling list:
+it drops some siblings, may rebuild one in place (only a parent-child
+fusion does) and appends new ovals at the end.  That single description
+is what application, path transport and inversion all read.  Enumeration
+lists one representative per combinatorially distinct outcome (identical
+siblings are interchangeable).
 """
 
 from __future__ import annotations
@@ -196,57 +200,32 @@ def _get(roots: tuple[Oval, ...], path: Path) -> Oval:
     return node
 
 
-def _edit_siblings(roots, region: Path | None, func):
-    """Rebuild the ovals on the path to a region, applying func to its siblings."""
-    target: Path = region or ()
-
-    def walk(ovals: tuple[Oval, ...], prefix: Path) -> tuple[Oval, ...]:
-        if prefix == target:
-            return tuple(func(ovals))
-        if len(prefix) >= len(target):
-            return ovals
-        i = target[len(prefix)]
-        if i >= len(ovals):
-            raise MoveError(f"no region at {format_path(target)}")
-        o = ovals[i]
-        new = Oval(walk(o.children, prefix + (i,)))
-        return ovals[:i] + (new,) + ovals[i + 1 :]
-
-    return walk(roots, ())
+def _siblings(roots: tuple[Oval, ...], region: Path) -> tuple[Oval, ...]:
+    return _get(roots, region).children if region else roots
 
 
-def _ambient(path: Path) -> Path | None:
-    return path[:-1] or None
-
-
-def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
-    roots = scheme.roots
+def _edit(
+    roots: tuple[Oval, ...], rw: Rewrite
+) -> tuple[Path, tuple[int, ...], dict[int, Oval], tuple[Oval, ...]]:
+    """A rewrite as one edit of one sibling list: ``(region, drop, rebuilt,
+    added)`` drops the siblings indexed by ``drop`` from the list under
+    ``region``, replaces ``rebuilt[k]`` in place and appends ``added``."""
     if isinstance(rw, AddEmpty):
         if rw.region is not None:
             _get(roots, rw.region)
-        return _edit_siblings(roots, rw.region, lambda sibs: sibs + (Oval(),))
+        return rw.region or (), (), {}, (Oval(),)
 
     if isinstance(rw, DeleteEmpty):
-        oval = _get(roots, rw.oval)
-        if oval.children:
+        if _get(roots, rw.oval).children:
             raise MoveError("only a childless oval can be deleted")
-        idx = rw.oval[-1]
-        return _edit_siblings(
-            roots, _ambient(rw.oval), lambda sibs: sibs[:idx] + sibs[idx + 1 :]
-        )
+        return rw.oval[:-1], (rw.oval[-1],), {}, ()
 
     if isinstance(rw, FuseSiblings):
         a, b = rw.first, rw.second
         if a[:-1] != b[:-1] or a == b:
             raise MoveError("fusion needs two distinct ovals in one region")
         oa, ob = _get(roots, a), _get(roots, b)
-        i, j = a[-1], b[-1]
-
-        def fuse(sibs):
-            keep = [o for k, o in enumerate(sibs) if k not in (i, j)]
-            return keep + [Oval(oa.children + ob.children)]
-
-        return _edit_siblings(roots, _ambient(a), fuse)
+        return a[:-1], (a[-1], b[-1]), {}, (Oval(oa.children + ob.children),)
 
     if isinstance(rw, FuseParentChild):
         if rw.child[:-1] != rw.parent:
@@ -254,15 +233,8 @@ def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
         parent, child = _get(roots, rw.parent), _get(roots, rw.child)
         ci = rw.child[-1]
         fused = Oval(parent.children[:ci] + parent.children[ci + 1 :])
-        pi = rw.parent[-1]
-
-        def fuse(sibs):
-            out = list(sibs)
-            out[pi] = fused
-            out.extend(child.children)  # escape to the ambient region
-            return out
-
-        return _edit_siblings(roots, _ambient(rw.parent), fuse)
+        # the child's own children escape to the ambient region
+        return rw.parent[:-1], (), {rw.parent[-1]: fused}, child.children
 
     if isinstance(rw, SplitSibling):
         oval = _get(roots, rw.oval)
@@ -271,33 +243,36 @@ def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
         keep = set(rw.keep)
         first = Oval(tuple(c for k, c in enumerate(oval.children) if k in keep))
         second = Oval(tuple(c for k, c in enumerate(oval.children) if k not in keep))
-        idx = rw.oval[-1]
-
-        def split(sibs):
-            return sibs[:idx] + sibs[idx + 1 :] + (first, second)
-
-        return _edit_siblings(roots, _ambient(rw.oval), split)
+        return rw.oval[:-1], (rw.oval[-1],), {}, (first, second)
 
     if isinstance(rw, SplitNest):
-        ambient = _ambient(rw.oval)
+        region = rw.oval[:-1]
         for p in rw.enclosed:
-            if _ambient(p) != ambient or p == rw.oval:
+            if p[:-1] != region or p == rw.oval:
                 raise MoveError("enclosed ovals must share the ambient region")
         if len(set(rw.enclosed)) != len(rw.enclosed):
             raise MoveError("enclosed ovals must be distinct")
         oval = _get(roots, rw.oval)
         enclosed = tuple(_get(roots, p) for p in rw.enclosed)
-        drop = {p[-1] for p in rw.enclosed}
-        idx = rw.oval[-1]
-
-        def split(sibs):
-            out = [o for k, o in enumerate(sibs) if k not in drop and k != idx]
-            grown = Oval(oval.children + (Oval(enclosed),))
-            return out + [grown]
-
-        return _edit_siblings(roots, ambient, split)
+        drop = (rw.oval[-1], *(p[-1] for p in rw.enclosed))
+        return region, drop, {}, (Oval(oval.children + (Oval(enclosed),)),)
 
     raise MoveError(f"unknown rewrite {rw!r}")
+
+
+def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
+    region, drop, rebuilt, added = _edit(scheme.roots, rw)
+    lists = [scheme.roots]
+    for i in region:
+        lists.append(lists[-1][i].children)
+    sibs = lists.pop()
+    if drop or rebuilt:
+        sibs = tuple(rebuilt.get(k, o) for k, o in enumerate(sibs) if k not in drop)
+    sibs += added
+    for i in reversed(region):
+        up = lists.pop()
+        sibs = up[:i] + (Oval(sibs),) + up[i + 1 :]
+    return sibs
 
 
 def _classify(t: TrackedScheme, rw: Rewrite, delta: int) -> Classification:
@@ -350,12 +325,6 @@ def apply(t: TrackedScheme, m: MoveRecord) -> TrackedScheme:
 # ------------------------------------------------------------ enumeration
 
 
-def _sibling_paths(scheme: RealScheme, region: Path | None) -> list[Path]:
-    prefix = () if region is None else region
-    sibs = scheme.roots if region is None else _get(scheme.roots, region).children
-    return [prefix + (i,) for i in range(len(sibs))]
-
-
 def _grouped_subsets(items: Sequence[tuple[Path, str]]) -> Iterable[tuple[Path, ...]]:
     """Subsets of addressed ovals, one per multiset of subtree shapes."""
     groups: dict[str, list[Path]] = {}
@@ -378,8 +347,8 @@ def _grouped_subsets(items: Sequence[tuple[Path, str]]) -> Iterable[tuple[Path, 
 def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
     """All applicable rewrites, deduplicated up to identical-sibling
     symmetry, in a deterministic order."""
-    scheme = t.scheme
-    ovals = list(iter_ovals(scheme))
+    roots = t.scheme.roots
+    ovals = list(iter_ovals(t.scheme))
     regions = [None, *(path for path, _ in ovals)]
     candidates: list[Rewrite] = []
 
@@ -391,39 +360,30 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
             candidates.append(DeleteEmpty(path))
 
     for region in regions:
-        sibs = _sibling_paths(scheme, region)
-        for i in range(len(sibs)):
-            for j in range(i + 1, len(sibs)):
-                candidates.append(FuseSiblings(sibs[i], sibs[j]))
+        prefix = region or ()
+        n = len(_siblings(roots, prefix))
+        for i in range(n):
+            for j in range(i + 1, n):
+                candidates.append(FuseSiblings(prefix + (i,), prefix + (j,)))
 
     for path, oval in ovals:
         for ci in range(len(oval.children)):
             candidates.append(FuseParentChild(path, path + (ci,)))
 
+    # A keep set and its complement give the same split; the dedupe below
+    # keeps the one of least mask.
     for path, oval in ovals:
-        n = len(oval.children)
-        child_keys = [c.key for c in oval.children]
-        seen_parts = set()
-        for mask in range(2 ** n):
-            keep = tuple(i for i in range(n) if mask >> i & 1)
-            rest = tuple(i for i in range(n) if not mask >> i & 1)
-            part_key = frozenset(
-                (
-                    tuple(sorted(child_keys[i] for i in keep)),
-                    tuple(sorted(child_keys[i] for i in rest)),
-                )
-            )
-            if part_key in seen_parts:
-                continue
-            seen_parts.add(part_key)
+        children = [((i,), c.key) for i, c in enumerate(oval.children)]
+        keeps = [tuple(sorted(i for (i,) in s)) for s in _grouped_subsets(children)]
+        for keep in sorted(keeps, key=lambda keep: sum(1 << i for i in keep)):
             candidates.append(SplitSibling(path, keep))
 
     for path, oval in ovals:
-        region = _ambient(path)
+        region = path[:-1]
         neighbours = [
-            (p, _get(scheme.roots, p).key)
-            for p in _sibling_paths(scheme, region)
-            if p != path
+            (region + (k,), o.key)
+            for k, o in enumerate(_siblings(roots, region))
+            if k != path[-1]
         ]
         for subset in _grouped_subsets(neighbours):
             candidates.append(SplitNest(path, subset))
@@ -444,29 +404,24 @@ def inverse_move(t: TrackedScheme, m: MoveRecord) -> MoveRecord:
     """The move on apply(t, m) that restores the forest of t."""
     after = apply(t, m)
     rw = m.rewrite
+    region, drop, _, added = _edit(t.scheme.roots, rw)
+    n = len(_siblings(t.scheme.roots, region)) - len(drop) + len(added)
+    appended = tuple(region + (k,) for k in range(n - len(added), n))
     inv: Rewrite
     if isinstance(rw, AddEmpty):
-        inv = DeleteEmpty(_sibling_paths(after.scheme, rw.region)[-1])
+        inv = DeleteEmpty(appended[0])
     elif isinstance(rw, DeleteEmpty):
-        inv = AddEmpty(_ambient(rw.oval))
+        inv = AddEmpty(region or None)
     elif isinstance(rw, FuseSiblings):
         oa = _get(t.scheme.roots, rw.first)
-        merged = _sibling_paths(after.scheme, _ambient(rw.first))[-1]
-        inv = SplitSibling(merged, tuple(range(len(oa.children))))
+        inv = SplitSibling(appended[0], tuple(range(len(oa.children))))
     elif isinstance(rw, FuseParentChild):
-        region = _ambient(rw.parent)
-        n_before = len(_sibling_paths(t.scheme, region))
-        escaped = tuple(_sibling_paths(after.scheme, region)[n_before:])
-        inv = SplitNest(rw.parent, escaped)
+        inv = SplitNest(rw.parent, appended)
     elif isinstance(rw, SplitSibling):
-        *_, first, second = _sibling_paths(after.scheme, _ambient(rw.oval))
-        inv = FuseSiblings(first, second)
-    elif isinstance(rw, SplitNest):
-        grown = _sibling_paths(after.scheme, _ambient(rw.oval))[-1]
-        oval = _get(t.scheme.roots, rw.oval)
+        inv = FuseSiblings(*appended)
+    else:  # SplitNest
+        grown, oval = appended[0], _get(t.scheme.roots, rw.oval)
         inv = FuseParentChild(grown, grown + (len(oval.children),))
-    else:
-        raise MoveError(f"unknown rewrite {rw!r}")
     record, back = _move(after, inv)
     if forest_key(back.scheme) != forest_key(t.scheme):
         raise MoveError("inverse does not restore the forest")
@@ -537,46 +492,18 @@ class LogTransformEvent:
         }
 
 
-def _transport(path: Path, rw: Rewrite) -> Path | None:
-    """Follow an untouched oval's path through a rewrite; None if the
-    rewrite involves it or an ancestor."""
-
-    def shifted(p: Path, region: Path | None, removed: list[int]) -> Path:
-        prefix = () if region is None else region
-        d = len(prefix)
-        idx = p[d]
-        shift = sum(1 for r in removed if r < idx)
-        return p[:d] + (idx - shift,) + p[d + 1 :]
-
-    def in_region(p: Path, region: Path | None) -> bool:
-        prefix = () if region is None else region
-        return len(p) > len(prefix) and p[: len(prefix)] == prefix
-
-    if isinstance(rw, AddEmpty):
-        return path  # appended at the end, nothing shifts
-    if isinstance(rw, DeleteEmpty):
-        if path == rw.oval:
-            return None
-        if in_region(path, _ambient(rw.oval)):
-            return shifted(path, _ambient(rw.oval), [rw.oval[-1]])
+def _transport(
+    path: Path, region: Path, drop: tuple[int, ...], rebuilt: dict[int, Oval]
+) -> Path | None:
+    """Follow an oval's path through a sibling-list edit; None if the edit
+    drops or rebuilds the oval or an ancestor."""
+    d = len(region)
+    if len(path) <= d or path[:d] != region:
         return path
-    if isinstance(rw, (FuseSiblings, FuseParentChild, SplitSibling, SplitNest)):
-        touched = {
-            FuseSiblings: lambda r: [r.first, r.second],
-            FuseParentChild: lambda r: [r.parent],
-            SplitSibling: lambda r: [r.oval],
-            SplitNest: lambda r: [r.oval, *r.enclosed],
-        }[type(rw)](rw)
-        for tp in touched:
-            if path[: len(tp)] == tp:
-                return None
-        if isinstance(rw, FuseParentChild):
-            return path  # fused oval replaces the parent in place
-        region = _ambient(touched[0])
-        if in_region(path, region):
-            return shifted(path, region, sorted(p[-1] for p in touched))
-        return path
-    return None
+    i = path[d]
+    if i in drop or i in rebuilt:
+        return None
+    return path[:d] + (i - sum(1 for k in drop if k < i),) + path[d + 1 :]
 
 
 def detect_log_transform(
@@ -589,6 +516,7 @@ def detect_log_transform(
     pending: list[tuple[int, Path]] = []  # (fuse step, current path of product)
     for step, (state, move) in enumerate(steps):
         rw = move.rewrite
+        region, drop, rebuilt, _ = _edit(state.scheme.roots, rw)
         survivors = []
         for start, path in pending:
             if (
@@ -598,7 +526,7 @@ def detect_log_transform(
             ):
                 events.append(LogTransformEvent(start, step))
                 continue
-            moved = _transport(path, rw)
+            moved = _transport(path, region, drop, rebuilt)
             if moved is not None:
                 survivors.append((start, moved))
         pending = survivors

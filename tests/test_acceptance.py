@@ -119,7 +119,7 @@ def test_criterion_4_k3_quotient_values():
     # the spin quotients are exactly the two listed real parts
     spin_cases = []
     for g in range(0, 11):
-        for k in range(0, 12 - g if g else 12):
+        for k in range(0, 12 - g if g else 11):
             parts = [SurfaceDescriptor(2 - 2 * g, Orientability.ORIENTABLE)] if g else []
             parts += [SurfaceDescriptor(2, Orientability.ORIENTABLE)] * k
             if not parts:

@@ -115,6 +115,24 @@ def test_moves_apply_bad_lines_exit(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["apply", "trace"])
+def test_moves_nesting_past_the_depth_cap_exit(tmp_path, capsys, command):
+    # the d-th split_nest grows a child under the oval d deep
+    seq = tmp_path / "moves.jsonl"
+    seq.write_text(
+        "".join(
+            json.dumps({"kind": "split_nest", "oval": ".".join("0" * d), "enclosed": []})
+            + "\n"
+            for d in range(1, 131)
+        )
+    )
+    assert main(["moves", command, "<1>", str(seq)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "move 128 nests deeper than 128" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_search_derive(capsys):
     code, out = run(
         capsys, "search", "derive", "<10>_2", "<9>_2", "--side", "+",
@@ -197,6 +215,8 @@ def test_k3_classify(capsys):
 @pytest.mark.parametrize(
     "xr, message",
     [
+        ("11S0", "chi(XR) = 22 breaks Comessatti's bound"),
+        ("12S0", "chi(XR) = 24 breaks Comessatti's bound"),
         ("13S0", "at most 12 components, got 13"),
         ("S0+-2S1", "multiplicity -2 of S1 must be at least 1"),
         ("1000000S0", "at most 12 components, got 1000000"),

@@ -49,7 +49,13 @@ def test_word_serialization_round_trip():
 
 
 def test_sphere_summands_absorbed():
-    assert (S4 + CP2 + S4) == FourManifoldWord(cp2=1, simply_connected=True)
+    assert (S4 + CP2 + S4) == FourManifoldWord(cp2=1)
+
+
+def test_simply_connected_follows_the_summands():
+    assert (S4 + CP2).simply_connected is True
+    assert (CP2 + word(s1xs3=1)).simply_connected is False
+    assert (CP2 + word(named=("E(1)_0",))).simply_connected is None
 
 
 def test_word_betti_bookkeeping():

@@ -1,11 +1,12 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjquot.domains import Side, TrackedScheme, euler_W
+from conjquot.domains import Side, TrackedScheme, euler_W, iter_ovals
 from conjquot.moves import (
     AddEmpty,
     Classification,
@@ -16,6 +17,9 @@ from conjquot.moves import (
     MoveRecord,
     SplitNest,
     SplitSibling,
+    _edit,
+    _get,
+    _transport,
     apply,
     detect_log_transform,
     enumerate_moves,
@@ -136,6 +140,41 @@ def test_successors_carry_correct_cached_fields(outer):
         t = TrackedScheme(RealScheme(roots), 6, outer)
         for m in enumerate_moves(t):
             check_cached_fields(apply(t, m).scheme.roots)
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_transport_follows_untouched_subtrees(outer):
+    for roots in iter_forests(6):
+        t = TrackedScheme(RealScheme(roots), 6, outer)
+        for m in enumerate_moves(t):
+            region, drop, rebuilt, _ = _edit(roots, m.rewrite)
+            after = apply(t, m).scheme.roots
+            kept = []
+            for path, oval in iter_ovals(t.scheme):
+                moved = _transport(path, region, drop, rebuilt)
+                if moved is None:
+                    continue
+                kept.append(moved)
+                if region[: len(path)] == path:
+                    # the owner of the edited list and its ancestors stay put
+                    # but gain or lose descendants
+                    assert moved == path
+                else:
+                    assert _get(after, moved).key == oval.key
+            assert len(set(kept)) == len(kept)
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_split_sibling_enumeration_on_many_identical_children(outer):
+    # One keep set per multiset of children, not one per subset: 2**20 here.
+    t = TrackedScheme(parse_viro("<1<20>>"), 44, outer)
+    start = time.perf_counter()
+    ms = enumerate_moves(t)
+    elapsed = time.perf_counter() - start
+    splits = by_kind(ms, SplitSibling)
+    assert (len(ms), len(splits)) == (39, 12)
+    assert sum(m.rewrite.oval == (0,) for m in splits) == 11
+    assert elapsed < 1.0
 
 
 def test_split_then_fuse_restores_canonical_key():
