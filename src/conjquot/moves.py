@@ -31,16 +31,20 @@ it drops some siblings, may rebuild one in place (only a parent-child
 fusion does) and appends new ovals at the end.  That single description
 is what application, path transport and inversion all read.  Enumeration
 lists one representative per combinatorially distinct outcome (identical
-siblings are interchangeable).
+siblings are interchangeable).  It prunes symmetric candidates before it
+builds them: a candidate that a swap of identical siblings maps onto an
+earlier one is skipped, and a dedupe on the outcome drops the remaining
+coincidences.  Each listed move carries the state it leads to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import ClassVar, Iterable, Sequence
 
-from .domains import Path, Side, TrackedScheme, euler_W, format_path, iter_ovals, parse_path
+from .domains import Path, Side, TrackedScheme, euler_W, format_path, parse_path
 from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key
 
 
@@ -168,6 +172,9 @@ class MoveRecord:
     rewrite: Rewrite
     classification: Classification
     delta_chi_tracked: int
+    # The state the move leads to from the state it was made on; None on a
+    # decoded record.  It takes no part in equality, hashing or record().
+    successor: TrackedScheme | None = field(default=None, compare=False, repr=False)
 
     def record(self) -> dict:
         return {
@@ -289,8 +296,8 @@ def _classify(t: TrackedScheme, rw: Rewrite, delta: int) -> Classification:
     raise MoveError(f"band move with delta {delta}")
 
 
-def _move(t: TrackedScheme, rw: Rewrite) -> tuple[MoveRecord, TrackedScheme]:
-    """Classify a rewrite on this state; also return the state it leads to."""
+def _move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
+    """Classify a rewrite on this state; the record carries its successor."""
     roots = _apply_rewrite(t.scheme, rw)
     curve_type = CurveType.TWO if isinstance(rw, FUSIONS) else CurveType.UNKNOWN
     after = TrackedScheme(
@@ -303,23 +310,23 @@ def _move(t: TrackedScheme, rw: Rewrite) -> tuple[MoveRecord, TrackedScheme]:
     expected = -1 if cls in DECREASING else 1
     if delta != expected:
         raise MoveError(f"{cls.value} must have delta {expected}, got {delta}")
-    return MoveRecord(rw, cls, delta), after
+    return MoveRecord(rw, cls, delta, after)
 
 
 def make_move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
     """Classify a rewrite on this state and package it as a record."""
-    return _move(t, rw)[0]
+    return _move(t, rw)
 
 
 def apply(t: TrackedScheme, m: MoveRecord) -> TrackedScheme:
     """Apply a move; the tracked class follows through the rewrite."""
-    check, after = _move(t, m.rewrite)
+    check = _move(t, m.rewrite)
     if check.classification is not m.classification or check.delta_chi_tracked != m.delta_chi_tracked:
         raise MoveError(
             f"record says {m.classification.value}/{m.delta_chi_tracked}, "
             f"state gives {check.classification.value}/{check.delta_chi_tracked}"
         )
-    return after
+    return check.successor
 
 
 # ------------------------------------------------------------ enumeration
@@ -344,11 +351,45 @@ def _grouped_subsets(items: Sequence[tuple[Path, str]]) -> Iterable[tuple[Path, 
     return rec(0)
 
 
+def _ranks(siblings: tuple[Oval, ...]) -> list[int]:
+    """For each sibling, how many earlier siblings have its shape."""
+    seen: Counter[str] = Counter()
+    ranks = []
+    for o in siblings:
+        ranks.append(seen[o.key])
+        seen[o.key] += 1
+    return ranks
+
+
+def _canonical_ovals(siblings: tuple[Oval, ...], prefix: Path = ()):
+    """Yield (path, oval) pairs depth first in stored order, over the
+    canonical paths only: those on which no oval has an earlier sibling of
+    its shape.  Every oval is the image of exactly one canonical oval under
+    swaps of identical siblings, and that one comes first."""
+    for i, (o, rank) in enumerate(zip(siblings, _ranks(siblings))):
+        if not rank:
+            path = prefix + (i,)
+            yield path, o
+            yield from _canonical_ovals(o.children, path)
+
+
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
+
+
 def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
     """All applicable rewrites, deduplicated up to identical-sibling
-    symmetry, in a deterministic order."""
+    symmetry, in a deterministic order.
+
+    A candidate is skipped before it is built when a swap of identical
+    siblings maps it onto an earlier candidate: single-oval rewrites
+    address canonical paths only, a fusion takes the first pair of each
+    pair of shapes, and a split keeps the first ovals of each shape.  The
+    outcome dedupe then drops the coincidences no symmetry explains, so
+    the list is the first candidate of each outcome, as without pruning.
+    """
     roots = t.scheme.roots
-    ovals = list(iter_ovals(t.scheme))
+    ovals = list(_canonical_ovals(roots))
     regions = [None, *(path for path, _ in ovals)]
     candidates: list[Rewrite] = []
 
@@ -361,22 +402,35 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
 
     for region in regions:
         prefix = region or ()
-        n = len(_siblings(roots, prefix))
-        for i in range(n):
-            for j in range(i + 1, n):
-                candidates.append(FuseSiblings(prefix + (i,), prefix + (j,)))
+        sibs = _siblings(roots, prefix)
+        ranks = _ranks(sibs)
+        for i in range(len(sibs)):
+            if ranks[i]:
+                continue
+            for j in range(i + 1, len(sibs)):
+                if not ranks[j] or (ranks[j] == 1 and sibs[j].key == sibs[i].key):
+                    candidates.append(FuseSiblings(prefix + (i,), prefix + (j,)))
 
     for path, oval in ovals:
-        for ci in range(len(oval.children)):
-            candidates.append(FuseParentChild(path, path + (ci,)))
+        for ci, rank in enumerate(_ranks(oval.children)):
+            if not rank:
+                candidates.append(FuseParentChild(path, path + (ci,)))
 
-    # A keep set and its complement give the same split; the dedupe below
-    # keeps the one of least mask.
     for path, oval in ovals:
-        children = [((i,), c.key) for i, c in enumerate(oval.children)]
-        keeps = [tuple(sorted(i for (i,) in s)) for s in _grouped_subsets(children)]
-        for keep in sorted(keeps, key=lambda keep: sum(1 << i for i in keep)):
-            candidates.append(SplitSibling(path, keep))
+        kids = oval.children
+        shapes: dict[str, list[int]] = {}
+        for i, c in enumerate(kids):
+            shapes.setdefault(c.key, []).append(i)
+        splits = []
+        for s in _grouped_subsets([((i,), c.key) for i, c in enumerate(kids)]):
+            keep = sorted(i for (i,) in s)
+            taken = Counter(kids[i].key for i in keep)
+            # A keep set and its complement give the same split: keep the
+            # one whose least-mask representative has the smaller mask.
+            rest = [i for key, ix in shapes.items() for i in ix[: len(ix) - taken[key]]]
+            if _mask(rest) >= _mask(keep):
+                splits.append((_mask(keep), tuple(keep)))
+        candidates.extend(SplitSibling(path, keep) for _, keep in sorted(splits))
 
     for path, oval in ovals:
         region = path[:-1]
@@ -391,8 +445,8 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
     moves = []
     seen: set[tuple[str, str, Classification]] = set()
     for rw in candidates:
-        m, after = _move(t, rw)
-        key = (type(rw).__name__, canonical_key(after.scheme), m.classification)
+        m = _move(t, rw)
+        key = (type(rw).__name__, canonical_key(m.successor.scheme), m.classification)
         if key in seen:
             continue
         seen.add(key)
@@ -422,8 +476,8 @@ def inverse_move(t: TrackedScheme, m: MoveRecord) -> MoveRecord:
     else:  # SplitNest
         grown, oval = appended[0], _get(t.scheme.roots, rw.oval)
         inv = FuseParentChild(grown, grown + (len(oval.children),))
-    record, back = _move(after, inv)
-    if forest_key(back.scheme) != forest_key(t.scheme):
+    record = _move(after, inv)
+    if forest_key(record.successor.scheme) != forest_key(t.scheme):
         raise MoveError("inverse does not restore the forest")
     return record
 

@@ -80,6 +80,24 @@ MAX_SEARCH_OVALS = 11
 
 PENCIL_SEED = "pencil-perturbation-seed"
 
+# The sweep's seeds, as (state label, provenance): the two line-perturbation
+# curves (ten empty ovals, the deep nest) on both sides, and the two
+# pencil-perturbation curves (nine empty ovals of type 1, and the
+# nine-plus-nest scheme) on the orientable side, where their Arnold
+# surfaces bound orientable handlebodies.
+SWEEP_SEEDS = (
+    ("<10>_2+", "lcurve-seed"),
+    ("<10>_2-", "lcurve-seed"),
+    ("<1<1<1>>>_1+", "lcurve-seed"),
+    ("<1<1<1>>>_1-", "lcurve-seed"),
+    ("<9>_1+", PENCIL_SEED),
+    ("<9 u 1<1>>_1+", PENCIL_SEED),
+)
+# The sweep's one trusted axiom edge, a hand-verified deformation crossing
+# sides: from the type-2 nine-oval state on the orientable side to the
+# type-1 nest of nine on the other side.
+SWEEP_AXIOM_EDGES = (("<9>_2+", "<1<8>>_1-"),)
+
 
 def state_key(t: TrackedScheme) -> tuple[str, bool]:
     """Search identity: forest up to isomorphism plus the tracked side."""
@@ -188,6 +206,8 @@ def relation_search(
     start = state_key(source)
     if start == goal:
         return Certificate(source, target, (), (source,))
+    if target.scheme.oval_count > MAX_SEARCH_OVALS:  # no searched state is the target
+        return None
     seen = {start}
     # A node is (state, move into it, parent node, steps from the source);
     # the path is read back through the parents once, at the goal.
@@ -200,7 +220,7 @@ def relation_search(
         for m in enumerate_moves(state):
             if m.classification not in rel.allowed:
                 continue
-            nxt = apply(state, m)
+            nxt = m.successor
             if nxt.scheme.oval_count > MAX_SEARCH_OVALS:
                 continue
             key = state_key(nxt)
@@ -329,7 +349,7 @@ def propagate(
         for m in enumerate_moves(state):
             if m.classification not in rel.allowed or _split_from_wrong_type(m, state):
                 continue
-            after = apply(state, m)
+            after = m.successor
             fk = forest_key(after.scheme)
             if isinstance(m.rewrite, FUSIONS):
                 target_types: Iterable[CurveType] = (CurveType.TWO,)
@@ -371,11 +391,20 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC) -> bool:
     """Re-run a fact's path with the one replay check; each step must start
     where the last one ended, a split must start from a type-2 state, and
     the path must end on the fact's typed state (forest, dividing type and
-    side).  A malformed or non-applying path gives False, never an error."""
-    if not fact.path:  # a seed: nothing to replay
-        return True
+    side).  A pathless fact must be one of :data:`SWEEP_SEEDS`, with its
+    provenance, and an axiom step one of :data:`SWEEP_AXIOM_EDGES`.  A
+    malformed or non-applying path gives False, never an error."""
     degree = fact.state.degree
+
+    def typed(label: str) -> tuple[str, str, bool]:
+        return typed_key(parse_state_label(label, degree))
+
     try:
+        if not fact.path:
+            return (typed_key(fact.state), fact.provenance) in {
+                (typed(label), provenance) for label, provenance in SWEEP_SEEDS
+            }
+        axioms = {(typed(a), typed(b)) for a, b in SWEEP_AXIOM_EDGES}
         label = fact.path[0]["from"]
         start = state = parse_state_label(label, degree)
         steps = []
@@ -386,7 +415,9 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC) -> bool:
             if _split_from_wrong_type(m, state):
                 return False
             label = step["to"]
-            state = parse_state_label(label, degree)
+            before, state = state, parse_state_label(label, degree)
+            if m is None and (typed_key(before), typed_key(state)) not in axioms:
+                return False
             steps.append((m, state))
     except (KeyError, TypeError, ValueError):
         return False
@@ -451,37 +482,24 @@ def _entry(catalog: Sequence[SchemeCatalogEntry], code: str) -> SchemeCatalogEnt
 
 
 def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
-    """Propagate standardness over the whole sextic catalog.
+    """Propagate standardness over the whole sextic catalog, from
+    :data:`SWEEP_SEEDS` and across :data:`SWEEP_AXIOM_EDGES`.
 
-    Seeds: the two line-perturbation curves (ten empty ovals, the deep
-    nest) on both sides, and the two pencil-perturbation curves (nine
-    empty ovals of type 1, and the nine-plus-nest scheme) on the
-    orientable side, where their Arnold surfaces bound orientable
-    handlebodies.  One trusted axiom edge crosses sides into the type-1
-    nest-of-nine state.  The closure marks the orientable-side surface
-    standard for every entry and the other side for all but four.
+    The closure marks the orientable-side surface standard for every entry
+    and the other side for all but four.
     """
     degree = 6
 
-    def tracked(code: str, outer: bool) -> TrackedScheme:
-        return TrackedScheme(_entry(catalog, code).scheme, degree, outer)
+    def tracked(label: str) -> TrackedScheme:
+        return TrackedScheme(_entry(catalog, label[:-1]).scheme, degree, label[-1] == "-")
 
     seeds = [
-        Fact(tracked("<10>_2", False), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
-        Fact(tracked("<10>_2", True), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
-        Fact(tracked("<1<1<1>>>_1", False), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
-        Fact(tracked("<1<1<1>>>_1", True), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
-        Fact(tracked("<9>_1", False), Predicate.ARNOLD_STANDARD, PENCIL_SEED),
-        Fact(tracked("<9 u 1<1>>_1", False), Predicate.ARNOLD_STANDARD, PENCIL_SEED),
+        Fact(tracked(label), Predicate.ARNOLD_STANDARD, provenance)
+        for label, provenance in SWEEP_SEEDS
     ]
     for exc in EXPECTED_MINUS_EXCEPTIONS:
         _entry(catalog, exc)  # required rows, even though never marked
-    axiom_edges = [
-        # A hand-verified deformation crossing sides: from the type-2
-        # nine-oval state on the orientable side to the type-1 nest of
-        # nine on the other side.
-        (tracked("<9>_2", False), tracked("<1<8>>_1", True)),
-    ]
+    axiom_edges = [(tracked(a), tracked(b)) for a, b in SWEEP_AXIOM_EDGES]
     table = propagate(seeds, axiom_edges, SUCC, catalog)
 
     seed_orientable = {typed_key(f.state) for f in seeds if f.orientable_arnold}

@@ -3,15 +3,27 @@
 These deliberately avoid the library's own formulas: forest isomorphism
 is decided by backtracking over child matchings, Euler characteristics
 of the domains come from rasterizing an explicit circle realization and
-counting cells of the resulting square complex, and the values each oval
-caches are recomputed by walking its whole subtree.
+counting cells of the resulting square complex, the values each oval
+caches are recomputed by walking its whole subtree, and move enumeration
+builds a candidate at every index before deduplicating outcomes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from conjquot.schemes import Oval, RealScheme, forest_key
+from conjquot.domains import TrackedScheme, iter_ovals
+from conjquot.moves import (
+    AddEmpty,
+    DeleteEmpty,
+    FuseParentChild,
+    FuseSiblings,
+    MoveRecord,
+    SplitNest,
+    SplitSibling,
+    _move,
+)
+from conjquot.schemes import Oval, RealScheme, canonical_key, forest_key
 
 
 # ---------------------------------------------------- forest isomorphism
@@ -71,6 +83,69 @@ def check_cached_fields(roots: tuple[Oval, ...]) -> None:
     s = RealScheme(roots)
     assert s.oval_count == sum(subtree_size(r) for r in roots)
     assert forest_key(s) == "".join(sorted(subtree_key(r) for r in roots))
+
+
+# -------------------------------------------------------- move enumeration
+
+
+def _subsets_by_shape(items):
+    """One subset of (path, key) items per multiset of keys: the first n
+    paths of each key, over every count vector."""
+    groups: dict[str, list] = {}
+    for path, key in items:
+        groups.setdefault(key, []).append(path)
+    subsets = [()]
+    for key in sorted(groups, reverse=True):
+        paths = groups[key]
+        subsets = [tuple(paths[:n]) + rest for rest in subsets for n in range(len(paths) + 1)]
+    return subsets
+
+
+def enumerate_unpruned(t: TrackedScheme) -> list[MoveRecord]:
+    """Build a candidate at every oval, region, sibling pair and child
+    index (splits: every multiset of children or neighbours, keep sets by
+    mask), then keep the first candidate of each outcome (kind, successor
+    key, classification)."""
+    roots = t.scheme.roots
+    ovals = list(iter_ovals(t.scheme))
+    regions = [None, *(path for path, _ in ovals)]
+    by_path = dict(ovals)
+
+    def siblings(prefix):
+        return by_path[prefix].children if prefix else roots
+
+    candidates = [AddEmpty(region) for region in regions]
+    candidates += [DeleteEmpty(path) for path, oval in ovals if not oval.children]
+    for region in regions:
+        prefix = region or ()
+        n = len(siblings(prefix))
+        candidates += [
+            FuseSiblings(prefix + (i,), prefix + (j,)) for i in range(n) for j in range(i + 1, n)
+        ]
+    for path, oval in ovals:
+        candidates += [FuseParentChild(path, path + (ci,)) for ci in range(len(oval.children))]
+    for path, oval in ovals:
+        keeps = [
+            tuple(sorted(i for (i,) in s))
+            for s in _subsets_by_shape([((i,), c.key) for i, c in enumerate(oval.children)])
+        ]
+        keeps.sort(key=lambda keep: sum(1 << i for i in keep))
+        candidates += [SplitSibling(path, keep) for keep in keeps]
+    for path, oval in ovals:
+        region = path[:-1]
+        neighbours = [
+            (region + (k,), o.key) for k, o in enumerate(siblings(region)) if k != path[-1]
+        ]
+        candidates += [SplitNest(path, s) for s in _subsets_by_shape(neighbours)]
+
+    moves, seen = [], set()
+    for rw in candidates:
+        m = _move(t, rw)
+        key = (type(rw).__name__, canonical_key(m.successor.scheme), m.classification)
+        if key not in seen:
+            seen.add(key)
+            moves.append(m)
+    return moves
 
 
 # -------------------------------------------------------- circle layouts

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,19 @@ def test_search_derive_not_found(capsys):
     assert code == 0
     (rec,) = records(out)
     assert rec["found"] is False and "not found" in rec["note"]
+
+
+def test_search_derive_target_past_the_oval_bound_is_not_searched(capsys):
+    # Every searched state has at most MAX_SEARCH_OVALS = 11 ovals, so the
+    # answer needs no walk over the whole graph below that bound.
+    start = time.perf_counter()
+    code, out = run(
+        capsys, "search", "derive", "<1>", "<12>", "--side", "+", "--relation", "rhd",
+        "--format", "records",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert records(out) == [{"found": False, "note": "not found <= 64 steps"}]
 
 
 def test_search_derive_negative_max_steps_exit(capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from conjquot.schemes import (
 )
 
 from conftest import forests, random_forest
-from oracles import check_cached_fields
+from oracles import check_cached_fields, enumerate_unpruned
 
 
 def tracked(code, outer=False):
@@ -175,6 +176,32 @@ def test_split_sibling_enumeration_on_many_identical_children(outer):
     assert (len(ms), len(splits)) == (39, 12)
     assert sum(m.rewrite.oval == (0,) for m in splits) == 11
     assert elapsed < 1.0
+
+
+HIGH_SYMMETRY = ("<10>", "<1<9>>", "<9 u 1<1>>", "<1<14>>")
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_pruned_enumeration_matches_every_index_oracle(outer):
+    # Pruning symmetric candidates before they are built keeps the records,
+    # their order and the handed-off successors of the unpruned algorithm.
+    states = [TrackedScheme(RealScheme(roots), 6, outer) for roots in iter_forests(7)]
+    states += [TrackedScheme(parse_viro(code), 40, outer) for code in HIGH_SYMMETRY]
+    for t in states:
+        ms = enumerate_moves(t)
+        assert [m.record() for m in ms] == [m.record() for m in enumerate_unpruned(t)]
+        for m in ms:
+            assert m.successor == apply(t, m)  # forest, type, degree and side
+
+
+def test_successor_stays_out_of_record_identity():
+    t = tracked("<3 u 1<2>>")
+    for m in enumerate_moves(t):
+        decoded = MoveRecord.from_record(m.record())
+        assert decoded.successor is None and m.successor is not None
+        assert decoded == m and hash(decoded) == hash(m)
+        assert replace(m, successor=t) == m and replace(m, successor=t).record() == m.record()
+        assert repr(decoded) == repr(m)
 
 
 def test_split_then_fuse_restores_canonical_key():

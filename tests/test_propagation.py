@@ -117,11 +117,12 @@ def test_propagate_empty_seeds():
 
 
 def test_propagate_axiom_edges_cross_sides():
-    catalog = small_catalog()
+    # The sweep's declared edge, so that the fact replays.
+    catalog = [*small_catalog(), *load_catalog(["<1<8>>\t6\t1\tt"])]
     seeds = [Fact(tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "lcurve-seed")]
-    axiom = [(tracked("<9>_2"), tracked("<8>_2", outer=True))]
+    axiom = [(tracked("<9>_2"), tracked("<1<8>>_1", outer=True))]
     table = propagate(seeds, axiom, SUCC, catalog)
-    fact = table.marked(parse_viro("<8>_2"), True)
+    fact = table.marked(parse_viro("<1<8>>_1"), True)
     assert fact is not None and fact.provenance == "axiom-edge"
     assert replay_fact(fact, SUCC)
 
@@ -198,6 +199,18 @@ def test_replay_fact_pins_the_typed_end_state(sweep_fact):
         "outside SUCC": _with_step(fact, 0, classification="M2^-1"),
         "no such oval": _with_step(fact, 0, rewrite={"kind": "delete_empty", "oval": "9.9.9"}),
         "split from type 1": _split_fact(1),
+        "undeclared axiom edge": Fact(
+            tracked("<1<9>>_2", outer=True),
+            Predicate.ARNOLD_STANDARD,
+            "axiom-edge",
+            ({"edge": "axiom", "from": "<10>_2+", "to": "<1<9>>_2-"},),
+        ),
+        "undeclared seed": Fact(
+            tracked("<1<9>>_2", outer=True), Predicate.ARNOLD_STANDARD, "lcurve-seed"
+        ),
+        "seed of another provenance": Fact(
+            tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "pencil-perturbation-seed"
+        ),
     }
     replays = {name: replay_fact(f, SUCC) for name, f in corpus.items()}
     assert replays == dict.fromkeys(corpus, False)
