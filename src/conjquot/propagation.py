@@ -10,7 +10,13 @@ Two graph semantics are exposed:
 
 * :func:`relation_search` walks the raw combinatorial move graph on
   (forest, tracked side) states, ignoring dividing types, and returns a
-  replayable certificate.
+  replayable certificate.  Every move keeps the tracked side and changes
+  the oval count and the tracked Euler characteristic by exactly one
+  each, so those two integers bound the moves left to the target from
+  below (exactly along SUCC, where each move lowers the Euler
+  characteristic).  The search skips every state whose bound exceeds the
+  steps left; a state on a shortest path never does, so the certificate
+  is the one the uncut search finds.
 
 * :func:`propagate` closes a set of facts over the catalog of realizable
   (scheme, type) states.  Here edges are discriminant walls, and the
@@ -30,6 +36,8 @@ type and side), so a fact does not replay after its side or type changes.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -38,6 +46,7 @@ from typing import Iterable, Sequence
 from . import fourman
 from .domains import Orientability, Side, SurfaceDescriptor, TrackedScheme, euler_W
 from .moves import (
+    DECREASING,
     FUSIONS,
     SPLITS,
     Classification,
@@ -197,6 +206,18 @@ def relation_search(
     Returns a replayable certificate, or None when no path of at most
     ``max_steps`` moves exists within :data:`MAX_SEARCH_OVALS` ovals;
     absence of a certificate never means the relation fails to hold.
+
+    The search never expands a state that cannot reach the target in the
+    steps left.  Every move keeps the tracked side and changes the oval
+    count n and the tracked Euler characteristic chi by exactly one each,
+    so with dn = |n(u) - n(t)| and dchi = chi(u) - chi(t) a state u other
+    than the target t is at least max(dn, |dchi|) moves away (2 when both
+    are 0), and unreachable when dn + dchi is odd.  When every allowed move
+    lowers chi, as along SUCC, u is exactly dchi moves away and unreachable
+    unless 0 < dchi and dn <= dchi.  A state on a path of length L found
+    at depth d is L - d moves from the target, so it and every state
+    before it pass the cut: the search meets the target through the same
+    parents, in the same order, as the search without the cut.
     """
     if source.degree != target.degree:
         raise ValueError("relation search needs equal degrees")
@@ -208,15 +229,31 @@ def relation_search(
         return Certificate(source, target, (), (source,))
     if target.scheme.oval_count > MAX_SEARCH_OVALS:  # no searched state is the target
         return None
+    if source.outer_tracked != target.outer_tracked:  # no move changes the side
+        return None
+    goal_n, goal_chi = target.scheme.oval_count, euler_W(target, Side.TRACKED)
+    graded = rel.allowed <= DECREASING
+
+    def bound(n: int, chi: int) -> float:
+        """Fewest moves to the target from a state with n ovals and tracked
+        Euler characteristic chi that is not the target."""
+        dn, dchi = abs(n - goal_n), chi - goal_chi
+        if (dn + dchi) % 2:
+            return math.inf
+        if graded:
+            return dchi if 0 < dchi and dn <= dchi else math.inf
+        return max(dn, abs(dchi)) or 2
+
+    chi = euler_W(source, Side.TRACKED)
+    if bound(source.scheme.oval_count, chi) > max_steps:
+        return None
     seen = {start}
-    # A node is (state, move into it, parent node, steps from the source);
-    # the path is read back through the parents once, at the goal.
-    frontier: deque[tuple] = deque([(source, None, None, 0)])
+    # A node is (state, move into it, parent node, steps from the source,
+    # tracked chi); the path is read back through the parents once, at the goal.
+    frontier: deque[tuple] = deque([(source, None, None, 0, chi)])
     while frontier:
         node = frontier.popleft()
-        state, _, _, steps = node
-        if steps >= max_steps:
-            continue
+        state, _, _, steps, chi = node
         for m in enumerate_moves(state):
             if m.classification not in rel.allowed:
                 continue
@@ -227,16 +264,18 @@ def relation_search(
             if key in seen:
                 continue
             seen.add(key)
-            child = (nxt, m, node, steps + 1)
+            nxt_chi = chi + m.delta_chi_tracked
+            child = (nxt, m, node, steps + 1, nxt_chi)
             if key == goal:
                 moves, states = [], []
                 while child is not None:
-                    reached, move, child, _ = child
+                    reached, move, child, _, _ = child
                     states.append(reached)
                     if move is not None:
                         moves.append(move)
                 return Certificate(source, target, tuple(moves[::-1]), tuple(states[::-1]))
-            frontier.append(child)
+            if bound(nxt.scheme.oval_count, nxt_chi) <= max_steps - steps - 1:
+                frontier.append(child)
     return None
 
 
@@ -387,26 +426,36 @@ def propagate(
     return table
 
 
-def replay_fact(fact: Fact, rel: RelationSpec = SUCC) -> bool:
-    """Re-run a fact's path with the one replay check; each step must start
-    where the last one ended, a split must start from a type-2 state, and
-    the path must end on the fact's typed state (forest, dividing type and
-    side).  A pathless fact must be one of :data:`SWEEP_SEEDS`, with its
-    provenance, and an axiom step one of :data:`SWEEP_AXIOM_EDGES`.  A
-    malformed or non-applying path gives False, never an error."""
-    degree = fact.state.degree
+@functools.lru_cache
+def _declared(degree: int) -> tuple[frozenset, frozenset, frozenset]:
+    """Typed keys of :data:`SWEEP_SEEDS` with their provenance, of the seed
+    states alone and of :data:`SWEEP_AXIOM_EDGES`, parsed once per degree."""
 
     def typed(label: str) -> tuple[str, str, bool]:
         return typed_key(parse_state_label(label, degree))
 
+    seeds = frozenset((typed(label), provenance) for label, provenance in SWEEP_SEEDS)
+    axioms = frozenset((typed(a), typed(b)) for a, b in SWEEP_AXIOM_EDGES)
+    return seeds, frozenset(key for key, _ in seeds), axioms
+
+
+def replay_fact(fact: Fact, rel: RelationSpec = SUCC) -> bool:
+    """Re-run a fact's path with the one replay check; the path must start
+    at a state of :data:`SWEEP_SEEDS`, each step must start where the last
+    one ended, a split must start from a type-2 state, and the path must
+    end on the fact's typed state (forest, dividing type and side).  A
+    pathless fact must be one of :data:`SWEEP_SEEDS`, with its provenance,
+    and an axiom step one of :data:`SWEEP_AXIOM_EDGES`.  A malformed or
+    non-applying path gives False, never an error."""
+    degree = fact.state.degree
+    seeds, seed_states, axioms = _declared(degree)
     try:
         if not fact.path:
-            return (typed_key(fact.state), fact.provenance) in {
-                (typed(label), provenance) for label, provenance in SWEEP_SEEDS
-            }
-        axioms = {(typed(a), typed(b)) for a, b in SWEEP_AXIOM_EDGES}
+            return (typed_key(fact.state), fact.provenance) in seeds
         label = fact.path[0]["from"]
         start = state = parse_state_label(label, degree)
+        if typed_key(start) not in seed_states:
+            return False
         steps = []
         for step in fact.path:
             if step["from"] != label:

@@ -6,9 +6,13 @@ of the domains come from rasterizing an explicit circle realization and
 counting cells of the resulting square complex, the values each oval
 caches are recomputed by walking its whole subtree, and move enumeration
 builds a candidate at every index before deduplicating outcomes.
+Derivation search has a reference too: the breadth-first search without
+its distance cut, which expands every state up to the step budget.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -22,6 +26,14 @@ from conjquot.moves import (
     SplitNest,
     SplitSibling,
     _move,
+    enumerate_moves,
+)
+from conjquot.propagation import (
+    MAX_SEARCH_OVALS,
+    SUCC,
+    Certificate,
+    RelationSpec,
+    state_key,
 )
 from conjquot.schemes import Oval, RealScheme, canonical_key, forest_key
 
@@ -146,6 +158,59 @@ def enumerate_unpruned(t: TrackedScheme) -> list[MoveRecord]:
             seen.add(key)
             moves.append(m)
     return moves
+
+
+# -------------------------------------------------------- derivation search
+
+
+def relation_search_unpruned(
+    source: TrackedScheme,
+    target: TrackedScheme,
+    rel: RelationSpec = SUCC,
+    max_steps: int = 64,
+) -> Certificate | None:
+    """Breadth-first derivation search over canonical state keys that
+    expands every state up to ``max_steps`` moves from the source."""
+    if source.degree != target.degree:
+        raise ValueError("relation search needs equal degrees")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    goal = state_key(target)
+    start = state_key(source)
+    if start == goal:
+        return Certificate(source, target, (), (source,))
+    if target.scheme.oval_count > MAX_SEARCH_OVALS:  # no searched state is the target
+        return None
+    seen = {start}
+    # A node is (state, move into it, parent node, steps from the source);
+    # the path is read back through the parents once, at the goal.
+    frontier: deque[tuple] = deque([(source, None, None, 0)])
+    while frontier:
+        node = frontier.popleft()
+        state, _, _, steps = node
+        if steps >= max_steps:
+            continue
+        for m in enumerate_moves(state):
+            if m.classification not in rel.allowed:
+                continue
+            nxt = m.successor
+            if nxt.scheme.oval_count > MAX_SEARCH_OVALS:
+                continue
+            key = state_key(nxt)
+            if key in seen:
+                continue
+            seen.add(key)
+            child = (nxt, m, node, steps + 1)
+            if key == goal:
+                moves, states = [], []
+                while child is not None:
+                    reached, move, child, _ = child
+                    states.append(reached)
+                    if move is not None:
+                        moves.append(move)
+                return Certificate(source, target, tuple(moves[::-1]), tuple(states[::-1]))
+            frontier.append(child)
+    return None
 
 
 # -------------------------------------------------------- circle layouts

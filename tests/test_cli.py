@@ -167,6 +167,18 @@ def test_search_derive_target_past_the_oval_bound_is_not_searched(capsys):
     assert records(out) == [{"found": False, "note": "not found <= 64 steps"}]
 
 
+def test_search_derive_across_sides_is_not_searched(capsys):
+    # No move changes the tracked side, so no path leads from + to -.
+    start = time.perf_counter()
+    code, out = run(
+        capsys, "search", "derive", "<1>", "<2>", "--side", "+", "--target-side", "-",
+        "--relation", "rhd", "--format", "records",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert records(out) == [{"found": False, "note": "not found <= 64 steps"}]
+
+
 def test_search_derive_negative_max_steps_exit(capsys):
     assert main(["search", "derive", "<10>", "<9>", "--max-steps", "-1"]) == 2
     captured = capsys.readouterr()

@@ -7,7 +7,9 @@ captured before the tracer's region graph became one union-find pass, and
 the ``domains-*`` snapshots before the domain Euler characteristics and
 component counts were computed without building a region list, and the
 ``construct-*`` and ``k3-*`` snapshots before the settings that no caller
-varied were dropped from the construction specs and quotient words.
+varied were dropped from the construction specs and quotient words, and
+the ``derive-10-*`` snapshots before derivation search was cut by the
+oval-count and Euler-characteristic distance to its target.
 ``{goldens}`` in an argument stands for the snapshot directory, which also
 holds the input files (the ``.poly`` files are products of circles written
 with ``poly_mul``, except the cubic and the definite sextic).
@@ -15,6 +17,7 @@ with ``poly_mul``, except the cubic and the definite sextic).
 
 import contextlib
 import io
+import time
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,15 @@ CASES = {
     ],
     "derive-2-split-succ.table": [
         "search", "derive", "<2>", "<1 u 1<1>>", "--side", "+",
+    ],
+    # Nine and ten moves deep; the first is timed below.
+    "derive-10-nest3-succ.records": [
+        "search", "derive", "<10>_2", "<1<1<1>>>", "--side", "+", "--relation", "succ",
+        "--format", "records",
+    ],
+    "derive-10-0-succ.records": [
+        "search", "derive", "<10>_2", "<0>", "--side", "+", "--relation", "succ",
+        "--format", "records",
     ],
     "derive-1l1-2-rhd.records": [
         "search", "derive", "<1<1>>", "<2>", "--side", "-", "--relation", "rhd",
@@ -149,3 +161,11 @@ def run_case(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     assert run_case(name) == (GOLDENS / f"{name}.out").read_text("utf-8")
+
+
+def test_long_search_is_quick():
+    # The distance cut keeps a nine-move SUCC search off the states that
+    # cannot reach the target; without it the search takes seconds.
+    start = time.perf_counter()
+    run_case("derive-10-nest3-succ.records")
+    assert time.perf_counter() - start < 2.0

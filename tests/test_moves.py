@@ -30,6 +30,7 @@ from conjquot.moves import (
     rewrite_from_record,
     trace_records,
 )
+from conjquot.propagation import SUCC
 from conjquot.schemes import (
     CurveType,
     RealScheme,
@@ -354,3 +355,21 @@ def test_succ_moves_strictly_decrease(roots):
     for m in enumerate_moves(t):
         if m.classification in (Classification.M0_INV, Classification.M1):
             assert euler_W(apply(t, m), Side.TRACKED) == chi - 1
+
+
+def test_every_move_steps_ovals_and_chi_by_one():
+    # The distance cut of relation_search rests on these: a move keeps the
+    # tracked side and changes the oval count and the tracked Euler
+    # characteristic by exactly one each, and a SUCC move lowers the latter.
+    for roots in iter_forests(7):
+        for outer in (False, True):
+            t = TrackedScheme(RealScheme(roots), 6, outer)
+            n, chi = t.scheme.oval_count, euler_W(t, Side.TRACKED)
+            for m in enumerate_moves(t):
+                after = m.successor
+                d_chi = euler_W(after, Side.TRACKED) - chi
+                assert after.outer_tracked == outer
+                assert abs(after.scheme.oval_count - n) == 1
+                assert abs(d_chi) == 1 and d_chi == m.delta_chi_tracked
+                if m.classification in SUCC.allowed:
+                    assert d_chi == -1

@@ -11,7 +11,15 @@ from conjquot.domains import (
     TrackedScheme,
     euler_W,
 )
-from conjquot.moves import Classification, DeleteEmpty, MoveRecord, SplitSibling, make_move
+from conjquot import propagation
+from conjquot.moves import (
+    Classification,
+    DeleteEmpty,
+    MoveRecord,
+    SplitSibling,
+    enumerate_moves,
+    make_move,
+)
 from conjquot.propagation import (
     EXPECTED_MINUS_EXCEPTIONS,
     Fact,
@@ -25,7 +33,9 @@ from conjquot.propagation import (
     sextic_sweep,
     state_label,
 )
-from conjquot.schemes import CurveType, load_catalog, parse_viro
+from conjquot.schemes import CurveType, RealScheme, iter_forests, load_catalog, parse_viro
+
+from oracles import relation_search_unpruned
 
 
 def tracked(code, outer=False):
@@ -79,6 +89,61 @@ def test_search_bounded_report():
     assert relation_search(tracked("<5>"), tracked("<1>"), SUCC, max_steps=3) is None
     cert = relation_search(tracked("<5>"), tracked("<1>"), SUCC, max_steps=6)
     assert cert is not None and len(cert.moves) == 4
+
+
+def _same_answer(source, target, rel, max_steps):
+    cut = relation_search(source, target, rel, max_steps)
+    full = relation_search_unpruned(source, target, rel, max_steps)
+    assert (cut is None) == (full is None)
+    if cut is not None:
+        assert cut.records() == full.records() and cut.states == full.states
+    return cut is not None
+
+
+def test_search_cut_keeps_the_unpruned_certificates_on_catalog_states(catalog):
+    # The cut only drops states that cannot reach the target in the steps
+    # left, so the search meets the target through the same parents.
+    rng = random.Random(10)
+    found = 0
+    for _ in range(300):
+        a, b = rng.choice(catalog).scheme, rng.choice(catalog).scheme
+        outer, rel = rng.random() < 0.5, rng.choice((SUCC, RHD))
+        found += _same_answer(TrackedScheme(a, 6, outer), TrackedScheme(b, 6, outer), rel, 2)
+    assert found > 20
+
+
+def test_search_cut_keeps_the_unpruned_certificates_on_small_forests():
+    rng = random.Random(11)
+    small = [RealScheme(roots) for roots in iter_forests(4)]
+    found = 0
+    for a in small:
+        for b in small:
+            outer, rel = rng.random() < 0.5, rng.choice((SUCC, RHD))
+            found += _same_answer(TrackedScheme(a, 6, outer), TrackedScheme(b, 6, outer), rel, 3)
+    assert found > 100
+
+
+def test_search_cut_skips_hopeless_queries(monkeypatch):
+    enumerated = []
+
+    def counted(t):
+        enumerated.append(t)
+        return enumerate_moves(t)
+
+    monkeypatch.setattr(propagation, "enumerate_moves", counted)
+    # SUCC lowers the tracked Euler characteristic at every step.
+    assert euler_W(tracked("<2>")) >= euler_W(tracked("<1>"))
+    assert relation_search(tracked("<1>"), tracked("<2>"), SUCC, max_steps=6) is None
+    # Nine ovals cannot go in two moves.
+    assert relation_search(tracked("<10>_2"), tracked("<1>"), RHD, max_steps=2) is None
+    # No move changes the tracked side.
+    assert relation_search(tracked("<1>"), tracked("<2>", outer=True), RHD) is None
+    assert enumerated == []
+    # One oval apart: only the source is expanded, found or not.
+    assert relation_search(tracked("<10>_2"), tracked("<9>_2"), SUCC, max_steps=2) is not None
+    assert len(enumerated) == 1
+    assert relation_search(tracked("<2 u 1<1>>"), tracked("<1<1<1>>>"), RHD, max_steps=2) is None
+    assert len(enumerated) == 2
 
 
 # ------------------------------------------------------------- propagation
@@ -178,11 +243,27 @@ def _with_step(fact, i, **changes):
     return replace(fact, path=tuple(path))
 
 
+def _one_step_fact(source, rewrite, target, outer=False):
+    """A fact at ``target`` whose path is the single move ``rewrite`` from
+    ``source``, both typed codes on one side."""
+    m = make_move(tracked(source, outer), rewrite)
+    side = "-" if outer else "+"
+    step = {"edge": "move", **m.record(), "from": source + side, "to": target + side}
+    return Fact(tracked(target, outer), Predicate.ARNOLD_STANDARD, "propagated", (step,))
+
+
 def _split_fact(source_type):
-    """A one-step fact splitting an oval of nine on the outer side."""
-    m = make_move(tracked(f"<9>_{source_type}", outer=True), SplitSibling((0,), ()))
-    step = {"edge": "move", **m.record(), "from": f"<9>_{source_type}-", "to": "<10>_2-"}
-    return Fact(tracked("<10>_2", outer=True), Predicate.ARNOLD_STANDARD, "propagated", (step,))
+    """A two-step fact from the seed <1<1<1>>>_1+: the death of the
+    innermost oval lands on <1<1>> of the given type, then the inner oval
+    splits in two."""
+    death = make_move(tracked("<1<1<1>>>_1"), DeleteEmpty((0, 0, 0)))
+    split = make_move(tracked(f"<1<1>>_{source_type}"), SplitSibling((0, 0), ()))
+    middle = f"<1<1>>_{source_type}+"
+    path = (
+        {"edge": "move", **death.record(), "from": "<1<1<1>>>_1+", "to": middle},
+        {"edge": "move", **split.record(), "from": middle, "to": "<1<2>>_2+"},
+    )
+    return Fact(tracked("<1<2>>_2"), Predicate.ARNOLD_STANDARD, "propagated", path)
 
 
 def test_replay_fact_pins_the_typed_end_state(sweep_fact):
@@ -199,6 +280,12 @@ def test_replay_fact_pins_the_typed_end_state(sweep_fact):
         "outside SUCC": _with_step(fact, 0, classification="M2^-1"),
         "no such oval": _with_step(fact, 0, rewrite={"kind": "delete_empty", "oval": "9.9.9"}),
         "split from type 1": _split_fact(1),
+        "path from an undeclared state": _one_step_fact(
+            "<9>_2", SplitSibling((0,), ()), "<10>_2", outer=True
+        ),
+        "death from a state past the catalog": _one_step_fact(
+            "<1<10>>_2", DeleteEmpty((0, 0)), "<1<9>>_2", outer=True
+        ),
         "undeclared axiom edge": Fact(
             tracked("<1<9>>_2", outer=True),
             Predicate.ARNOLD_STANDARD,
