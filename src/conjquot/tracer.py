@@ -4,11 +4,16 @@ A homogeneous polynomial is sampled on the unit-disc model of the
 projective plane: the point (u, v) with u^2 + v^2 <= 1 stands for the
 projective point (u : v : w), w = sqrt(1 - u^2 - v^2), with antipodal
 points of the rim glued.  Working with both hemispheres keeps the gluing
-exact.  Complement regions come from one union-find pass over the sign
+exact.  The form is evaluated on both sheets band by band: each band of
+rows covers about 2^14 cells and only the columns where it meets the
+disc, so its float values stay in cache, and only an int8 sign per cell
+is kept.  Complement regions come from one union-find pass over the sign
 components of both sheets, numbered in one run of ids: rim pairs of equal
 sign are stitched into sphere components, whose roots are snapshotted,
-then antipodal pairs are folded into projective regions.  A region is
-one-sided exactly when one sphere component covers it.
+then antipodal pairs are folded into projective regions.  Antipodal
+pairs are read only at the first cell of each run of equal pairs along a
+row; every distinct pair starts some run, so that is the full set.  A
+region is one-sided exactly when one sphere component covers it.
 
 For disjoint embedded circles the region adjacency graph is a tree whose
 edges are the curve components; the root is the unique one-sided region
@@ -24,6 +29,7 @@ cap otherwise.  Unstable traces are flagged, never silently guessed.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
@@ -64,9 +70,19 @@ class PolySpec:
     def __post_init__(self):
         if not self.coeffs:
             raise TraceError("the zero polynomial has no curve")
-        for (a, b, c), _ in self.coeffs:
+        for (a, b, c), coef in self.coeffs:
             if a + b + c != self.degree or min(a, b, c) < 0:
                 raise TraceError(f"monomial {(a, b, c)} is not of degree {self.degree}")
+            if not math.isfinite(coef):
+                raise TraceError(f"coefficient {coef} of monomial {(a, b, c)} is not finite")
+        # |u|, |v|, |w| <= 1 on the grid, so a finite sum of |coefficients|
+        # bounds every value and partial sum: evaluation cannot overflow.
+        try:
+            bound = math.fsum(abs(coef) for _, coef in self.coeffs)
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise TraceError("coefficients too large: their absolute sum is not finite")
 
     @classmethod
     def from_dict(cls, degree: int, coeffs: Mapping[tuple[int, int, int], float]) -> "PolySpec":
@@ -219,6 +235,9 @@ class _PixelTopology:
     ambiguous: int
 
 
+_BAND_CELLS = 1 << 14  # cells per evaluated band: 128 KiB per float64 array, cache-sized
+
+
 def _disc_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pixel centres of an n-by-n grid on the square around the unit disc,
     as an ``(n, 1)`` column ``u`` and a ``(1, n)`` row ``v`` that broadcast
@@ -231,19 +250,33 @@ def _disc_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     u, v, w, inside = _disc_grid(n)
-    values = p.evaluate(u, v, w)
-    ambiguous = int(sum((inside & (f == 0.0)).sum() for f in values))
+
+    # Signs of both sheets, evaluated band by band: a band is a run of rows
+    # of about _BAND_CELLS cells, cut to the columns where it meets the
+    # disc (every row does), so its float values stay in cache and only
+    # int8 signs outlive it.  NaN and cells outside the disc get sign 0.
+    signs = [np.zeros((n, n), dtype=np.int8) for _ in range(2)]
+    ambiguous = 0
+    step = max(1, _BAND_CELLS // n)
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        hit = np.flatnonzero(inside[rows].any(axis=0))
+        cols = slice(hit[0], hit[-1] + 1)
+        band = inside[rows, cols]
+        for sg, f in zip(signs, p.evaluate(u[rows], v[:, cols], w[rows, cols])):
+            np.subtract(f > 0, f < 0, dtype=np.int8, out=sg[rows, cols], where=band)
+            ambiguous += int(np.count_nonzero(band & (f == 0.0)))
 
     # Sign components of both sheets in one run of ids 1, 2, ...; id 0 is
     # the curve and the outside of the disc.
     labels = []
     sign = [0]
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    for f in values:
-        lab = np.zeros(f.shape, dtype=np.int64)
-        for s, mask in ((1, f > 0), (-1, f < 0)):
-            comp, count = ndimage.label(inside & mask, structure=structure)
-            lab[comp > 0] = comp[comp > 0] + (len(sign) - 1)
+    for sg in signs:
+        lab = np.zeros(sg.shape, dtype=np.int32)
+        for s, mask in ((1, sg > 0), (-1, sg < 0)):
+            comp, count = ndimage.label(mask, structure=structure)
+            np.add(comp, len(sign) - 1, out=lab, where=comp > 0)
             sign += [s] * count
         labels.append(lab)
     base = len(sign)
@@ -251,7 +284,7 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     def pairs(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> list[tuple[int, int]]:
         """Distinct ``(lo, hi)`` label pairs over ``mask``, ascending, found
         as one-dimensional keys ``lo * base + hi``."""
-        xs, ys = a[mask], b[mask]
+        xs, ys = a[mask].astype(np.int64), b[mask].astype(np.int64)
         keys = np.unique(np.minimum(xs, ys) * base + np.maximum(xs, ys))
         return [divmod(k, base) for k in keys.tolist()]
 
@@ -262,21 +295,27 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
         inside[:-2, 1:-1] & inside[2:, 1:-1] & inside[1:-1, :-2] & inside[1:-1, 2:]
     )
     adjacency: list[tuple[int, int]] = []
-    for x, y in pairs(labels[0], labels[1], rim & (labels[0] > 0) & (labels[1] > 0)):
+    for x, y in pairs(labels[0], labels[1], rim & (signs[0] != 0) & (signs[1] != 0)):
         if sign[x] == sign[y]:
             dsu.union(x, y)
         else:
             adjacency.append((x, y))
 
-    # In-sheet adjacencies across the curve.
-    for lab in labels:
-        for p1, p2 in ((lab[:-1, :], lab[1:, :]), (lab[:, :-1], lab[:, 1:])):
-            adjacency += pairs(p1, p2, (p1 > 0) & (p2 > 0) & (p1 != p2))
+    # In-sheet adjacencies across the curve: two 4-adjacent cells off the
+    # curve lie in different components exactly when their signs differ.
+    for lab, sg in zip(labels, signs):
+        for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+            adjacency += pairs(lab[a], lab[b], sg[a] * sg[b] < 0)
 
     # Fold by the antipodal involution: (u, v, w) and (-u, -v, -w) agree.
+    # Pairs are read only where the pair differs from the one to its left:
+    # each distinct pair fills runs along rows and shows at a run's first
+    # cell, so these cells give the full set, in the same sorted order.
     sphere = {dsu.find(i) for i in range(1, base)}
-    anti = labels[1][::-1, ::-1]
-    for x, y in pairs(labels[0], anti, (labels[0] > 0) & (anti > 0)):
+    upper, anti = labels[0], labels[1][::-1, ::-1]
+    starts = (signs[0] != 0) & (signs[1][::-1, ::-1] != 0)
+    starts[:, 1:] &= (upper[:, 1:] != upper[:, :-1]) | (anti[:, 1:] != anti[:, :-1])
+    for x, y in pairs(upper, anti, starts):
         dsu.union(x, y)
     preimages = Counter(dsu.find(c) for c in sphere)
 

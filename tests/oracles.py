@@ -7,16 +7,20 @@ counting cells of the resulting square complex, the values each oval
 caches are recomputed by walking its whole subtree, and move enumeration
 builds a candidate at every index before deduplicating outcomes.
 Derivation search has a reference too: the breadth-first search without
-its distance cut, which expands every state up to the step budget.
+its distance cut, which expands every state up to the step budget.  The
+pixel tracer's reference evaluates both sheets on the whole square grid
+at once, labels from the float values and deduplicates antipodal pairs
+over every disc cell.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
+from scipy import ndimage
 
-from conjquot.domains import TrackedScheme, iter_ovals
+from conjquot.domains import OUTER, Path, TrackedScheme, format_path, iter_ovals
 from conjquot.moves import (
     AddEmpty,
     DeleteEmpty,
@@ -35,7 +39,8 @@ from conjquot.propagation import (
     RelationSpec,
     state_key,
 )
-from conjquot.schemes import Oval, RealScheme, canonical_key, forest_key
+from conjquot.schemes import CurveType, Oval, RealScheme, canonical_key, forest_key
+from conjquot.tracer import PolySpec, TraceError, _disc_grid, _Dsu, _PixelTopology
 
 
 # ---------------------------------------------------- forest isomorphism
@@ -295,3 +300,97 @@ def pixel_euler_by_side(
     even = chi_of(depth % 2 == 0)
     odd = chi_of(depth % 2 == 1)
     return even, odd
+
+
+# ------------------------------------------------------ full-grid tracer
+
+
+def trace_once_full_grid(p: PolySpec, n: int) -> _PixelTopology:
+    u, v, w, inside = _disc_grid(n)
+    values = p.evaluate(u, v, w)
+    ambiguous = int(sum((inside & (f == 0.0)).sum() for f in values))
+
+    # Sign components of both sheets in one run of ids 1, 2, ...; id 0 is
+    # the curve and the outside of the disc.
+    labels = []
+    sign = [0]
+    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    for f in values:
+        lab = np.zeros(f.shape, dtype=np.int64)
+        for s, mask in ((1, f > 0), (-1, f < 0)):
+            comp, count = ndimage.label(inside & mask, structure=structure)
+            lab[comp > 0] = comp[comp > 0] + (len(sign) - 1)
+            sign += [s] * count
+        labels.append(lab)
+    base = len(sign)
+
+    def pairs(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> list[tuple[int, int]]:
+        """Distinct ``(lo, hi)`` label pairs over ``mask``, ascending, found
+        as one-dimensional keys ``lo * base + hi``."""
+        xs, ys = a[mask], b[mask]
+        keys = np.unique(np.minimum(xs, ys) * base + np.maximum(xs, ys))
+        return [divmod(k, base) for k in keys.tolist()]
+
+    # Stitch the two sheets along the rim: same grid point, w of either sign.
+    dsu = _Dsu(base)
+    rim = inside.copy()
+    rim[1:-1, 1:-1] &= ~(
+        inside[:-2, 1:-1] & inside[2:, 1:-1] & inside[1:-1, :-2] & inside[1:-1, 2:]
+    )
+    adjacency: list[tuple[int, int]] = []
+    for x, y in pairs(labels[0], labels[1], rim & (labels[0] > 0) & (labels[1] > 0)):
+        if sign[x] == sign[y]:
+            dsu.union(x, y)
+        else:
+            adjacency.append((x, y))
+
+    # In-sheet adjacencies across the curve.
+    for lab in labels:
+        for p1, p2 in ((lab[:-1, :], lab[1:, :]), (lab[:, :-1], lab[:, 1:])):
+            adjacency += pairs(p1, p2, (p1 > 0) & (p2 > 0) & (p1 != p2))
+
+    # Fold by the antipodal involution: (u, v, w) and (-u, -v, -w) agree.
+    sphere = {dsu.find(i) for i in range(1, base)}
+    anti = labels[1][::-1, ::-1]
+    for x, y in pairs(labels[0], anti, (labels[0] > 0) & (anti > 0)):
+        dsu.union(x, y)
+    preimages = Counter(dsu.find(c) for c in sphere)
+
+    loops: set[int] = set()
+    nbrs: dict[int, set[int]] = {r: set() for r in preimages}
+    for x, y in adjacency:
+        qa, qb = dsu.find(x), dsu.find(y)
+        if qa == qb:
+            loops.add(qa)
+        else:
+            nbrs[qa].add(qb)
+            nbrs[qb].add(qa)
+
+    n_regions = len(preimages)
+    n_edges = sum(map(len, nbrs.values())) // 2
+    if p.degree % 2 == 0:
+        if loops or n_edges != n_regions - 1:
+            raise TraceError("region graph is not a tree")
+        roots = [r for r, k in preimages.items() if k == 1]
+        if len(roots) != 1:
+            raise TraceError("no unique one-sided region")
+    elif len(loops) != 1 or n_edges != n_regions - 1:
+        raise TraceError("odd degree curve needs exactly one one-sided component")
+    else:
+        roots = list(loops)
+
+    # Children in ascending region id; the sign is well defined for even
+    # degree, where the antipodal map keeps it.
+    signs: dict[str, int] = {}
+    seen = {roots[0]}
+
+    def build(region: int, path: Path | None) -> tuple[Oval, ...]:
+        signs[format_path(path)] = sign[region]
+        kids = sorted(nbrs[region] - seen)
+        seen.update(kids)
+        return tuple(Oval(build(c, (path or ()) + (k,))) for k, c in enumerate(kids))
+
+    forest = RealScheme(build(roots[0], OUTER), p.degree % 2 == 1, CurveType.UNKNOWN)
+    if len(seen) != n_regions:
+        raise TraceError("region graph is disconnected")
+    return _PixelTopology(forest, signs if p.degree % 2 == 0 else {}, ambiguous)

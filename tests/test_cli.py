@@ -329,6 +329,22 @@ def test_trace_poly_bad_grid_exit(capsys, grid, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        ("2 0 0 1;0 2 0 1;0 0 2 inf", "coefficient inf of monomial (0, 0, 2) is not finite"),
+        ("0 0 2 nan", "coefficient nan of monomial (0, 0, 2) is not finite"),
+        ("2 0 0 1e308;0 2 0 1e308;0 0 2 -1e308", "their absolute sum is not finite"),
+    ],
+)
+def test_trace_poly_non_finite_form_exit(capsys, poly, message):
+    assert main(["trace", "poly", "--poly", poly, "--grid", "16", "--grid-cap", "32"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_record_output_is_stable(capsys):
     _, out1 = run(capsys, "sweep", "sextics", "--format", "records")
     _, out2 = run(capsys, "sweep", "sextics", "--format", "records")

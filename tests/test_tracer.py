@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from conjquot.tracer import (
     PolySpec,
     TraceError,
     _disc_grid,
+    _trace_once,
     circle,
     l_curve_sample,
     line,
@@ -23,7 +25,7 @@ from conjquot.tracer import (
 )
 
 from conftest import random_forest
-from oracles import circle_layout, min_feature_gap
+from oracles import circle_layout, min_feature_gap, trace_once_full_grid
 
 FAST = GridConfig(128, 1024)
 
@@ -205,6 +207,96 @@ def test_evaluate_matches_one_sheet_sums_exactly(n):
             for sheet, g, x in zip(("upper", "lower"), got, want):
                 assert g.shape == (n, n), (name, sheet)
                 assert np.array_equal(g, x), (name, sheet, args[0].shape)
+
+
+def test_evaluate_on_a_band_equals_that_slice_of_the_grid():
+    n = 100
+    u, v, w, _ = _disc_grid(n)
+    rows, cols = slice(37, 53), slice(11, 90)
+    for name, p in evaluate_cases():
+        full = p.evaluate(u, v, w)
+        band = p.evaluate(u[rows], v[:, cols], w[rows, cols])
+        for f, b in zip(full, band):
+            assert f[rows, cols].tobytes() == b.tobytes(), name
+
+
+def trace_outcome(trace, p, n):
+    try:
+        got = trace(p, n)
+    except TraceError as err:
+        return "error", str(err)
+    return repr(got.forest), got.signs, got.ambiguous
+
+
+def oracle_cases():
+    """Seeded (polynomial, resolution) pairs: random dense forms, circle
+    products, x - y, xy and the golden polynomials, at every resolution."""
+    rng = random.Random(12)
+    goldens = Path(__file__).parent / "goldens"
+    polys = [line(1.0, -1.0, 0.0), PolySpec.from_dict(2, {(1, 1, 0): 1.0})]
+    polys += [PolySpec.from_text(f.read_text("utf-8")) for f in sorted(goldens.glob("*.poly"))]
+    for degree in range(1, 8):
+        monomials = [
+            (a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)
+        ]
+        for _ in range(3):
+            polys.append(
+                PolySpec.from_dict(degree, {m: rng.uniform(-2.0, 2.0) for m in monomials})
+            )
+    for k in range(1, 7):
+        for _ in range(3):
+            polys.append(circles_product([
+                (rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), rng.uniform(0.05, 0.5))
+                for _ in range(k)
+            ]))
+    for n in (1, 2, 3, 7, 64, 100, 256):
+        for p in polys:
+            yield p, n
+
+
+def test_banded_trace_matches_full_grid_oracle():
+    cases = list(oracle_cases())
+    assert len(cases) >= 300
+    errors = 0
+    for p, n in cases:
+        want = trace_outcome(trace_once_full_grid, p, n)
+        assert trace_outcome(_trace_once, p, n) == want, (p, n)
+        errors += want[0] == "error"
+    assert 0 < errors < len(cases)  # both outcomes are exercised
+
+
+def six_circle_product():
+    """A degree-12 product of six circles."""
+    return circles_product([
+        (-0.5, 0, 0.2), (0.5, 0, 0.2), (0, 0.5, 0.2), (0, -0.5, 0.2), (0, 0, 0.15), (0.3, 0.3, 0.05)
+    ])
+
+
+def test_trace_once_peak_memory_at_1024():
+    # float values live one band at a time; the full-grid pass peaked at 127 MB
+    p = six_circle_product()
+    tracemalloc.start()
+    try:
+        _trace_once(p, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, peak
+
+
+def test_trace_once_evaluates_only_bands_meeting_the_disc(monkeypatch):
+    cells = []
+    evaluate = PolySpec.evaluate
+
+    def counted(self, u, v, w):
+        values = evaluate(self, u, v, w)
+        cells.append(values[0].size)
+        return values
+
+    monkeypatch.setattr(PolySpec, "evaluate", counted)
+    n = 512
+    _trace_once(six_circle_product(), n)
+    assert len(cells) > 1 and sum(cells) <= 0.85 * n * n
 
 
 # ---------------------------------------------------------------- L-curves
