@@ -60,7 +60,6 @@ from .propagation import (
     RHD,
     RelationSpec,
     SUCC,
-    adjunction_predicates,
     propagate,
     relation_search,
     sextic_sweep,

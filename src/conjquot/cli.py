@@ -102,11 +102,10 @@ def cmd_domains_invariants(args) -> int:
 
 def cmd_moves_enumerate(args) -> int:
     t = _tracked(args.code, args.degree, args.side)
-    recs = []
-    for m in moves.enumerate_moves(t):
-        rec = m.record()
-        rec["result"] = schemes.format_viro(moves.apply(t, m).scheme)
-        recs.append(rec)
+    recs = [
+        {**m.record(), "result": schemes.format_viro(m.successor.scheme)}
+        for m in moves.enumerate_moves(t)
+    ]
     _emit(recs, args.format)
     return EXIT_OK
 
@@ -122,7 +121,7 @@ def _run_moves(args) -> tuple[list[TrackedScheme], list[moves.MoveRecord]]:
         if isinstance(rec, dict) and "rewrite" in rec:  # a full move record
             rec = rec["rewrite"]
         made.append(moves.make_move(states[-1], moves.rewrite_from_record(rec)))
-        states.append(moves.apply(states[-1], made[-1]))
+        states.append(made[-1].successor)
         if states[-1].scheme.depth > schemes.MAX_DEPTH:
             raise ValueError(f"move {len(made)} nests deeper than {schemes.MAX_DEPTH}")
     return states, made

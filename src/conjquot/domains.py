@@ -155,12 +155,6 @@ def side_contains_outer(t: TrackedScheme, side: Side) -> bool:
     return t.outer_tracked == (side is Side.TRACKED)
 
 
-def side_orientable(t: TrackedScheme, side: Side) -> bool:
-    """The class with the outer region holds the one-sided core of the
-    plane, hence is never orientable; the other class always is."""
-    return not side_contains_outer(t, side)
-
-
 @dataclass(frozen=True)
 class SurfaceDescriptor:
     """A closed surface, or one sitting in a four-manifold, by its

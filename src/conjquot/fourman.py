@@ -56,10 +56,6 @@ class FourManifoldWord:
         """Unknown through named blocks; otherwise no S1xS3 summand."""
         return None if self.named else self.s1xs3 == 0
 
-    @property
-    def is_sphere(self) -> bool:
-        return not (self.cp2 or self.cp2bar or self.s2xs2 or self.s1xs3 or self.named)
-
     def _require_plain(self, what: str) -> None:
         if self.named:
             raise WordError(f"{what} is not tracked through named blocks")
@@ -119,9 +115,6 @@ class FourManifoldWord:
 
 S4 = FourManifoldWord()
 CP2 = FourManifoldWord(cp2=1)
-CP2BAR = FourManifoldWord(cp2bar=1)
-S2XS2 = FourManifoldWord(s2xs2=1)
-S1XS3 = FourManifoldWord(s1xs3=1)
 
 
 def word(cp2=0, cp2bar=0, s2xs2=0, s1xs3=0, named=()) -> FourManifoldWord:

@@ -44,7 +44,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from . import fourman
-from .domains import Orientability, Side, SurfaceDescriptor, TrackedScheme, euler_W
+from .domains import Side, TrackedScheme, euler_W
 from .moves import (
     DECREASING,
     FUSIONS,
@@ -292,12 +292,6 @@ class Fact:
     provenance: str  # "lcurve-seed" | "pencil-perturbation-seed" | "axiom-edge" | "propagated"
     path: tuple[dict, ...] = ()
 
-    @property
-    def orientable_arnold(self) -> bool:
-        """A pencil-perturbation seed: its Arnold surface bounds an
-        orientable handlebody."""
-        return self.provenance == PENCIL_SEED
-
     def record(self) -> dict:
         return {
             "scheme": format_viro(self.state.scheme),
@@ -382,6 +376,14 @@ def propagate(
     for src, dst in axiom_edges:
         axioms.setdefault(typed_key(src), []).append(dst)
 
+    def extend(dst: TrackedScheme, provenance: str, head: dict) -> None:
+        """Add the fact that one more step, ``head``, carries from the fact
+        popped last to ``dst``."""
+        step = {**head, "from": state_label(fact.state), "to": state_label(dst)}
+        new = Fact(dst, fact.predicate, provenance, fact.path + (step,))
+        if table.add(new):
+            work.append(new)
+
     while work:
         fact = work.popleft()
         state = fact.state
@@ -403,26 +405,11 @@ def propagate(
                 target = TrackedScheme(
                     after.scheme.with_type(ct), degree, after.outer_tracked
                 )
-                step = {
-                    "edge": "move",
-                    **m.record(),
-                    "from": state_label(state),
-                    "to": state_label(target),
-                }
-                new = Fact(target, fact.predicate, "propagated", fact.path + (step,))
-                if table.add(new):
-                    work.append(new)
+                extend(target, "propagated", {"edge": "move", **m.record()})
         for dst in axioms.get(typed_key(state), ()):  # trusted non-move edges
             key = typed_key(dst)
             if key in keys and (fact.predicate.value, *key) not in table.facts:
-                step = {
-                    "edge": "axiom",
-                    "from": state_label(state),
-                    "to": state_label(dst),
-                }
-                new = Fact(dst, fact.predicate, "axiom-edge", fact.path + (step,))
-                if table.add(new):
-                    work.append(new)
+                extend(dst, "axiom-edge", {"edge": "axiom"})
     return table
 
 
@@ -551,7 +538,8 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
     axiom_edges = [(tracked(a), tracked(b)) for a, b in SWEEP_AXIOM_EDGES]
     table = propagate(seeds, axiom_edges, SUCC, catalog)
 
-    seed_orientable = {typed_key(f.state) for f in seeds if f.orientable_arnold}
+    # A pencil-perturbation seed's Arnold surface bounds an orientable handlebody.
+    seed_orientable = {typed_key(f.state) for f in seeds if f.provenance == PENCIL_SEED}
     rows = []
     minus_exc, plus_exc = [], []
     # Type 2 sorts before type 1 of one code, as the packaged catalog lists them.
@@ -585,64 +573,3 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
             if fact is None:
                 (minus_exc if outer else plus_exc).append(e.typed_code)
     return SweepReport(tuple(rows), tuple(minus_exc), tuple(plus_exc), table)
-
-
-# ------------------------------------------------------------- adjunction
-
-
-def adjunction_predicates(
-    xr: Sequence[SurfaceDescriptor], simple_type: bool = False
-) -> list[dict]:
-    """Symbolic consequences of the adjunction inequality for the
-    components of a real part sitting inside the quotient.
-
-    A component's normal bundle is its tangent bundle rotated a quarter
-    turn, so its self-intersection is minus its Euler characteristic.
-    """
-    preds = []
-    if not xr:
-        return [
-            {
-                "component": None,
-                "statement": "quotient does not decompose; gauge invariants vanish",
-                "basis": "empty real part",
-            }
-        ]
-    for i, comp in enumerate(xr):
-        self_int = -comp.euler
-        preds.append(
-            {
-                "component": i,
-                "statement": f"self-intersection {self_int}",
-                "basis": "normal bundle is i times tangent",
-            }
-        )
-        if comp.orientability is Orientability.ORIENTABLE and comp.euler <= -2:
-            preds.append(
-                {
-                    "component": i,
-                    "statement": "polynomial invariants of the quotient vanish",
-                    "basis": f"orientable component of genus {(2 - comp.euler) // 2} >= 2",
-                }
-            )
-        if (
-            simple_type
-            and comp.orientability is Orientability.ORIENTABLE
-            and comp.euler <= 0
-        ):
-            preds.append(
-                {
-                    "component": i,
-                    "statement": "orthogonal to all basic classes",
-                    "basis": f"orientable component of genus {(2 - comp.euler) // 2} >= 1",
-                }
-            )
-        if comp.orientability is Orientability.ORIENTABLE and comp.euler == 2:
-            preds.append(
-                {
-                    "component": i,
-                    "statement": "|pairing with any basic class| <= 2",
-                    "basis": "sphere component",
-                }
-            )
-    return preds

@@ -359,10 +359,6 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     return _PixelTopology(forest, signs if p.degree % 2 == 0 else {}, ambiguous)
 
 
-def _same_scheme(a: RealScheme, b: RealScheme) -> bool:
-    return canonical_key(a) == canonical_key(b)
-
-
 def trace_scheme(p: PolySpec, grid: GridConfig = GridConfig()) -> TraceResult:
     """Trace the oval scheme, refining until two successive resolutions
     agree; an unstable trace at the cap is returned flagged."""
@@ -377,7 +373,7 @@ def trace_scheme(p: PolySpec, grid: GridConfig = GridConfig()) -> TraceResult:
             notes.append(f"{n}: {err}")
             current = None
         if current is not None and last is not None:
-            if _same_scheme(current.forest, last.forest) and current.ambiguous == 0:
+            if canonical_key(current.forest) == canonical_key(last.forest) and current.ambiguous == 0:
                 return TraceResult(
                     current.forest,
                     tuple(sorted(current.signs.items())),

@@ -410,6 +410,13 @@ def test_trace_lcurve_exponent_negative_epsilon(capsys):
     assert out == (goldens / "trace-lcurve-ten-ovals.records.out").read_text("utf-8")
 
 
+def test_every_export_resolves():
+    # The tracer names are listed by hand and loaded on first use, so a name
+    # the tracer no longer defines would stay in the export list.
+    for name in conjquot.__all__:
+        getattr(conjquot, name)
+
+
 SRC = str(Path(conjquot.__file__).parents[1])
 
 

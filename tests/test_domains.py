@@ -14,7 +14,7 @@ from conjquot.domains import (
     euler_W,
     real_part_X,
     regions,
-    side_orientable,
+    side_contains_outer,
 )
 from conjquot.schemes import RealScheme, iter_forests, parse_viro
 
@@ -98,11 +98,13 @@ def test_component_count_identity():
 
 
 def test_orientability_flags():
+    # The class with the outer region holds the one-sided core of the plane,
+    # hence is never orientable; the other class always is.
     t = tracked("<5>")
-    assert side_orientable(t, Side.TRACKED)  # the class without the outer region
-    assert not side_orientable(t, Side.NONTRACKED)
+    assert not side_contains_outer(t, Side.TRACKED)  # the orientable class
+    assert side_contains_outer(t, Side.NONTRACKED)
     tm = tracked("<5>", outer=True)
-    assert not side_orientable(tm, Side.TRACKED)
+    assert side_contains_outer(tm, Side.TRACKED)
 
 
 @settings(max_examples=60, deadline=None)

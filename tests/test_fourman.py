@@ -45,7 +45,7 @@ def test_word_serialization_round_trip():
     assert str(w) == "CP2 # CP2bar^9 # (S1xS3)^2 # Named[E(1)_0]"
     assert parse_word(str(w)) == word(cp2=1, cp2bar=9, s1xs3=2, named=("E(1)_0",))
     assert str(S4) == "S4"
-    assert parse_word("S4").is_sphere
+    assert parse_word("S4") == S4
 
 
 def test_sphere_summands_absorbed():

@@ -9,7 +9,9 @@ component counts were computed without building a region list, and the
 ``construct-*`` and ``k3-*`` snapshots before the settings that no caller
 varied were dropped from the construction specs and quotient words, and
 the ``derive-10-*`` snapshots before derivation search was cut by the
-oval-count and Euler-characteristic distance to its target.
+oval-count and Euler-characteristic distance to its target, and the
+``facts-propagate.table`` snapshot before the move and axiom steps of fact
+propagation were built by one helper.
 ``{goldens}`` in an argument stands for the snapshot directory, which also
 holds the input files (the ``.poly`` files are products of circles written
 with ``poly_mul``, except the cubic and the definite sextic).
@@ -146,6 +148,10 @@ CASES = {
         "facts", "propagate", "{goldens}/seeds.jsonl", "--catalog", "{goldens}/catalog.tsv",
         "--format", "records",
     ],
+    # The records golden sorts keys; the table prints each step as built.
+    "facts-propagate.table": [
+        "facts", "propagate", "{goldens}/seeds.jsonl", "--catalog", "{goldens}/catalog.tsv",
+    ],
 }
 
 
@@ -161,6 +167,12 @@ def run_case(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     assert run_case(name) == (GOLDENS / f"{name}.out").read_text("utf-8")
+
+
+def test_every_golden_has_a_case():
+    # A snapshot without a command is never checked; a command without a
+    # snapshot fails only when it runs.
+    assert {p.name[: -len(".out")] for p in GOLDENS.glob("*.out")} == set(CASES)
 
 
 def test_long_search_is_quick():

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjquot.domains import (
-    Orientability,
-    SurfaceDescriptor,
-    TrackedScheme,
-    euler_W,
-)
+from conjquot.domains import TrackedScheme, euler_W
 from conjquot import propagation
 from conjquot.moves import (
     Classification,
@@ -26,7 +21,6 @@ from conjquot.propagation import (
     Predicate,
     RHD,
     SUCC,
-    adjunction_predicates,
     propagate,
     relation_search,
     replay_fact,
@@ -348,32 +342,3 @@ def test_sweep_certificates_decrease(catalog):
     report = sextic_sweep(catalog)
     for fact in report.table.facts.values():
         assert replay_fact(fact, SUCC)
-
-
-# -------------------------------------------------------------- adjunction
-
-
-def sphere(genus=0):
-    return SurfaceDescriptor(2 - 2 * genus, Orientability.ORIENTABLE)
-
-
-def test_adjunction_high_genus_kills_invariants():
-    preds = adjunction_predicates([sphere(2)])
-    assert any("vanish" in p["statement"] for p in preds)
-
-
-def test_adjunction_spheres_only():
-    preds = adjunction_predicates([sphere(), sphere()], simple_type=True)
-    statements = [p["statement"] for p in preds]
-    assert any("<= 2" in s for s in statements)
-    assert not any("vanish" in s for s in statements)
-
-
-def test_adjunction_empty_real_part():
-    preds = adjunction_predicates([])
-    assert preds[0]["statement"].startswith("quotient does not decompose")
-
-
-def test_adjunction_self_intersection():
-    preds = adjunction_predicates([sphere(3)])
-    assert any(p["statement"] == "self-intersection 4" for p in preds)
