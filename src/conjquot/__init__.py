@@ -73,8 +73,8 @@ from .constructions import (
     perturb_v,
     quotient_Y_minus,
 )
-# The tracer needs numpy and scipy; it is loaded on first use (PEP 562),
-# so the symbolic half starts without them.
+# The tracer needs numpy; it is loaded on first use (PEP 562),
+# so the symbolic half starts without it.
 _TRACER_NAMES = ("GridConfig", "PolySpec", "TraceResult", "l_curve_sample", "trace_scheme")
 
 __all__ = sorted(

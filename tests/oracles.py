@@ -10,7 +10,8 @@ Derivation search has a reference too: the breadth-first search without
 its distance cut, which expands every state up to the step budget.  The
 pixel tracer's reference evaluates both sheets on the whole square grid
 at once, labels from the float values and deduplicates antipodal pairs
-over every disc cell.
+over every disc cell.  Both it and the reference for the tracer's run
+labeller label pixels with ``scipy.ndimage.label``.
 """
 
 from __future__ import annotations
@@ -394,3 +395,17 @@ def trace_once_full_grid(p: PolySpec, n: int) -> _PixelTopology:
     if len(seen) != n_regions:
         raise TraceError("region graph is disconnected")
     return _PixelTopology(forest, signs if p.degree % 2 == 0 else {}, ambiguous)
+
+
+def label_signs_by_pixels(sg: np.ndarray, first: int = 1) -> tuple[np.ndarray, int, int]:
+    """Reference for ``tracer._label_signs``: ``ndimage.label`` on each sign
+    of an int8 sign array, positive components first, ids from ``first``."""
+    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    lab = np.zeros(sg.shape, dtype=np.int32)
+    counts = []
+    for mask in (sg > 0, sg < 0):
+        comp, count = ndimage.label(mask, structure=structure)
+        np.add(comp, first - 1, out=lab, where=comp > 0)
+        counts.append(count)
+        first += count
+    return lab, counts[0], counts[1]

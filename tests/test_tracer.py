@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -8,13 +9,16 @@ import numpy as np
 import pytest
 
 import conjquot
+from conjquot import tracer
 from conjquot.domains import format_path, iter_ovals
 from conjquot.schemes import RealScheme, format_viro, forest_key
 from conjquot.tracer import (
     GridConfig,
     PolySpec,
     TraceError,
+    TracerInternalError,
     _disc_grid,
+    _label_signs,
     _trace_once,
     circle,
     l_curve_sample,
@@ -25,7 +29,7 @@ from conjquot.tracer import (
 )
 
 from conftest import random_forest
-from oracles import circle_layout, min_feature_gap, trace_once_full_grid
+from oracles import circle_layout, label_signs_by_pixels, min_feature_gap, trace_once_full_grid
 
 FAST = GridConfig(128, 1024)
 
@@ -121,12 +125,21 @@ def test_round_trip_random_forests():
 
 
 def test_trace_leaves_scipy_sparse_unimported():
-    # scipy.sparse (csgraph) adds about 11 MB and 0.1 s to every CLI start
+    # importing scipy.ndimage cost every first trace 0.3-0.4 s; the tracer
+    # labels by runs in numpy, so no scipy module loads at all
     src = str(Path(conjquot.__file__).parents[1])
+    check = (
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import conjquot\n"
-        "conjquot.trace_scheme(conjquot.tracer.circle(0, 0, 0.5), conjquot.GridConfig(32, 64))\n"
-        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+        f"import sys; sys.path.insert(0, {src!r}); import conjquot.tracer\n" + check
+        + "conjquot.trace_scheme(conjquot.tracer.circle(0, 0, 0.5), conjquot.GridConfig(32, 64))\n"
+        + check
+        + "from conjquot import cli\n"
+        + "assert cli.main(['trace', 'poly', '--poly', '2 0 0 1; 0 2 0 1; 0 0 2 -0.25',"
+        " '--grid', '32', '--grid-cap', '64']) == 0\n"
+        + check
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -263,6 +276,118 @@ def test_banded_trace_matches_full_grid_oracle():
         assert trace_outcome(_trace_once, p, n) == want, (p, n)
         errors += want[0] == "error"
     assert 0 < errors < len(cases)  # both outcomes are exercised
+
+
+def old_disc_grid(n):
+    """A ``linspace`` grid: not antipodally symmetric in floating point for
+    most n, so antipodal cells of xy can differ in sign."""
+    half = np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n
+    u, v = np.meshgrid(half, half, indexing="ij")
+    rr = u * u + v * v
+    return half[:, None], half[None, :], np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
+
+
+def test_disc_grid_is_antipodally_symmetric():
+    for n in [*range(1, 300), 511, 512, 1000, 1023, 1024, 2047, 2999]:
+        u, v, w, inside = _disc_grid(n)
+        assert np.array_equal(u[::-1], -u) and np.array_equal(v[:, ::-1], -v), n
+        assert np.array_equal(u.ravel(), v.ravel()), n
+        assert np.array_equal(w[::-1, ::-1], w) and np.array_equal(inside[::-1, ::-1], inside), n
+
+
+def test_fold_checks_antipodal_signs(monkeypatch):
+    xy = PolySpec.from_dict(2, {(1, 1, 0): 1.0})
+    with pytest.raises(TraceError) as err:  # two crossing lines: no tree, but signs agree
+        _trace_once(xy, 1023)
+    assert not isinstance(err.value, TracerInternalError)
+    monkeypatch.setattr(tracer, "_disc_grid", old_disc_grid)
+    with pytest.raises(TracerInternalError, match="sign rule"):
+        _trace_once(xy, 1023)
+
+
+def assert_labels_match(sg, first=1):
+    got, want = _label_signs(sg, first), label_signs_by_pixels(sg, first)
+    assert got[0].dtype == np.int32 and got[0].shape == sg.shape
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (sg.shape, got[1:], want[1:])
+
+
+def test_label_signs_matches_pixel_labelling_on_small_masks():
+    shapes = [(0, 0), (0, 5), (1, 1), (1, 9), (9, 1), (1, 64), (64, 1), (7, 13), (64, 64)]
+    for shape in shapes:
+        for value in (0, 1, -1):
+            assert_labels_match(np.full(shape, value, dtype=np.int8))
+    rows, cols = np.indices((41, 37))
+    checker = ((rows + cols) % 2).astype(np.int8)
+    for sg in (checker, 2 * checker - 1, -checker):
+        assert_labels_match(sg, first=7)
+    lab, positive, negative = _label_signs((2 * checker - 1).astype(np.int8))
+    assert positive + negative == checker.size  # every cell is its own component
+    line_sg = np.array([[1, 1, 0, -1, -1, 1, 0, 0, 1]], dtype=np.int8)
+    assert_labels_match(line_sg)
+    assert_labels_match(line_sg.T.copy())
+
+
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.55, 0.8, 1.0])
+def test_label_signs_matches_pixel_labelling_on_random_signs(density):
+    rng = np.random.default_rng(int(100 * density))
+    values = np.array([1, 0, -1], dtype=np.int8)
+    for shape in [(1, 200), (200, 1), (17, 23), (128, 128), (256, 97)]:
+        for _ in range(3):
+            sg = rng.choice(values, size=shape, p=[density / 2, 1 - density, density / 2])
+            assert_labels_match(sg, first=int(rng.integers(1, 50)))
+
+
+def serpentine(n):
+    """Full rows joined at alternate ends: one component of n runs."""
+    sg = np.zeros((n, n), dtype=np.int8)
+    sg[::2] = 1
+    sg[1::4, -1] = 1
+    sg[3::4, 0] = 1
+    return sg
+
+
+def spiral(n):
+    """A square spiral one cell wide, with one cell between its turns."""
+    sg = np.zeros((n, n), dtype=np.int8)
+    r = c = 0
+    sg[0, 0] = 1
+    lengths = [n - 1, n - 1, n - 1] + [k for k in range(n - 3, 0, -2) for _ in (0, 1)]
+    for i, length in enumerate(lengths):
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[i % 4]
+        sg[r + dr * np.arange(1, length + 1), c + dc * np.arange(1, length + 1)] = 1
+        r, c = r + dr * length, c + dc * length
+    return sg
+
+
+def test_label_signs_chains_of_runs_in_bounded_time():
+    # One component made of a chain of up to a million runs: a union loop
+    # that joins one run per round would take minutes here.
+    n = 1024
+    cases = {
+        "serpentine": serpentine(n),
+        "serpentine by columns": serpentine(n).T.copy(),
+        "spiral": spiral(n),
+        "spiral and its complement": np.where(spiral(n) > 0, 1, -1).astype(np.int8),
+    }
+    for name, sg in cases.items():
+        start = time.perf_counter()
+        lab, positive, negative = _label_signs(sg)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, (name, elapsed)
+        assert positive == 1 and negative == (name == "spiral and its complement"), name
+        assert_labels_match(sg)
+
+
+def test_label_signs_matches_pixel_labelling_on_trace_signs():
+    # the sign arrays the tracer labels, with the ids it numbers from
+    for p, n in [(six_circle_product(), 256), (six_circle_product(), 1024), (definite(6), 64)]:
+        u, v, w, inside = _disc_grid(n)
+        first = 1
+        for f in p.evaluate(u, v, w):
+            sg = np.zeros((n, n), dtype=np.int8)
+            np.subtract(f > 0, f < 0, dtype=np.int8, out=sg, where=inside)
+            assert_labels_match(sg, first)
+            first += sum(_label_signs(sg)[1:])
 
 
 def six_circle_product():
