@@ -3,26 +3,19 @@
 A homogeneous polynomial is sampled on the unit-disc model of the
 projective plane: the point (u, v) with u^2 + v^2 <= 1 stands for the
 projective point (u : v : w), w = sqrt(1 - u^2 - v^2), with antipodal
-points of the rim glued.  Working with both hemispheres keeps the gluing
-exact.  The form is evaluated on both sheets band by band: each band of
-rows covers about 2^14 cells and only the columns where it meets the
-disc, so its float values stay in cache, and only an int8 sign per cell
-is kept.  The grid's coordinates are odd multiples of 1/n, so it is
-exactly symmetric under (u, v) -> (-u, -v).
+points of the rim glued.  The grid's coordinates are odd multiples of
+1/n, so it is exactly symmetric under (u, v) -> (-u, -v), and the lower
+sheet, w < 0, is the upper one turned times (-1)^degree, bit for bit.
+Only the upper sheet is evaluated, in cache-sized bands, by Horner's
+rule in w; an int8 sign per cell is kept.
 
-Sign components are labelled by runs (after He, Chao & Suzuki, IEEE TIP
-17(5), 2008): numpy finds the runs of one sign along each row, joins
-runs of one sign that share a column in adjacent rows by hooking and
-pointer jumping over the runs, and paints each component's id over its
-runs.  Complement regions come from one union-find pass over the sign
-components of both sheets, numbered in one run of ids: rim pairs of equal
-sign are stitched into sphere components, whose roots are snapshotted,
-then antipodal pairs are folded into projective regions.  Antipodal
-pairs are read only at the first cell of each run of equal pairs along a
-row; every distinct pair starts some run, so that is the full set.  On
-the symmetric grid f(-u, -v, -w) = (-1)^degree f(u, v, w) holds bit for
-bit, so a folded pair whose signs break that rule is an internal error.
-A region is one-sided exactly when one sphere component covers it.
+Sign components are labelled once, by runs (after He, Chao & Suzuki,
+IEEE TIP 17(5), 2008), and each stands for two lifts: itself on the
+upper sheet and its turned copy on the lower one.  Rim pairs (the
+labels at p and -p) of equal sign stitch lifts into sphere components,
+whose roots are snapshotted, then each component's two lifts fold into
+one projective region, one-sided exactly when one sphere component
+covers it.
 
 For disjoint embedded circles the region adjacency graph is a tree whose
 edges are the curve components; the root is the unique one-sided region
@@ -41,6 +34,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from types import SimpleNamespace
 from typing import ClassVar, Mapping, Sequence
 
@@ -114,41 +109,69 @@ class PolySpec:
         degree = max(sum(k) for k in coeffs)
         return cls.from_dict(degree, coeffs)
 
-    def evaluate(
-        self, u: np.ndarray, v: np.ndarray, w: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Values ``(f(u, v, w), f(u, v, -w))`` on both sheets in one pass.
-
-        The arguments broadcast against each other, so ``u`` and ``v`` may
-        be an ``(n, 1)`` column and a ``(1, n)`` row.  Each term
-        ``coef * u^a * v^b * w^c`` is computed once, in the order the
-        one-sheet sum uses, and added to the upper sheet; the lower sheet
-        adds it for even ``c`` and subtracts it for odd ``c``.  That is
-        exact: ``(-w)^c`` by repeated products is ``+-w^c`` bit for bit,
-        since negation is exact and rounding is symmetric in sign, so
-        each lower-sheet term is the upper one negated, and ``x - t`` is
-        ``x + (-t)`` in IEEE arithmetic.
-        """
-        pu = [np.ones_like(u)]
-        pv = [np.ones_like(v)]
+    def evaluate_terms(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """f(u, v, w) summed term by term in coefficient order, powers by
+        repeated products; the arguments broadcast, each cell on its own."""
+        pu, pv, pw = [np.ones_like(u)], [np.ones_like(v)], [None, w]  # w^0 is never used
         for _ in range(self.degree):
             pu.append(pu[-1] * u)
             pv.append(pv[-1] * v)
-        pw = [None, w]  # terms with c = 0 skip the factor w^0 = 1
-        while len(pw) <= self.degree:
             pw.append(pw[-1] * w)
         shape = np.broadcast_shapes(u.shape, v.shape, w.shape)
-        upper, lower, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
+        out, term = np.zeros(shape), np.empty(shape)
         for (a, b, c), coef in self.coeffs:
             np.multiply(coef * pu[a], pv[b], out=term)
             if c:
                 np.multiply(term, pw[c], out=term)
-            upper += term
-            if c % 2:
-                lower -= term
-            else:
-                lower += term
-        return upper, lower
+            out += term
+        return out
+
+    @cached_property
+    def _horner(self) -> tuple[np.ndarray, float]:
+        """Coefficients ``[c, a]`` of u^a v^(d-c-a) w^c, and ``evaluate``'s slack."""
+        d, terms = self.degree, len(self.coeffs)
+        table = np.zeros((d + 1, d + 1))
+        for (a, _, c), coef in self.coeffs:
+            table[c, a] += coef
+        total = math.fsum(abs(coef) for _, coef in self.coeffs)
+        k = 2 * d + terms + 3
+        gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+        return table, 2 * gamma * total + math.ldexp((d + 1) * (terms + 1), -1073) * (1 + total)
+
+    def evaluate(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """f(u, v, w) at an ``(r, 1)`` column ``u`` by a ``(1, c)`` row ``v``,
+        ``w`` of shape ``(r, c)``, by Horner's rule in w with each G_c(u, v)
+        one matrix product, and the sign of ``evaluate_terms``, on any BLAS.
+
+        Why (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+        Lemma 3.1): let F be the exact value at the float coordinates, S =
+        sum |coef|, T the number of terms, gamma(k) = k eps / (1 - k eps),
+        eps = 2^-53; no monomial exceeds 1 on the disc.  ``evaluate_terms``
+        rounds a term at most d times and its running sum T - 1 times: it
+        is within gamma(d + T - 1) S of F.  A monomial of G_c meets at most
+        2(d - c) roundings in powers, coefficient and an inner product in any
+        order, fused or not (Higham (3.5)), then 2c + 2 in Horner's steps: f
+        is within gamma(2d + 2) S of F.  Underflow adds at most 2^-1075 to a
+        product (Higham (2.8)), in fewer than 4(d + 1)(T + 1) products for
+        both, each scaled later by at most 1 + S in all.  So, with k = 2d + T
+        + 3 to spare, f keeps the nonzero sign of ``evaluate_terms`` where |f|
+        > 2 gamma(k) S + 4(d + 1)(T + 1)(1 + S) 2^-1075, and takes its value elsewhere.
+        """
+        d = self.degree
+        table, slack = self._horner
+        pu, pv = np.ones((d + 1, u.size)), np.ones((d + 1, v.size))
+        for e in range(d):
+            pu[e + 1] = pu[e] * u.ravel()
+            pv[d - e - 1] = pv[d - e] * v.ravel()  # pv[d - e] = v^e: G_c takes rows c..d
+        f, g = np.full(w.shape, table[d, 0]), np.empty(w.shape)
+        for c in range(d - 1, -1, -1):
+            np.matmul(pu[: d - c + 1].T * table[c, : d - c + 1], pv[c:], out=g)
+            f *= w
+            f += g
+        near = np.abs(f) <= slack
+        if near.any():
+            f[near] = self.evaluate_terms(*(np.broadcast_to(x, f.shape)[near] for x in (u, v, w)))
+        return f
 
 
 def poly_mul(p: PolySpec, q: PolySpec) -> PolySpec:
@@ -247,16 +270,15 @@ class _PixelTopology:
 _BAND_CELLS = 1 << 14  # cells per evaluated band: 128 KiB per float64 array, cache-sized
 
 
-def _disc_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pixel centres of an n-by-n grid on the square around the unit disc,
-    as an ``(n, 1)`` column ``u`` and a ``(1, n)`` row ``v`` that broadcast
-    to the grid, the upper-sheet ``w`` and the mask of centres in the disc."""
-    # Odd numerators over n are exact quotients, so the grid is antipodally
-    # symmetric bit for bit (half[::-1] == -half), and so are w and the mask.
-    half = np.arange(1 - n, n, 2) / n
-    u, v = np.meshgrid(half, half, indexing="ij")
+def _disc_axis(n: int) -> np.ndarray:
+    """Pixel-centre coordinates: odd numerators over n, so ``axis[::-1] == -axis``."""
+    return np.arange(1 - n, n, 2) / n
+
+
+def _disc_cells(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-sheet ``w`` and the in-disc mask at column ``u`` by row ``v``."""
     rr = u * u + v * v
-    return half[:, None], half[None, :], np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
+    return np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
 
 
 def _label_signs(sg: np.ndarray, first: int = 1) -> tuple[np.ndarray, int, int]:
@@ -320,85 +342,74 @@ def _label_signs(sg: np.ndarray, first: int = 1) -> tuple[np.ndarray, int, int]:
     return lab, counts[0], counts[1]
 
 
-# ``_trace_once`` calls the labeller as ``ndimage.label``, the name of the
-# n-dimensional image labelling it replaced, which perfbench's
-# ``tracer.label`` span hooks.
+# ``_trace_once`` calls the labeller once per resolution as ``ndimage.label``,
+# the name of the labelling it replaced, which perfbench's ``tracer.label`` hooks.
 ndimage = SimpleNamespace(label=_label_signs)
 
 
 def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
-    u, v, w, inside = _disc_grid(n)
-
-    # Signs of both sheets, evaluated band by band: a band is a run of rows
-    # of about _BAND_CELLS cells, cut to the columns where it meets the
-    # disc (every row does), so its float values stay in cache and only
-    # int8 signs outlive it.  NaN and cells outside the disc get sign 0.
-    signs = [np.zeros((n, n), dtype=np.int8) for _ in range(2)]
-    ambiguous = 0
+    # Upper-sheet signs by bands of rows of about _BAND_CELLS cells, cut to
+    # the columns where the band's row nearest the centre meets the disc, so
+    # that float values stay in cache.  Cells outside the disc get sign 0.
+    axis = _disc_axis(n)
+    sg = np.zeros((n, n), dtype=np.int8)
+    hi = np.empty(n, dtype=np.int64)  # last disc column of each row
+    zeros = 0  # exact zeros; the lower sheet's are these turned
     step = max(1, _BAND_CELLS // n)
     for r0 in range(0, n, step):
-        rows = slice(r0, r0 + step)
-        hit = np.flatnonzero(inside[rows].any(axis=0))
+        rows, u = slice(r0, r0 + step), axis[r0 : r0 + step, None]
+        hit = np.flatnonzero(_disc_cells(u[np.abs(u).argmin()], axis)[1])
         cols = slice(hit[0], hit[-1] + 1)
-        band = inside[rows, cols]
-        for sg, f in zip(signs, p.evaluate(u[rows], v[:, cols], w[rows, cols])):
-            np.subtract(f > 0, f < 0, dtype=np.int8, out=sg[rows, cols], where=band)
-            ambiguous += int(np.count_nonzero(band & (f == 0.0)))
+        w, band = _disc_cells(u, axis[None, cols])
+        f = p.evaluate(u, axis[None, cols], w)
+        np.subtract(f > 0, f < 0, dtype=np.int8, out=sg[rows, cols], where=band)
+        zeros += int(np.count_nonzero(band & (f == 0.0)))
+        hi[rows] = (n - 2 + np.count_nonzero(band, axis=1)) // 2  # centred intervals
 
-    # Sign components of both sheets in one run of ids 1, 2, ...; id 0 is
-    # the curve and the outside of the disc.
-    labels = []
-    sign = [0]
-    for sg in signs:
-        lab, positive, negative = ndimage.label(sg, len(sign))
-        sign += [1] * positive + [-1] * negative
-        labels.append(lab)
+    # One labelling serves both sheets: upper component c has id c, and its
+    # turned copy id m + c, sign times (-1)^degree; 0 is curve and outside.
+    lab, positive, negative = ndimage.label(sg)
+    m = positive + negative
+    sign = [0] + [1] * positive + [-1] * negative
+    sign += [-s if p.degree % 2 else s for s in sign[1:]]
     base = len(sign)
 
-    def pairs(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> list[tuple[int, int]]:
-        """Distinct ``(lo, hi)`` label pairs over ``mask``, ascending, found
-        as one-dimensional keys ``lo * base + hi``."""
-        xs, ys = a[mask].astype(np.int64), b[mask].astype(np.int64)
+    def pairs(xs: np.ndarray, ys: np.ndarray) -> list[tuple[int, int]]:
+        """Distinct ``(lo, hi)`` id pairs, ascending, as keys ``lo * base + hi``."""
+        xs, ys = xs.astype(np.int64), ys.astype(np.int64)
         keys = np.unique(np.minimum(xs, ys) * base + np.maximum(xs, ys))
         return [divmod(k, base) for k in keys.tolist()]
 
-    # Stitch the two sheets along the rim: same grid point, w of either sign.
+    # Rim cells have a 4-neighbour off the disc or grid.  Row i's disc cells
+    # are centred and end at hi[i], so its right-hand rim runs on from the
+    # interior it shares with both neighbour rows; the left-hand rim is it turned.
+    ends = np.concatenate([[-1], hi, [-1]])
+    k = hi - np.minimum(hi - 1, np.minimum(ends[:-2], ends[2:]))
+    i = np.repeat(np.arange(n), k)
+    j = np.repeat(hi + 1 - np.cumsum(k), k) + np.arange(len(i))
+    x, y = lab[i, j], lab[n - 1 - i, n - 1 - j]
+    x, y = x[(x > 0) & (y > 0)], y[(x > 0) & (y > 0)]
+
+    # Stitch the sheets along the rim, lower cell p being upper cell -p.
+    # Every union here and in the fold keeps an upper root, so the roots and
+    # sibling order are those of the same unions over a labelled lower sheet.
     dsu = _Dsu(base)
-    rim = inside.copy()
-    rim[1:-1, 1:-1] &= ~(
-        inside[:-2, 1:-1] & inside[2:, 1:-1] & inside[1:-1, :-2] & inside[1:-1, 2:]
-    )
     adjacency: list[tuple[int, int]] = []
-    for x, y in pairs(labels[0], labels[1], rim & (signs[0] != 0) & (signs[1] != 0)):
-        if sign[x] == sign[y]:
-            dsu.union(x, y)
+    for a, b in pairs(np.concatenate([x, y]), m + np.concatenate([y, x])):
+        if sign[a] == sign[b]:
+            dsu.union(a, b)
         else:
-            adjacency.append((x, y))
+            adjacency.append((a, b))
 
-    # In-sheet adjacencies across the curve: two 4-adjacent cells off the
-    # curve lie in different components exactly when their signs differ.
-    for lab, sg in zip(labels, signs):
-        for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
-            adjacency += pairs(lab[a], lab[b], sg[a] * sg[b] < 0)
+    # Adjacent cells of opposite signs; the lower sheet's are these turned.
+    for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+        across = sg[a] * sg[b] < 0
+        adjacency += pairs(lab[a][across], lab[b][across])
 
-    # Fold by the antipodal involution: (u, v, w) and (-u, -v, -w) agree.
-    # Pairs are read only where the pair differs from the one to its left:
-    # each distinct pair fills runs along rows and shows at a run's first
-    # cell, so these cells give the full set, in the same sorted order.
-    # The grid is exactly symmetric, so f(-u, -v, -w) = (-1)^degree f(u, v, w)
-    # holds bit for bit and every pair must carry those signs.
+    # Snapshot the sphere components, then fold each lift pair into a region.
     sphere = {dsu.find(i) for i in range(1, base)}
-    upper, anti = labels[0], labels[1][::-1, ::-1]
-    starts = (signs[0] != 0) & (signs[1][::-1, ::-1] != 0)
-    starts[:, 1:] &= (upper[:, 1:] != upper[:, :-1]) | (anti[:, 1:] != anti[:, :-1])
-    parity = -1 if p.degree % 2 else 1
-    for x, y in pairs(upper, anti, starts):
-        if sign[y] != parity * sign[x]:
-            raise TracerInternalError(
-                f"antipodal cells of components {x} and {y} break the sign rule"
-                f" f(-u, -v, -w) = (-1)^{p.degree} f(u, v, w)"
-            )
-        dsu.union(x, y)
+    for c in range(1, m + 1):
+        dsu.union(c, m + c)
     preimages = Counter(dsu.find(c) for c in sphere)
 
     loops: set[int] = set()
@@ -438,7 +449,7 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     forest = RealScheme(build(roots[0], OUTER), p.degree % 2 == 1, CurveType.UNKNOWN)
     if len(seen) != n_regions:
         raise TraceError("region graph is disconnected")
-    return _PixelTopology(forest, signs if p.degree % 2 == 0 else {}, ambiguous)
+    return _PixelTopology(forest, signs if p.degree % 2 == 0 else {}, 2 * zeros)
 
 
 def trace_scheme(p: PolySpec, grid: GridConfig = GridConfig()) -> TraceResult:
@@ -456,23 +467,16 @@ def trace_scheme(p: PolySpec, grid: GridConfig = GridConfig()) -> TraceResult:
             current = None
         if current is not None and last is not None:
             if canonical_key(current.forest) == canonical_key(last.forest) and current.ambiguous == 0:
-                return TraceResult(
-                    current.forest,
-                    tuple(sorted(current.signs.items())),
-                    n,
-                    stable=True,
-                    notes=tuple(notes),
-                )
+                signs = tuple(sorted(current.signs.items()))
+                return TraceResult(current.forest, signs, n, stable=True, notes=tuple(notes))
         if current is not None:
             last, last_n = current, n
         n *= 2
     if last is None:
         raise UnstableTraceError("; ".join(notes) or "no resolution produced a scheme")
     notes.append("refinement cap reached without agreement")
-    return TraceResult(
-        last.forest, tuple(sorted(last.signs.items())), last_n, stable=False,
-        notes=tuple(notes),
-    )
+    signs = tuple(sorted(last.signs.items()))
+    return TraceResult(last.forest, signs, last_n, stable=False, notes=tuple(notes))
 
 
 # ----------------------------------------------------------------- L-curves
@@ -493,21 +497,17 @@ class LCurveResult:
 
 
 def _check_arrangement(lines: Sequence[tuple[float, float, float]]) -> None:
-    m = len(lines)
     arr = np.asarray(lines, dtype=float)
     norms = np.linalg.norm(arr, axis=1)
     if np.any(norms == 0):
         raise TraceError("zero line")
     arr = arr / norms[:, None]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.linalg.norm(np.cross(arr[i], arr[j])) < 1e-9:
-                raise TraceError(f"lines {i} and {j} coincide")
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                if abs(np.linalg.det(arr[[i, j, k]])) < 1e-9:
-                    raise TraceError(f"lines {i}, {j}, {k} share a point")
+    for i, j in combinations(range(len(arr)), 2):
+        if np.linalg.norm(np.cross(arr[i], arr[j])) < 1e-9:
+            raise TraceError(f"lines {i} and {j} coincide")
+    for i, j, k in combinations(range(len(arr)), 3):
+        if abs(np.linalg.det(arr[[i, j, k]])) < 1e-9:
+            raise TraceError(f"lines {i}, {j}, {k} share a point")
 
 
 def l_curve_sample(
@@ -535,8 +535,9 @@ def l_curve_sample(
     for coeffs in lines[1:]:
         prod = poly_mul(prod, line(*coeffs))
     if epsilon is None:
-        u, v, w, inside = _disc_grid(64)
-        samples = np.abs(prod.evaluate(u, v, w)[0][inside])
+        axis = _disc_axis(64)
+        w, inside = _disc_cells(axis[:, None], axis)
+        samples = np.abs(prod.evaluate_terms(axis[:, None], axis, w)[inside])
         epsilon = 1e-2 * float(np.quantile(samples[samples > 0], 0.1))
     f = poly_add(prod, g, scale=-epsilon)
     trace = trace_scheme(f, grid)
@@ -544,7 +545,6 @@ def l_curve_sample(
         raise UnstableTraceError(f"unstable perturbation trace: {'; '.join(trace.notes)}")
     if not l_curve_bound(trace.scheme, m):
         raise TracerInternalError(
-            f"{trace.scheme.oval_count} ovals from {m} lines break the "
-            "one-third bound"
+            f"{trace.scheme.oval_count} ovals from {m} lines break the one-third bound"
         )
     return LCurveResult(trace, epsilon)

@@ -8,10 +8,11 @@ caches are recomputed by walking its whole subtree, and move enumeration
 builds a candidate at every index before deduplicating outcomes.
 Derivation search has a reference too: the breadth-first search without
 its distance cut, which expands every state up to the step budget.  The
-pixel tracer's reference evaluates both sheets on the whole square grid
-at once, labels from the float values and deduplicates antipodal pairs
-over every disc cell.  Both it and the reference for the tracer's run
-labeller label pixels with ``scipy.ndimage.label``.
+pixel tracer has two references, both of which evaluate and label both
+sheets term by term: one on the whole square grid at once, deduplicating
+antipodal pairs over every disc cell, and the banded two-sheet tracer
+that the one-sheet tracer replaced.  They and the reference for the
+tracer's run labeller label pixels with ``scipy.ndimage.label``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from conjquot.propagation import (
     state_key,
 )
 from conjquot.schemes import CurveType, Oval, RealScheme, canonical_key, forest_key
-from conjquot.tracer import PolySpec, TraceError, _disc_grid, _Dsu, _PixelTopology
+from conjquot.tracer import PolySpec, TraceError, TracerInternalError, _Dsu, _PixelTopology
 
 
 # ---------------------------------------------------- forest isomorphism
@@ -303,60 +304,69 @@ def pixel_euler_by_side(
     return even, odd
 
 
-# ------------------------------------------------------ full-grid tracer
+# ------------------------------------------------------ two-sheet tracers
 
 
-def trace_once_full_grid(p: PolySpec, n: int) -> _PixelTopology:
-    u, v, w, inside = _disc_grid(n)
-    values = p.evaluate(u, v, w)
-    ambiguous = int(sum((inside & (f == 0.0)).sum() for f in values))
+def disc_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tracer's pixel grid as a whole: an ``(n, 1)`` column ``u``, a
+    ``(1, n)`` row ``v``, the upper-sheet ``w`` and the mask of centres in
+    the disc, built from a dense meshgrid."""
+    half = np.arange(1 - n, n, 2) / n
+    u, v = np.meshgrid(half, half, indexing="ij")
+    rr = u * u + v * v
+    return half[:, None], half[None, :], np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
 
-    # Sign components of both sheets in one run of ids 1, 2, ...; id 0 is
-    # the curve and the outside of the disc.
-    labels = []
-    sign = [0]
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    for f in values:
-        lab = np.zeros(f.shape, dtype=np.int64)
-        for s, mask in ((1, f > 0), (-1, f < 0)):
-            comp, count = ndimage.label(inside & mask, structure=structure)
-            lab[comp > 0] = comp[comp > 0] + (len(sign) - 1)
-            sign += [s] * count
-        labels.append(lab)
-    base = len(sign)
 
-    def pairs(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> list[tuple[int, int]]:
-        """Distinct ``(lo, hi)`` label pairs over ``mask``, ascending, found
-        as one-dimensional keys ``lo * base + hi``."""
-        xs, ys = a[mask], b[mask]
-        keys = np.unique(np.minimum(xs, ys) * base + np.maximum(xs, ys))
-        return [divmod(k, base) for k in keys.tolist()]
+def evaluate_two_sheets(
+    p: PolySpec, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(f(u, v, w), f(u, v, -w))`` term by term in coefficient order, the
+    lower sheet adding each upper term for even ``c`` and subtracting it for
+    odd ``c``: ``(-w)^c`` by repeated products is ``+-w^c`` bit for bit."""
+    pu = [np.ones_like(u)]
+    pv = [np.ones_like(v)]
+    for _ in range(p.degree):
+        pu.append(pu[-1] * u)
+        pv.append(pv[-1] * v)
+    pw = [None, w]
+    while len(pw) <= p.degree:
+        pw.append(pw[-1] * w)
+    shape = np.broadcast_shapes(u.shape, v.shape, w.shape)
+    upper, lower, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for (a, b, c), coef in p.coeffs:
+        np.multiply(coef * pu[a], pv[b], out=term)
+        if c:
+            np.multiply(term, pw[c], out=term)
+        upper += term
+        if c % 2:
+            lower -= term
+        else:
+            lower += term
+    return upper, lower
 
-    # Stitch the two sheets along the rim: same grid point, w of either sign.
-    dsu = _Dsu(base)
+
+def _unique_pairs(a: np.ndarray, b: np.ndarray, base: int) -> list[tuple[int, int]]:
+    """Distinct ``(lo, hi)`` label pairs, ascending, as keys ``lo * base + hi``."""
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    keys = np.unique(np.minimum(a, b) * base + np.maximum(a, b))
+    return [divmod(k, base) for k in keys.tolist()]
+
+
+def _rim(inside: np.ndarray) -> np.ndarray:
+    """Disc cells with a 4-neighbour off the disc or off the grid."""
     rim = inside.copy()
     rim[1:-1, 1:-1] &= ~(
         inside[:-2, 1:-1] & inside[2:, 1:-1] & inside[1:-1, :-2] & inside[1:-1, 2:]
     )
-    adjacency: list[tuple[int, int]] = []
-    for x, y in pairs(labels[0], labels[1], rim & (labels[0] > 0) & (labels[1] > 0)):
-        if sign[x] == sign[y]:
-            dsu.union(x, y)
-        else:
-            adjacency.append((x, y))
+    return rim
 
-    # In-sheet adjacencies across the curve.
-    for lab in labels:
-        for p1, p2 in ((lab[:-1, :], lab[1:, :]), (lab[:, :-1], lab[:, 1:])):
-            adjacency += pairs(p1, p2, (p1 > 0) & (p2 > 0) & (p1 != p2))
 
-    # Fold by the antipodal involution: (u, v, w) and (-u, -v, -w) agree.
-    sphere = {dsu.find(i) for i in range(1, base)}
-    anti = labels[1][::-1, ::-1]
-    for x, y in pairs(labels[0], anti, (labels[0] > 0) & (anti > 0)):
-        dsu.union(x, y)
+def _regions_to_topology(
+    p: PolySpec, sign: list[int], dsu: _Dsu, sphere: set[int],
+    adjacency: list[tuple[int, int]], ambiguous: int,
+) -> _PixelTopology:
+    """The forest of the folded regions, as both two-sheet tracers build it."""
     preimages = Counter(dsu.find(c) for c in sphere)
-
     loops: set[int] = set()
     nbrs: dict[int, set[int]] = {r: set() for r in preimages}
     for x, y in adjacency:
@@ -395,6 +405,108 @@ def trace_once_full_grid(p: PolySpec, n: int) -> _PixelTopology:
     if len(seen) != n_regions:
         raise TraceError("region graph is disconnected")
     return _PixelTopology(forest, signs if p.degree % 2 == 0 else {}, ambiguous)
+
+
+def trace_once_full_grid(p: PolySpec, n: int) -> _PixelTopology:
+    """Both sheets evaluated on the whole square grid at once, labelled from
+    the float values, with antipodal pairs read at every disc cell."""
+    u, v, w, inside = disc_grid(n)
+    values = evaluate_two_sheets(p, u, v, w)
+    ambiguous = int(sum((inside & (f == 0.0)).sum() for f in values))
+
+    # Sign components of both sheets in one run of ids 1, 2, ...; id 0 is
+    # the curve and the outside of the disc.
+    labels = []
+    sign = [0]
+    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    for f in values:
+        lab = np.zeros(f.shape, dtype=np.int64)
+        for s, mask in ((1, f > 0), (-1, f < 0)):
+            comp, count = ndimage.label(inside & mask, structure=structure)
+            lab[comp > 0] = comp[comp > 0] + (len(sign) - 1)
+            sign += [s] * count
+        labels.append(lab)
+    base = len(sign)
+
+    # Stitch the two sheets along the rim: same grid point, w of either sign.
+    dsu = _Dsu(base)
+    adjacency: list[tuple[int, int]] = []
+    both = _rim(inside) & (labels[0] > 0) & (labels[1] > 0)
+    for x, y in _unique_pairs(labels[0][both], labels[1][both], base):
+        if sign[x] == sign[y]:
+            dsu.union(x, y)
+        else:
+            adjacency.append((x, y))
+
+    # In-sheet adjacencies across the curve.
+    for lab in labels:
+        for p1, p2 in ((lab[:-1, :], lab[1:, :]), (lab[:, :-1], lab[:, 1:])):
+            across = (p1 > 0) & (p2 > 0) & (p1 != p2)
+            adjacency += _unique_pairs(p1[across], p2[across], base)
+
+    # Fold by the antipodal involution: (u, v, w) and (-u, -v, -w) agree.
+    sphere = {dsu.find(i) for i in range(1, base)}
+    anti = labels[1][::-1, ::-1]
+    both = (labels[0] > 0) & (anti > 0)
+    for x, y in _unique_pairs(labels[0][both], anti[both], base):
+        dsu.union(x, y)
+    return _regions_to_topology(p, sign, dsu, sphere, adjacency, ambiguous)
+
+
+def trace_once_two_sheets(p: PolySpec, n: int) -> _PixelTopology:
+    """The banded two-sheet tracer that the one-sheet ``_trace_once``
+    replaced: both sheets evaluated in bands of rows and labelled apart,
+    rim pairs stitched, sphere components snapshotted, then antipodal pairs
+    read at run starts, checked against the sign rule and folded."""
+    u, v, w, inside = disc_grid(n)
+    signs = [np.zeros((n, n), dtype=np.int8) for _ in range(2)]
+    ambiguous = 0
+    step = max(1, (1 << 14) // n)  # bands of rows of about 2^14 cells
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        hit = np.flatnonzero(inside[rows].any(axis=0))
+        cols = slice(hit[0], hit[-1] + 1)
+        band = inside[rows, cols]
+        for sg, f in zip(signs, evaluate_two_sheets(p, u[rows], v[:, cols], w[rows, cols])):
+            np.subtract(f > 0, f < 0, dtype=np.int8, out=sg[rows, cols], where=band)
+            ambiguous += int(np.count_nonzero(band & (f == 0.0)))
+
+    labels = []
+    sign = [0]
+    for sg in signs:
+        lab, positive, negative = label_signs_by_pixels(sg, len(sign))
+        sign += [1] * positive + [-1] * negative
+        labels.append(lab)
+    base = len(sign)
+
+    dsu = _Dsu(base)
+    adjacency: list[tuple[int, int]] = []
+    both = _rim(inside) & (signs[0] != 0) & (signs[1] != 0)
+    for x, y in _unique_pairs(labels[0][both], labels[1][both], base):
+        if sign[x] == sign[y]:
+            dsu.union(x, y)
+        else:
+            adjacency.append((x, y))
+    for lab, sg in zip(labels, signs):
+        for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+            across = sg[a] * sg[b] < 0
+            adjacency += _unique_pairs(lab[a][across], lab[b][across], base)
+
+    # Each distinct antipodal pair fills runs along rows and shows at a
+    # run's first cell, so these cells give the full set, in sorted order.
+    sphere = {dsu.find(i) for i in range(1, base)}
+    upper, anti = labels[0], labels[1][::-1, ::-1]
+    starts = (signs[0] != 0) & (signs[1][::-1, ::-1] != 0)
+    starts[:, 1:] &= (upper[:, 1:] != upper[:, :-1]) | (anti[:, 1:] != anti[:, :-1])
+    parity = -1 if p.degree % 2 else 1
+    for x, y in _unique_pairs(upper[starts], anti[starts], base):
+        if sign[y] != parity * sign[x]:
+            raise TracerInternalError(
+                f"antipodal cells of components {x} and {y} break the sign rule"
+                f" f(-u, -v, -w) = (-1)^{p.degree} f(u, v, w)"
+            )
+        dsu.union(x, y)
+    return _regions_to_topology(p, sign, dsu, sphere, adjacency, ambiguous)
 
 
 def label_signs_by_pixels(sg: np.ndarray, first: int = 1) -> tuple[np.ndarray, int, int]:

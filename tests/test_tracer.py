@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import conjquot
-from conjquot import tracer
 from conjquot.domains import format_path, iter_ovals
 from conjquot.schemes import RealScheme, format_viro, forest_key
 from conjquot.tracer import (
@@ -17,7 +16,8 @@ from conjquot.tracer import (
     PolySpec,
     TraceError,
     TracerInternalError,
-    _disc_grid,
+    _disc_axis,
+    _disc_cells,
     _label_signs,
     _trace_once,
     circle,
@@ -29,7 +29,15 @@ from conjquot.tracer import (
 )
 
 from conftest import random_forest
-from oracles import circle_layout, label_signs_by_pixels, min_feature_gap, trace_once_full_grid
+import oracles
+from oracles import (
+    circle_layout,
+    disc_grid,
+    label_signs_by_pixels,
+    min_feature_gap,
+    trace_once_full_grid,
+    trace_once_two_sheets,
+)
 
 FAST = GridConfig(128, 1024)
 
@@ -189,15 +197,16 @@ def one_sheet_reference(p, u, v, w):
     return out
 
 
+def dense_form(rng, degree, scale):
+    """Every monomial of the degree, coefficients uniform in [-scale, scale]."""
+    monomials = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    return PolySpec.from_dict(degree, {m: scale * rng.uniform(-1.0, 1.0) for m in monomials})
+
+
 def evaluate_cases():
     rng = random.Random(6)
     for degree in range(1, 13):
-        monomials = [
-            (a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)
-        ]
-        yield f"random-{degree}", PolySpec.from_dict(
-            degree, {m: rng.uniform(-2.0, 2.0) for m in monomials}
-        )
+        yield f"random-{degree}", dense_form(rng, degree, 2.0)
     for k in range(1, 7):
         yield f"circles-{k}", circles_product(
             [(0.1 * i - 0.2, 0.05 * i, 0.2 + 0.1 * i) for i in range(k)]
@@ -210,27 +219,73 @@ def evaluate_cases():
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_evaluate_matches_one_sheet_sums_exactly(n):
-    u, v, w, _ = _disc_grid(n)
+    # evaluate_terms is the term-order sum that evaluate defers to near zero
+    u, v, w, _ = disc_grid(n)
     gu, gv = np.broadcast_to(u, w.shape), np.broadcast_to(v, w.shape)
     for name, p in evaluate_cases():
-        want = (one_sheet_reference(p, gu, gv, w), one_sheet_reference(p, gu, gv, -w))
-        for args in ((gu, gv, w), (u, v, w)):
-            got = p.evaluate(*args)
-            assert len(got) == 2, name
-            for sheet, g, x in zip(("upper", "lower"), got, want):
-                assert g.shape == (n, n), (name, sheet)
-                assert np.array_equal(g, x), (name, sheet, args[0].shape)
+        for sheet, z in (("upper", w), ("lower", -w)):
+            want = one_sheet_reference(p, gu, gv, z)
+            for args in ((gu, gv, z), (u, v, z)):
+                got = p.evaluate_terms(*args)
+                assert got.shape == (n, n), (name, sheet)
+                assert np.array_equal(got, want), (name, sheet, args[0].shape)
 
 
 def test_evaluate_on_a_band_equals_that_slice_of_the_grid():
     n = 100
-    u, v, w, _ = _disc_grid(n)
+    u, v, w, _ = disc_grid(n)
     rows, cols = slice(37, 53), slice(11, 90)
     for name, p in evaluate_cases():
-        full = p.evaluate(u, v, w)
-        band = p.evaluate(u[rows], v[:, cols], w[rows, cols])
-        for f, b in zip(full, band):
-            assert f[rows, cols].tobytes() == b.tobytes(), name
+        full = p.evaluate_terms(u, v, w)
+        band = p.evaluate_terms(u[rows], v[:, cols], w[rows, cols])
+        assert full[rows, cols].tobytes() == band.tobytes(), name
+        signs = np.sign(p.evaluate(u[rows], v[:, cols], w[rows, cols]))
+        assert np.array_equal(np.sign(p.evaluate(u, v, w))[rows, cols], signs), name
+
+
+def test_certified_evaluation_keeps_every_sign_and_zero():
+    # f is within the slack of the term-order sum everywhere, and where it
+    # is not clear of zero it is replaced by that sum: the int8 signs and
+    # the exact zeros agree, from coefficients near the smallest normal
+    # double to an absolute sum near the largest.  Multiples of x - y are
+    # zero up to rounding on the diagonal, where the two orders of
+    # evaluation round to different signs.
+    rng = random.Random(16)
+    u, v, w, _ = disc_grid(97)
+    for degree in range(1, 13):
+        terms = (degree + 1) * (degree + 2) // 2
+        for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e150, 1e307 / terms):
+            forms = [dense_form(rng, degree, scale)]
+            if degree > 1:
+                forms.append(poly_mul(line(1.0, -1.0, 0.0), dense_form(rng, degree - 1, scale)))
+            for p in forms:
+                got, want = p.evaluate(u, v, w), p.evaluate_terms(u, v, w)
+                assert np.all(np.abs(got - want) <= p._horner[1]), (p, scale)
+                got_sg = np.subtract(got > 0, got < 0, dtype=np.int8)
+                want_sg = np.subtract(want > 0, want < 0, dtype=np.int8)
+                assert got_sg.tobytes() == want_sg.tobytes(), (p, scale)
+                assert np.count_nonzero(got == 0) == np.count_nonzero(want == 0), (p, scale)
+
+
+def test_certified_evaluation_refits_exact_zeros(monkeypatch):
+    # x - y vanishes exactly at the diagonal centres, and xy at the middle
+    # row and column of an odd grid: Horner's rule cannot vouch for those
+    # signs, so evaluate_terms supplies them
+    refits = []
+    evaluate_terms = PolySpec.evaluate_terms
+
+    def counted(self, u, v, w):
+        refits.append(u.size)
+        return evaluate_terms(self, u, v, w)
+
+    monkeypatch.setattr(PolySpec, "evaluate_terms", counted)
+    u, v, w, inside = disc_grid(63)
+    for p in (line(1.0, -1.0, 0.0), PolySpec.from_dict(2, {(1, 1, 0): 1.0})):
+        refits.clear()
+        f = p.evaluate(u, v, w)
+        zeros = np.count_nonzero(evaluate_terms(p, u, v, w)[inside] == 0)
+        assert zeros > 0 and np.count_nonzero(f[inside] == 0) == zeros
+        assert len(refits) == 1 and refits[0] >= zeros
 
 
 def trace_outcome(trace, p, n):
@@ -249,13 +304,7 @@ def oracle_cases():
     polys = [line(1.0, -1.0, 0.0), PolySpec.from_dict(2, {(1, 1, 0): 1.0})]
     polys += [PolySpec.from_text(f.read_text("utf-8")) for f in sorted(goldens.glob("*.poly"))]
     for degree in range(1, 8):
-        monomials = [
-            (a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)
-        ]
-        for _ in range(3):
-            polys.append(
-                PolySpec.from_dict(degree, {m: rng.uniform(-2.0, 2.0) for m in monomials})
-            )
+        polys += [dense_form(rng, degree, 2.0) for _ in range(3)]
     for k in range(1, 7):
         for _ in range(3):
             polys.append(circles_product([
@@ -278,6 +327,51 @@ def test_banded_trace_matches_full_grid_oracle():
     assert 0 < errors < len(cases)  # both outcomes are exercised
 
 
+def rotated(p, rotation):
+    """p with (x, y, z) replaced by ``rotation`` applied to (x, y, z)."""
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    forms = [PolySpec.from_dict(1, dict(zip(axes, row))) for row in rotation]
+    coeffs = {}
+    for exponents, coef in p.coeffs:
+        term = PolySpec.from_dict(0, {(0, 0, 0): coef})
+        for form, e in zip(forms, exponents):
+            for _ in range(e):
+                term = poly_mul(term, form)
+        for k, x in term.coeffs:
+            coeffs[k] = coeffs.get(k, 0.0) + x
+    return PolySpec.from_dict(p.degree, coeffs)
+
+
+def crosses_rim(p):
+    t = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+    f = p.evaluate_terms(np.cos(t), np.sin(t), np.zeros_like(t))
+    return f.min() < 0 < f.max()
+
+
+def test_one_sheet_trace_matches_two_sheets_across_the_rim():
+    # Rotated circle products whose ovals cross the rim, where the two
+    # sheets meet: the one-sheet tracer must number regions, and so order
+    # siblings, exactly as the two-sheet tracer did.
+    rng = random.Random(16)
+    compared = errors = 0
+    while compared < 200:
+        gauss = [[rng.gauss(0, 1) for _ in range(3)] for _ in range(3)]
+        rotation = np.linalg.qr(np.array(gauss))[0]
+        p = circles_product([
+            (rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), rng.uniform(0.1, 0.6))
+            for _ in range(rng.randint(1, 4))
+        ])
+        p = rotated(p, rotation.tolist())
+        if not crosses_rim(p):
+            continue
+        n = rng.choice([31, 64, 100, 128])
+        want = trace_outcome(trace_once_two_sheets, p, n)
+        assert trace_outcome(_trace_once, p, n) == want, (p, n)
+        compared += 1
+        errors += want[0] == "error"
+    assert errors < compared
+
+
 def old_disc_grid(n):
     """A ``linspace`` grid: not antipodally symmetric in floating point for
     most n, so antipodal cells of xy can differ in sign."""
@@ -289,20 +383,26 @@ def old_disc_grid(n):
 
 def test_disc_grid_is_antipodally_symmetric():
     for n in [*range(1, 300), 511, 512, 1000, 1023, 1024, 2047, 2999]:
-        u, v, w, inside = _disc_grid(n)
-        assert np.array_equal(u[::-1], -u) and np.array_equal(v[:, ::-1], -v), n
-        assert np.array_equal(u.ravel(), v.ravel()), n
+        axis = _disc_axis(n)
+        w, inside = _disc_cells(axis[:, None], axis)
+        assert np.array_equal(axis[::-1], -axis), n
         assert np.array_equal(w[::-1, ::-1], w) and np.array_equal(inside[::-1, ::-1], inside), n
+        want = disc_grid(n)
+        assert np.array_equal(want[0].ravel(), axis) and np.array_equal(want[2], w), n
+        assert np.array_equal(want[3], inside), n
 
 
 def test_fold_checks_antipodal_signs(monkeypatch):
+    # The one-sheet tracer reads the lower sheet as the upper one turned; the
+    # two-sheet reference folds evaluated pairs and checks their signs.
     xy = PolySpec.from_dict(2, {(1, 1, 0): 1.0})
-    with pytest.raises(TraceError) as err:  # two crossing lines: no tree, but signs agree
-        _trace_once(xy, 1023)
-    assert not isinstance(err.value, TracerInternalError)
-    monkeypatch.setattr(tracer, "_disc_grid", old_disc_grid)
+    for trace in (_trace_once, trace_once_two_sheets):
+        with pytest.raises(TraceError) as err:  # two crossing lines: no tree, but signs agree
+            trace(xy, 1023)
+        assert not isinstance(err.value, TracerInternalError)
+    monkeypatch.setattr(oracles, "disc_grid", old_disc_grid)
     with pytest.raises(TracerInternalError, match="sign rule"):
-        _trace_once(xy, 1023)
+        trace_once_two_sheets(xy, 1023)
 
 
 def assert_labels_match(sg, first=1):
@@ -379,15 +479,26 @@ def test_label_signs_chains_of_runs_in_bounded_time():
 
 
 def test_label_signs_matches_pixel_labelling_on_trace_signs():
-    # the sign arrays the tracer labels, with the ids it numbers from
-    for p, n in [(six_circle_product(), 256), (six_circle_product(), 1024), (definite(6), 64)]:
-        u, v, w, inside = _disc_grid(n)
-        first = 1
-        for f in p.evaluate(u, v, w):
-            sg = np.zeros((n, n), dtype=np.int8)
-            np.subtract(f > 0, f < 0, dtype=np.int8, out=sg, where=inside)
-            assert_labels_match(sg, first)
-            first += sum(_label_signs(sg)[1:])
+    # the upper sheet the tracer labels, and the lower sheet it stands for:
+    # the upper one turned, signs times (-1)^degree, with the ids the
+    # two-sheet tracer gave it.  Each lower component is one upper
+    # component turned.
+    cubic = PolySpec.from_dict(3, {(3, 0, 0): 1.0, (1, 0, 2): -1.0, (0, 2, 1): -1.0})
+    cases = [(six_circle_product(), 256), (six_circle_product(), 1024), (definite(6), 64)]
+    for p, n in cases + [(cubic, 255)]:
+        u, v, w, inside = disc_grid(n)
+        f = p.evaluate(u, v, w)
+        sg = np.zeros((n, n), dtype=np.int8)
+        np.subtract(f > 0, f < 0, dtype=np.int8, out=sg, where=inside)
+        assert_labels_match(sg)
+        lower = (-1 if p.degree % 2 else 1) * sg[::-1, ::-1]
+        lab, positive, negative = _label_signs(sg)
+        assert_labels_match(lower, positive + negative + 1)
+        turned, lower_lab = lab[::-1, ::-1], _label_signs(lower)[0]
+        to = np.zeros(positive + negative + 1, dtype=np.int32)
+        to[turned] = lower_lab
+        assert np.array_equal(to[turned], lower_lab), (p, n)
+        assert sorted(to.tolist()) == list(range(positive + negative + 1)), (p, n)
 
 
 def six_circle_product():
@@ -415,7 +526,7 @@ def test_trace_once_evaluates_only_bands_meeting_the_disc(monkeypatch):
 
     def counted(self, u, v, w):
         values = evaluate(self, u, v, w)
-        cells.append(values[0].size)
+        cells.append(values.size)
         return values
 
     monkeypatch.setattr(PolySpec, "evaluate", counted)
@@ -470,5 +581,5 @@ def test_l_curve_autoscaled_epsilon():
         PolySpec.from_dict(2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}),
         grid=FAST,
     )
-    assert res.epsilon > 0
+    assert res.epsilon.hex() == "0x1.471adb1ac37dfp-13"  # from the term-order sample
     assert res.trace.scheme.oval_count <= 0 or res.trace.stable
