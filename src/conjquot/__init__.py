@@ -46,7 +46,6 @@ from .fourman import (
     FourManifoldWord,
     StandardSurfaceForm,
     branch_cover_word,
-    decomposition,
     double_plane_invariants,
     general_cover_invariants,
     k3_classify,
@@ -54,6 +53,7 @@ from .fourman import (
     predict_standard_form,
 )
 from .propagation import (
+    Declared,
     Fact,
     FactTable,
     Predicate,

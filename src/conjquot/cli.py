@@ -164,35 +164,9 @@ def cmd_search_derive(args) -> int:
 def cmd_facts_propagate(args) -> int:
     catalog = _load_catalog(args.catalog)
     rel = propagation.RELATIONS[args.relation]
-    seeds = []
-    axioms = []
     with open(args.seeds, encoding="utf-8") as fh:
-        for num, ln in enumerate(fh, 1):
-            if not ln.strip():
-                continue
-            rec = json.loads(ln)
-            axiom = isinstance(rec, dict) and rec.get("edge") == "axiom"
-            need = ("from", "to") if axiom else ("scheme", "side")
-            if not isinstance(rec, dict) or not all(isinstance(rec.get(k), str) for k in need):
-                raise ValueError(f"seed line {num}: needs string {need[0]!r} and {need[1]!r}")
-            if not axiom and rec["side"] not in ("+", "-"):
-                raise ValueError(f"seed line {num}: side must be '+' or '-'")
-            if axiom:
-                axioms.append(
-                    (
-                        propagation.parse_state_label(rec["from"], args.degree),
-                        propagation.parse_state_label(rec["to"], args.degree),
-                    )
-                )
-            else:
-                seeds.append(
-                    propagation.Fact(
-                        _tracked(rec["scheme"], args.degree, rec["side"]),
-                        propagation.Predicate(rec.get("predicate", "ArnoldStandard")),
-                        rec.get("provenance", "lcurve-seed"),
-                    )
-                )
-    table = propagation.propagate(seeds, axioms, rel, catalog)
+        declared = propagation.Declared.from_records(fh, args.degree)
+    table = propagation.propagate(declared.seeds, declared.axiom_edges, rel, catalog)
     _emit(table.records(), args.format)
     return EXIT_OK
 

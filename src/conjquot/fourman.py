@@ -327,16 +327,17 @@ def predict_standard_form(
     Orientable: genus g tori with b2+ = b2- = g.  Non-orientable: b2+
     planes of normal number +2 and b2- of normal number -2, with total
     crosscaps 2 - chi.  With orientability undetermined, all consistent
-    candidates are returned, flagged when there are two.
+    candidates are returned, the non-orientable one first, flagged when
+    there are two.
     """
     candidates = []
+    p, q = b2plus_y, b2minus_y
+    if p + q == 2 - chi_a and p + q >= 1 and p >= 0 and q >= 0:
+        candidates.append(StandardSurfaceForm(False, rp2=p, rp2bar=q))
     if chi_a % 2 == 0 and chi_a <= 2:
         g = (2 - chi_a) // 2
         if b2plus_y == b2minus_y == g:
             candidates.append(StandardSurfaceForm(True, tori=g))
-    p, q = b2plus_y, b2minus_y
-    if p + q == 2 - chi_a and p + q >= 1 and p >= 0 and q >= 0:
-        candidates.append(StandardSurfaceForm(False, rp2=p, rp2bar=q))
     if orientability is Orientability.ORIENTABLE:
         candidates = [c for c in candidates if c.orientable]
     elif orientability is Orientability.NON_ORIENTABLE:
@@ -375,27 +376,6 @@ def branch_cover_word(
         s1xs3=form.components - 1,
     )
     return ambient.doubled() + lifted
-
-
-def decomposition(
-    b2plus: int, b2minus: int, spin: bool | None
-) -> tuple[FourManifoldWord, ...]:
-    """Connected-sum words for a simply connected manifold with the given
-    Betti numbers; both candidates when the spin status is unknown."""
-    if b2plus < 0 or b2minus < 0:
-        raise WordError("Betti numbers must be >= 0")
-    nonspin = word(cp2=b2plus, cp2bar=b2minus)
-    if b2plus == 0 and b2minus == 0:
-        return (S4,)
-    if spin is True:
-        if b2plus != b2minus:
-            raise WordError("a spin decomposable manifold needs b2+ = b2-")
-        return (word(s2xs2=b2plus),)
-    if spin is False:
-        return (nonspin,)
-    if b2plus == b2minus:
-        return (nonspin, word(s2xs2=b2plus))
-    return (nonspin,)
 
 
 def k3_classify(

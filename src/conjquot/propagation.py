@@ -36,7 +36,6 @@ type and side), so a fact does not replay after its side or type changes.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -44,7 +43,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from . import fourman
-from .domains import Side, TrackedScheme, euler_W
+from .domains import Orientability, Side, TrackedScheme, arnold_descriptor, euler_W
 from .moves import (
     DECREASING,
     FUSIONS,
@@ -413,47 +412,96 @@ def propagate(
     return table
 
 
-@functools.lru_cache
-def _declared(degree: int) -> tuple[frozenset, frozenset, frozenset]:
-    """Typed keys of :data:`SWEEP_SEEDS` with their provenance, of the seed
-    states alone and of :data:`SWEEP_AXIOM_EDGES`, parsed once per degree."""
+@dataclass(frozen=True)
+class Declared:
+    """The inputs a fact closure trusts: seed facts and axiom edges.  A
+    fact path names states by label and addresses ovals in the seeds' and
+    the edge targets' own stored forests."""
 
-    def typed(label: str) -> tuple[str, str, bool]:
-        return typed_key(parse_state_label(label, degree))
+    seeds: tuple[Fact, ...]
+    axiom_edges: tuple[tuple[TrackedScheme, TrackedScheme], ...] = ()
+    # The seeds' fact keys with provenance, the seed states by (predicate,
+    # label) and the edge targets by (typed key of the source, label).
+    _index: tuple = field(init=False, repr=False, compare=False)
 
-    seeds = frozenset((typed(label), provenance) for label, provenance in SWEEP_SEEDS)
-    axioms = frozenset((typed(a), typed(b)) for a, b in SWEEP_AXIOM_EDGES)
-    return seeds, frozenset(key for key, _ in seeds), axioms
+    def __post_init__(self):
+        object.__setattr__(self, "_index", (
+            {(fact_key(f), f.provenance) for f in self.seeds},
+            {(f.predicate, state_label(f.state)): f.state for f in self.seeds},
+            {(typed_key(a), state_label(b)): b for a, b in self.axiom_edges},
+        ))
+
+    @classmethod
+    def from_records(cls, lines: Iterable[str], degree: int) -> Declared:
+        """Decode a seed file: JSON lines ``{"scheme", "side"}`` with an
+        optional ``"predicate"`` (ArnoldStandard) and ``"provenance"``
+        (lcurve-seed), and axiom edges ``{"edge": "axiom", "from", "to"}``
+        between state labels.  A bad line raises ValueError naming it."""
+        import json  # only seed files need it, so importing the package skips it
+        seeds, axioms = [], []
+        for num, ln in enumerate(lines, 1):
+            if not ln.strip():
+                continue
+            try:
+                rec = json.loads(ln)
+                axiom = isinstance(rec, dict) and rec.get("edge") == "axiom"
+                need = ("from", "to") if axiom else ("scheme", "side")
+                if not isinstance(rec, dict) or not all(isinstance(rec.get(k), str) for k in need):
+                    raise ValueError(f"needs string {need[0]!r} and {need[1]!r}")
+                if axiom:
+                    axioms.append(tuple(parse_state_label(rec[k], degree) for k in need))
+                    continue
+                if rec["side"] not in ("+", "-"):
+                    raise ValueError("side must be '+' or '-'")
+                provenance = rec.get("provenance", "lcurve-seed")
+                if not isinstance(provenance, str):
+                    raise ValueError(f"provenance {provenance!r} is not a string")
+                predicate = Predicate(rec.get("predicate", Predicate.ARNOLD_STANDARD.value))
+                state = TrackedScheme(parse_viro(rec["scheme"]), degree, rec["side"] == "-")
+                seeds.append(Fact(state, predicate, provenance))
+            except ValueError as err:
+                raise ValueError(f"seed line {num}: {err}") from None
+        return cls(tuple(seeds), tuple(axioms))
 
 
-def replay_fact(fact: Fact, rel: RelationSpec = SUCC) -> bool:
-    """Re-run a fact's path with the one replay check; the path must start
-    at a state of :data:`SWEEP_SEEDS`, each step must start where the last
-    one ended, a split must start from a type-2 state, and the path must
-    end on the fact's typed state (forest, dividing type and side).  A
-    pathless fact must be one of :data:`SWEEP_SEEDS`, with its provenance,
-    and an axiom step one of :data:`SWEEP_AXIOM_EDGES`.  A malformed or
+SWEEP_DECLARED = Declared(
+    tuple(Fact(parse_state_label(s, 6), Predicate.ARNOLD_STANDARD, p) for s, p in SWEEP_SEEDS),
+    tuple((parse_state_label(a, 6), parse_state_label(b, 6)) for a, b in SWEEP_AXIOM_EDGES),
+)
+
+
+def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP_DECLARED) -> bool:
+    """Re-run a fact's path with the one replay check against ``declared``.
+    The path must start at a seed of the fact's predicate, on its stored
+    forest; each step must start where the last one ended; a split must
+    start from a type-2 state; an axiom step must be a declared edge from
+    the state reached, and lands on the edge's own target; and the path
+    must end on the fact's typed state (forest, dividing type and side).
+    A pathless fact must be a seed, with its provenance.  A malformed or
     non-applying path gives False, never an error."""
+    seed_keys, starts, targets = declared._index
+    if not fact.path:
+        return (fact_key(fact), fact.provenance) in seed_keys
     degree = fact.state.degree
-    seeds, seed_states, axioms = _declared(degree)
     try:
-        if not fact.path:
-            return (typed_key(fact.state), fact.provenance) in seeds
         label = fact.path[0]["from"]
-        start = state = parse_state_label(label, degree)
-        if typed_key(start) not in seed_states:
+        start = state = starts.get((fact.predicate, label))
+        if start is None:
             return False
         steps = []
         for step in fact.path:
             if step["from"] != label:
                 return False
-            m = None if step["edge"] == "axiom" else MoveRecord.from_record(step)
-            if _split_from_wrong_type(m, state):
-                return False
             label = step["to"]
-            before, state = state, parse_state_label(label, degree)
-            if m is None and (typed_key(before), typed_key(state)) not in axioms:
-                return False
+            if step["edge"] == "axiom":
+                m, state = None, targets.get((typed_key(state), label))
+                if state is None:
+                    return False
+            else:
+                m = MoveRecord.from_record(step)
+                if _split_from_wrong_type(m, state):
+                    return False
+                state = parse_state_label(label, degree)
             steps.append((m, state))
     except (KeyError, TypeError, ValueError):
         return False
@@ -509,37 +557,33 @@ class SweepReport:
         return [r.record() for r in self.rows]
 
 
-def _entry(catalog: Sequence[SchemeCatalogEntry], code: str) -> SchemeCatalogEntry:
+def _entry(catalog: Sequence[SchemeCatalogEntry], code: str) -> None:
+    """Raise unless the catalog has the typed row ``code``."""
     want = parse_viro(code)
     for e in catalog:
         if forest_key(e.scheme) == forest_key(want) and e.curve_type is want.curve_type:
-            return e
+            return
     raise ValueError(f"catalog is missing the required entry {code}")
 
 
 def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
-    """Propagate standardness over the whole sextic catalog, from
-    :data:`SWEEP_SEEDS` and across :data:`SWEEP_AXIOM_EDGES`.
+    """Propagate standardness over the whole sextic catalog from
+    :data:`SWEEP_DECLARED`.
 
     The closure marks the orientable-side surface standard for every entry
-    and the other side for all but four.
+    and the other side for all but four.  A row's words are the double
+    covers of S4 branched along the standard forms of its Arnold surface.
     """
-    degree = 6
-
-    def tracked(label: str) -> TrackedScheme:
-        return TrackedScheme(_entry(catalog, label[:-1]).scheme, degree, label[-1] == "-")
-
-    seeds = [
-        Fact(tracked(label), Predicate.ARNOLD_STANDARD, provenance)
-        for label, provenance in SWEEP_SEEDS
-    ]
-    for exc in EXPECTED_MINUS_EXCEPTIONS:
-        _entry(catalog, exc)  # required rows, even though never marked
-    axiom_edges = [(tracked(a), tracked(b)) for a, b in SWEEP_AXIOM_EDGES]
-    table = propagate(seeds, axiom_edges, SUCC, catalog)
+    for code in (
+        *(label[:-1] for label, _ in SWEEP_SEEDS),
+        *EXPECTED_MINUS_EXCEPTIONS,  # required rows, even though never marked
+        *(label[:-1] for edge in SWEEP_AXIOM_EDGES for label in edge),
+    ):
+        _entry(catalog, code)
+    table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, SUCC, catalog)
 
     # A pencil-perturbation seed's Arnold surface bounds an orientable handlebody.
-    seed_orientable = {typed_key(f.state) for f in seeds if f.provenance == PENCIL_SEED}
+    pencil = {typed_key(f.state) for f in SWEEP_DECLARED.seeds if f.provenance == PENCIL_SEED}
     rows = []
     minus_exc, plus_exc = [], []
     # Type 2 sorts before type 1 of one code, as the packaged catalog lists them.
@@ -547,16 +591,13 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
         catalog, key=lambda e: (e.scheme.oval_count, e.code, e.curve_type is not CurveType.TWO)
     ):
         for outer in (False, True):
-            t = TrackedScheme(e.scheme, degree, outer)
+            t = TrackedScheme(e.scheme, 6, outer)
             fact = table.marked(e.scheme, outer)
             inv = fourman.double_plane_invariants(t)
-            if typed_key(t) in seed_orientable and inv.b2plus_Y == inv.b2minus_Y:
-                words = (str(fourman.word(s2xs2=inv.b2plus_Y)),)
-            else:
-                words = tuple(
-                    str(w)
-                    for w in fourman.decomposition(inv.b2plus_Y, inv.b2minus_Y, None)
-                )
+            forms = fourman.predict_standard_form(
+                arnold_descriptor(t).euler, inv.b2plus_Y, inv.b2minus_Y,
+                Orientability.ORIENTABLE if typed_key(t) in pencil else Orientability.UNDETERMINED,
+            )
             rows.append(
                 SweepRow(
                     e.typed_code,
@@ -567,7 +608,7 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
                     inv.b2plus_Y,
                     inv.b2minus_Y,
                     t.quotient_label,
-                    words,
+                    tuple(str(fourman.branch_cover_word(f, fourman.S4)) for f in forms),
                 )
             )
             if fact is None:

@@ -210,16 +210,20 @@ def circle(cx: float, cy: float, radius: float) -> PolySpec:
     )
 
 
+# The finest grid a trace may ask for; its int8 signs and int32 labels take 0.3 GB.
+MAX_RESOLUTION = 8192
+
+
 @dataclass(frozen=True)
 class GridConfig:
     resolution: int = 512
     cap: int = 4096
 
     def __post_init__(self):
-        if self.resolution < 1 or self.cap < self.resolution:
+        if not 1 <= self.resolution <= self.cap <= MAX_RESOLUTION:
             raise ValueError(
-                f"grid needs 1 <= resolution <= cap, got resolution {self.resolution}"
-                f" and cap {self.cap}"
+                f"grid needs 1 <= resolution <= cap <= {MAX_RESOLUTION}, got resolution"
+                f" {self.resolution} and cap {self.cap}"
             )
 
 

@@ -144,7 +144,7 @@ def test_criterion_4_k3_quotient_values():
 
 
 def test_criterion_5_signature_consistency():
-    from conjquot.fourman import decomposition
+    from conjquot.fourman import branch_cover_word, predict_standard_form
 
     for e in CATALOG:
         for outer in (False, True):
@@ -153,9 +153,10 @@ def test_criterion_5_signature_consistency():
             assert (inv.chi_X, inv.sigma_X) == (24, -16)
             sigma_via_cover = (inv.sigma_X - (-(-inv.chi_XR))) // 2
             assert sigma_via_cover == inv.sigma_Y
-            for w in decomposition(inv.b2plus_Y, inv.b2minus_Y, None):
-                assert w.sigma == inv.sigma_Y
             chi_a = arnold_descriptor(t).euler
+            for form in predict_standard_form(chi_a, inv.b2plus_Y, inv.b2minus_Y):
+                w = branch_cover_word(form, S4)
+                assert w.sigma == inv.sigma_Y
             assert inv.b2plus_Y + inv.b2minus_Y == 2 - chi_a
     report(
         5,

@@ -211,6 +211,8 @@ def test_facts_propagate(tmp_path, capsys):
         {"scheme": "<1>", "side": "x"},
         {"edge": "axiom", "from": "<9>_2+"},
         {"edge": "axiom", "to": "<1<8>>_1-"},
+        {"scheme": "<1>", "side": "+", "predicate": 5},
+        {"scheme": "<1>", "side": "+", "provenance": 5},
     ],
 )
 def test_facts_propagate_bad_seed_line_exit(tmp_path, capsys, line):
@@ -219,6 +221,15 @@ def test_facts_propagate_bad_seed_line_exit(tmp_path, capsys, line):
     assert main(["facts", "propagate", str(seeds)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: seed line 2:") and "Traceback" not in err
+
+
+def test_facts_propagate_non_json_seed_line_exit(tmp_path, capsys):
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_text(json.dumps({"scheme": "<10>_2", "side": "+"}) + "\nnot json\n")
+    assert main(["facts", "propagate", str(seeds)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed line 2: Expecting value: line 1 column 1 (char 0)\n"
 
 
 def test_sweep_sextics(capsys):
@@ -230,6 +241,20 @@ def test_sweep_sextics(capsys):
         ["<1 u 1<9>>_1", "<1 u 1<8>>_2", "<1<9>>_2", "<1<8>>_2"]
     )
     assert summary["plus_side"] == []
+
+
+@pytest.mark.parametrize("missing", ["<9 u 1<1>>_1", "<1<8>>_1"])
+def test_sweep_sextics_missing_required_row_exit(tmp_path, capsys, missing):
+    # A seed row and the axiom edge's target.
+    catalog = conjquot.default_catalog()
+    rows = [f"{e.code}\t6\t{e.curve_type.value}\tt" for e in catalog if e.typed_code != missing]
+    assert len(rows) == len(catalog) - 1
+    path = tmp_path / "catalog.tsv"
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["sweep", "sextics", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: catalog is missing the required entry {missing}\n"
 
 
 def test_k3_classify(capsys):
@@ -321,6 +346,7 @@ def test_trace_poly_needs_exactly_one_polynomial(capsys, given):
     [
         (["--grid", "0"], "resolution 0 and cap 4096"),
         (["--grid", "64", "--grid-cap", "32"], "resolution 64 and cap 32"),
+        (["--grid-cap", "100000"], "cap <= 8192, got resolution 512 and cap 100000"),
     ],
 )
 def test_trace_poly_bad_grid_exit(capsys, grid, message):

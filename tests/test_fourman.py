@@ -18,7 +18,6 @@ from conjquot.fourman import (
     FourManifoldWord,
     WordError,
     branch_cover_word,
-    decomposition,
     double_plane_invariants,
     general_cover_invariants,
     k3_classify,
@@ -203,15 +202,6 @@ def test_branch_cover_doubles_ambient():
     form = predict_standard_form(0, 1, 1, Orientability.ORIENTABLE)[0]
     out = branch_cover_word(form, CP2)
     assert out.cp2 == 2 and out.s2xs2 == 1
-
-
-def test_decomposition():
-    assert decomposition(1, 0, False) == (CP2,)
-    assert decomposition(0, 0, None) == (S4,)
-    assert decomposition(1, 1, True) == (word(s2xs2=1),)
-    assert len(decomposition(2, 2, None)) == 2
-    with pytest.raises(WordError):
-        decomposition(1, 2, True)
 
 
 # ---------------------------------------------------------------- K3

@@ -11,7 +11,10 @@ varied were dropped from the construction specs and quotient words, and
 the ``derive-10-*`` snapshots before derivation search was cut by the
 oval-count and Euler-characteristic distance to its target, and the
 ``facts-propagate.table`` snapshot before the move and axiom steps of fact
-propagation were built by one helper.
+propagation were built by one helper, and the ``sweep-sextics.table`` and
+``facts-propagate-sweep-seeds.records`` snapshots before the sweep's seeds
+and axiom edge became one declared value, decoded by the same reader as a
+seed file, and its words came from standard-form prediction.
 ``{goldens}`` in an argument stands for the snapshot directory, which also
 holds the input files (the ``.poly`` files are products of circles written
 with ``poly_mul``, except the cubic and the definite sextic).
@@ -43,6 +46,7 @@ DOMAIN_STATES = {
 
 CASES = {
     "sweep-sextics.records": ["sweep", "sextics", "--format", "records"],
+    "sweep-sextics.table": ["sweep", "sextics"],
     **{
         f"enumerate-{name}{'-plus' if side == '+' else '-minus'}.{fmt}": [
             "moves", "enumerate", code, "--side", side, "--format", fmt,
@@ -151,6 +155,10 @@ CASES = {
     # The records golden sorts keys; the table prints each step as built.
     "facts-propagate.table": [
         "facts", "propagate", "{goldens}/seeds.jsonl", "--catalog", "{goldens}/catalog.tsv",
+    ],
+    # The sweep's own seeds and axiom edge close to the sweep's 126 facts.
+    "facts-propagate-sweep-seeds.records": [
+        "facts", "propagate", "{goldens}/sweep-seeds.jsonl", "--format", "records",
     ],
 }
 

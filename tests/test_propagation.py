@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,19 +18,26 @@ from conjquot.moves import (
 )
 from conjquot.propagation import (
     EXPECTED_MINUS_EXCEPTIONS,
+    SWEEP_DECLARED,
+    Declared,
     Fact,
     Predicate,
     RHD,
     SUCC,
+    fact_key,
     propagate,
     relation_search,
     replay_fact,
     sextic_sweep,
     state_label,
+    typed_key,
 )
 from conjquot.schemes import CurveType, RealScheme, iter_forests, load_catalog, parse_viro
 
 from oracles import relation_search_unpruned
+
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def tracked(code, outer=False):
@@ -294,6 +302,61 @@ def test_replay_fact_pins_the_typed_end_state(sweep_fact):
         ),
     }
     replays = {name: replay_fact(f, SUCC) for name, f in corpus.items()}
+    assert replays == dict.fromkeys(corpus, False)
+
+
+@pytest.mark.parametrize(
+    "seed, catalog_file, closed",
+    [
+        ('{"scheme": "<5>_2", "side": "+"}', "catalog.tsv", 10),
+        # Spelled out of canonical order: paths address the seed's own forest.
+        ('{"scheme": "<1<1> u 9>_1", "side": "+"}', None, 53),
+    ],
+)
+def test_facts_replay_against_their_own_declaration(catalog, seed, catalog_file, closed):
+    if catalog_file is not None:
+        catalog = load_catalog((GOLDENS / catalog_file).read_text("utf-8").splitlines())
+    declared = Declared.from_records([seed], 6)
+    facts = propagate(declared.seeds, declared.axiom_edges, SUCC, catalog).facts.values()
+    assert len(facts) == closed
+    assert all(replay_fact(f, SUCC, declared) for f in facts)
+    # The sweep declares other seeds, so the check is not vacuous.
+    assert not all(replay_fact(f, SUCC, SWEEP_DECLARED) for f in facts)
+
+
+def test_sweep_seeds_file_declares_the_sweep_inputs():
+    with open(GOLDENS / "sweep-seeds.jsonl", encoding="utf-8") as fh:
+        declared = Declared.from_records(fh, 6)
+
+    def keys(d):
+        seeds = [(fact_key(f), f.provenance) for f in d.seeds]
+        return seeds, [(typed_key(a), typed_key(b)) for a, b in d.axiom_edges]
+
+    assert keys(declared) == keys(SWEEP_DECLARED)
+
+
+def test_replay_fact_rejects_forgeries_against_a_user_declaration():
+    user = Declared.from_records(['{"scheme": "<10>_2", "side": "+"}'], 6)
+    death = make_move(tracked("<10>_2"), DeleteEmpty((0,)))
+    to_nine = {"edge": "move", **death.record(), "from": "<10>_2+", "to": "<9>_2+"}
+    corpus = {
+        "forged seed": Fact(
+            tracked("<10>_2", outer=True), Predicate.ARNOLD_STANDARD, "lcurve-seed"
+        ),
+        "path from a forged seed": _one_step_fact("<9>_1", DeleteEmpty((0,)), "<8>_2"),
+        "forged axiom step": Fact(
+            tracked("<1<8>>_1", outer=True),
+            Predicate.ARNOLD_STANDARD,
+            "axiom-edge",
+            (to_nine, {"edge": "axiom", "from": "<9>_2+", "to": "<1<8>>_1-"}),
+        ),
+    }
+    step_fact = Fact(tracked("<9>_2"), Predicate.ARNOLD_STANDARD, "propagated", (to_nine,))
+    assert replay_fact(step_fact, SUCC, user)
+    # Each forgery is sound against the sweep's declaration, which has that
+    # seed and that edge; only the user's declaration rejects it.
+    assert all(replay_fact(f, SUCC) for f in corpus.values())
+    replays = {name: replay_fact(f, SUCC, user) for name, f in corpus.items()}
     assert replays == dict.fromkeys(corpus, False)
 
 

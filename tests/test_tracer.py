@@ -12,6 +12,7 @@ import conjquot
 from conjquot.domains import format_path, iter_ovals
 from conjquot.schemes import RealScheme, format_viro, forest_key
 from conjquot.tracer import (
+    MAX_RESOLUTION,
     GridConfig,
     PolySpec,
     TraceError,
@@ -165,6 +166,15 @@ def test_unstable_flagged_not_guessed():
     result = trace_scheme(circle(0.0, 0.0, 0.5), GridConfig(64, 64))
     assert not result.stable
     assert any("refinement cap" in n for n in result.notes)
+
+
+@pytest.mark.parametrize(
+    "resolution, cap", [(64, MAX_RESOLUTION + 1), (2 * MAX_RESOLUTION, 2 * MAX_RESOLUTION)]
+)
+def test_grid_above_the_bound_rejected(resolution, cap):
+    assert GridConfig(MAX_RESOLUTION, MAX_RESOLUTION).cap == MAX_RESOLUTION == 8192
+    with pytest.raises(ValueError, match=f"cap <= {MAX_RESOLUTION}, got resolution {resolution}"):
+        GridConfig(resolution, cap)
 
 
 def test_nodal_curve_never_traces():
