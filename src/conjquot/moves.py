@@ -21,6 +21,9 @@ the classification follows the sign and the locus:
   and ``M1^-1`` when it gains;
 * death of a non-tracked disc is ``M2``, its birth ``M2^-1``.
 
+The class is read off the depth parity of the ovals a rewrite names,
+before it is applied; the Euler characteristic of the result checks it.
+
 Thus {M0^-1, M1, M2^-1} are the moves with delta = -1 on the tracked
 side.  After any fusion the curve is of dividing type 2; every other move
 leaves the type unknown.
@@ -34,7 +37,8 @@ lists one representative per combinatorially distinct outcome (identical
 siblings are interchangeable).  It prunes symmetric candidates before it
 builds them: a candidate that a swap of identical siblings maps onto an
 earlier one is skipped, and a dedupe on the outcome drops the remaining
-coincidences.  Each listed move carries the state it leads to.
+coincidences.  Each listed move carries the state it leads to.  A caller
+may ask for some classes only, or no splits; the rest are never built.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ _INVERSE = {
 DECREASING = frozenset(
     {Classification.M0_INV, Classification.M1, Classification.M2_INV}
 )
+ALL_CLASSES = frozenset(Classification)
 
 
 class MoveError(ValueError):
@@ -282,22 +287,30 @@ def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
     return sibs
 
 
-def _classify(t: TrackedScheme, rw: Rewrite, delta: int) -> Classification:
+def _classify(t: TrackedScheme, rw: Rewrite) -> Classification:
+    """The class of a rewrite, read off depth parity before it is built.  A
+    band move is M1 when the level that loses Euler characteristic is
+    tracked: the fused ovals' interiors, the region a sibling split adds
+    to, or the oval a nest split grows in."""
     if isinstance(rw, AddEmpty):
         level = 0 if rw.region is None else len(rw.region)
         return Classification.M2_INV if t.is_tracked_level(level) else Classification.M0
     if isinstance(rw, DeleteEmpty):
-        disc_level = len(rw.oval)
-        return Classification.M0_INV if t.is_tracked_level(disc_level) else Classification.M2
-    if delta == -1:
-        return Classification.M1
-    if delta == 1:
-        return Classification.M1_INV
-    raise MoveError(f"band move with delta {delta}")
+        return Classification.M0_INV if t.is_tracked_level(len(rw.oval)) else Classification.M2
+    if isinstance(rw, FuseSiblings):
+        level = len(rw.first)
+    elif isinstance(rw, FuseParentChild):
+        level = len(rw.child)
+    elif isinstance(rw, SplitSibling):
+        level = len(rw.oval) - 1
+    else:  # SplitNest
+        level = len(rw.oval)
+    return Classification.M1 if t.is_tracked_level(level) else Classification.M1_INV
 
 
 def _move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
-    """Classify a rewrite on this state; the record carries its successor."""
+    """Classify a rewrite on this state, checked by the successor's Euler
+    characteristic; the record carries the successor."""
     roots = _apply_rewrite(t.scheme, rw)
     curve_type = CurveType.TWO if isinstance(rw, FUSIONS) else CurveType.UNKNOWN
     after = TrackedScheme(
@@ -306,7 +319,7 @@ def _move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
     delta = euler_W(after, Side.TRACKED) - euler_W(t, Side.TRACKED)
     if abs(delta) != 1:
         raise MoveError(f"rewrite changes tracked Euler characteristic by {delta}")
-    cls = _classify(t, rw, delta)
+    cls = _classify(t, rw)
     expected = -1 if cls in DECREASING else 1
     if delta != expected:
         raise MoveError(f"{cls.value} must have delta {expected}, got {delta}")
@@ -377,9 +390,12 @@ def _mask(indices: Iterable[int]) -> int:
     return sum(1 << i for i in indices)
 
 
-def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
-    """All applicable rewrites, deduplicated up to identical-sibling
-    symmetry, in a deterministic order.
+def enumerate_moves(
+    t: TrackedScheme, allowed: frozenset[Classification] = ALL_CLASSES, *, splits: bool = True
+) -> list[MoveRecord]:
+    """All applicable rewrites of a class in ``allowed`` (no split unless
+    ``splits``), deduplicated up to identical-sibling symmetry, in a
+    deterministic order.
 
     A candidate is skipped before it is built when a swap of identical
     siblings maps it onto an earlier candidate: single-oval rewrites
@@ -387,6 +403,9 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
     pair of shapes, and a split keeps the first ovals of each shape.  The
     outcome dedupe then drops the coincidences no symmetry explains, so
     the list is the first candidate of each outcome, as without pruning.
+    Other classes, read off depth parity, and unwanted splits are skipped
+    before they are built.  The outcome key holds the kind and the class,
+    so the list is the full list with those moves left out.
     """
     roots = t.scheme.roots
     ovals = list(_canonical_ovals(roots))
@@ -421,7 +440,7 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
         shapes: dict[str, list[int]] = {}
         for i, c in enumerate(kids):
             shapes.setdefault(c.key, []).append(i)
-        splits = []
+        keeps = []
         for s in _grouped_subsets([((i,), c.key) for i, c in enumerate(kids)]):
             keep = sorted(i for (i,) in s)
             taken = Counter(kids[i].key for i in keep)
@@ -429,8 +448,8 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
             # one whose least-mask representative has the smaller mask.
             rest = [i for key, ix in shapes.items() for i in ix[: len(ix) - taken[key]]]
             if _mask(rest) >= _mask(keep):
-                splits.append((_mask(keep), tuple(keep)))
-        candidates.extend(SplitSibling(path, keep) for _, keep in sorted(splits))
+                keeps.append((_mask(keep), tuple(keep)))
+        candidates.extend(SplitSibling(path, keep) for _, keep in sorted(keeps))
 
     for path, oval in ovals:
         region = path[:-1]
@@ -445,6 +464,8 @@ def enumerate_moves(t: TrackedScheme) -> list[MoveRecord]:
     moves = []
     seen: set[tuple[str, str, Classification]] = set()
     for rw in candidates:
+        if _classify(t, rw) not in allowed or (not splits and isinstance(rw, SPLITS)):
+            continue
         m = _move(t, rw)
         key = (type(rw).__name__, canonical_key(m.successor.scheme), m.classification)
         if key in seen:

@@ -28,6 +28,9 @@ Two graph semantics are exposed:
   This asymmetry is what keeps facts at a type-1 state from leaking to
   the type-2 state of the same forest.
 
+Both enumerate only the relation's classes, and propagation splits only
+from a type-2 state, so no move is built to be dropped.
+
 Facts always carry a replayable path: a chain of move records and axiom
 edges back to a seed.  One replay check serves search certificates and
 fact paths; a fact's path must end on its typed state (forest, dividing
@@ -118,15 +121,6 @@ def typed_key(t: TrackedScheme) -> tuple[str, str, bool]:
 
 def state_label(t: TrackedScheme) -> str:
     return f"{format_viro(t.scheme)}{t.tracked_label}"
-
-
-def _split_from_wrong_type(m: MoveRecord | None, state: TrackedScheme) -> bool:
-    """A split runs a fusion backwards, so it only leaves a type-2 state."""
-    return (
-        m is not None
-        and isinstance(m.rewrite, SPLITS)
-        and state.scheme.curve_type is not CurveType.TWO
-    )
 
 
 def parse_state_label(label: str, degree: int) -> TrackedScheme:
@@ -253,9 +247,7 @@ def relation_search(
     while frontier:
         node = frontier.popleft()
         state, _, _, steps, chi = node
-        for m in enumerate_moves(state):
-            if m.classification not in rel.allowed:
-                continue
+        for m in enumerate_moves(state, rel.allowed):
             nxt = m.successor
             if nxt.scheme.oval_count > MAX_SEARCH_OVALS:
                 continue
@@ -386,9 +378,9 @@ def propagate(
     while work:
         fact = work.popleft()
         state = fact.state
-        for m in enumerate_moves(state):
-            if m.classification not in rel.allowed or _split_from_wrong_type(m, state):
-                continue
+        # A split runs a fusion backwards, so it only leaves a type-2 state.
+        splits = state.scheme.curve_type is CurveType.TWO
+        for m in enumerate_moves(state, rel.allowed, splits=splits):
             after = m.successor
             fk = forest_key(after.scheme)
             if isinstance(m.rewrite, FUSIONS):
@@ -499,7 +491,7 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP
                     return False
             else:
                 m = MoveRecord.from_record(step)
-                if _split_from_wrong_type(m, state):
+                if isinstance(m.rewrite, SPLITS) and state.scheme.curve_type is not CurveType.TWO:
                     return False
                 state = parse_state_label(label, degree)
             steps.append((m, state))
@@ -574,6 +566,8 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
     and the other side for all but four.  A row's words are the double
     covers of S4 branched along the standard forms of its Arnold surface.
     """
+    if {e.degree for e in catalog} != {6}:
+        raise ValueError("the sextic sweep needs a catalog of degree-6 rows only")
     for code in (
         *(label[:-1] for label, _ in SWEEP_SEEDS),
         *EXPECTED_MINUS_EXCEPTIONS,  # required rows, even though never marked

@@ -257,6 +257,18 @@ def test_sweep_sextics_missing_required_row_exit(tmp_path, capsys, missing):
     assert captured.err == f"error: catalog is missing the required entry {missing}\n"
 
 
+def test_sweep_sextics_non_sextic_catalog_exit(tmp_path, capsys):
+    # The packaged rows relabelled as degree 8: the sweep's seeds, Betti
+    # numbers and words are those of sextics, so it refuses them.
+    rows = [f"{e.code}\t8\t{e.curve_type.value}\tt" for e in conjquot.default_catalog()]
+    path = tmp_path / "catalog.tsv"
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["sweep", "sextics", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the sextic sweep needs a catalog of degree-6 rows only\n"
+
+
 def test_k3_classify(capsys):
     code, out = run(capsys, "k3", "classify", "--xr", "S10+S0", "--format", "records")
     assert code == 0

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conjquot.domains import Side, TrackedScheme, euler_W, iter_ovals
 from conjquot.moves import (
+    DECREASING,
+    SPLITS,
     AddEmpty,
     Classification,
     DeleteEmpty,
@@ -30,7 +32,7 @@ from conjquot.moves import (
     rewrite_from_record,
     trace_records,
 )
-from conjquot.propagation import SUCC
+from conjquot.propagation import RHD, SUCC
 from conjquot.schemes import (
     CurveType,
     RealScheme,
@@ -193,6 +195,25 @@ def test_pruned_enumeration_matches_every_index_oracle(outer):
         assert [m.record() for m in ms] == [m.record() for m in enumerate_unpruned(t)]
         for m in ms:
             assert m.successor == apply(t, m)  # forest, type, degree and side
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_filtered_enumeration_is_the_unpruned_list_filtered(outer):
+    # Classes come from depth parity before a move is built; the filtered
+    # list is the full one with the other classes (and splits) left out.
+    filters = [(a, s) for a in (SUCC.allowed, RHD.allowed) for s in (True, False)]
+    filters += [(DECREASING, True)] + [(frozenset({c}), True) for c in Classification]
+    states = [TrackedScheme(RealScheme(roots), 6, outer) for roots in iter_forests(7)]
+    states += [TrackedScheme(parse_viro(code), 40, outer) for code in HIGH_SYMMETRY]
+    for t in states:
+        full = enumerate_unpruned(t)
+        for allowed, splits in filters:
+            want = [
+                m
+                for m in full
+                if m.classification in allowed and (splits or not isinstance(m.rewrite, SPLITS))
+            ]
+            assert enumerate_moves(t, allowed, splits=splits) == want  # rewrite, class, delta
 
 
 def test_successor_stays_out_of_record_identity():

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjquot.domains import TrackedScheme, euler_W
-from conjquot import propagation
+from conjquot import moves, propagation
 from conjquot.moves import (
+    SPLITS,
     Classification,
     DeleteEmpty,
     MoveRecord,
@@ -128,9 +129,9 @@ def test_search_cut_keeps_the_unpruned_certificates_on_small_forests():
 def test_search_cut_skips_hopeless_queries(monkeypatch):
     enumerated = []
 
-    def counted(t):
+    def counted(t, *rest):
         enumerated.append(t)
-        return enumerate_moves(t)
+        return enumerate_moves(t, *rest)
 
     monkeypatch.setattr(propagation, "enumerate_moves", counted)
     # SUCC lowers the tracked Euler characteristic at every step.
@@ -176,6 +177,28 @@ def test_propagate_marks_fusion_chain():
     fact2 = table.marked(parse_viro("<9>_2"), False)
     kinds2 = {step["rewrite"]["kind"] for step in fact2.path}
     assert kinds2 <= {"fuse_siblings", "delete_empty"}
+
+
+def test_propagate_builds_only_the_moves_it_keeps(monkeypatch, catalog):
+    # Births, M2 deaths, M1^-1 band moves and splits from a state not of
+    # type 2 are skipped before they are built, not built and dropped.
+    built, move = [], moves._move
+
+    def counted(t, rw):
+        m = move(t, rw)
+        built.append((t, m))
+        return m
+
+    monkeypatch.setattr(moves, "_move", counted)
+    table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, SUCC, catalog)
+    assert len(table) == 126 and built
+    dropped = [
+        m
+        for t, m in built
+        if m.classification not in SUCC.allowed
+        or (isinstance(m.rewrite, SPLITS) and t.scheme.curve_type is not CurveType.TWO)
+    ]
+    assert dropped == []
 
 
 def test_propagate_empty_seeds():
