@@ -53,6 +53,8 @@ class BaseCurveSpec:
         degree: int,
         basepoints: Mapping[Path | str, int] | None = None,
     ):
+        if degree < 1:
+            raise ConstructionError(f"a base curve needs degree >= 1, got {degree}")
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "degree", degree)
         items = tuple(sorted((basepoints or {}).items(), key=str))
@@ -317,6 +319,14 @@ def imaginary_curve_image(
     an unknot for genus zero); with fewer the image is not embedded.
     """
     expected = degree_k * degree_k
+    if degree_k < 1:
+        raise ConstructionError(f"an imaginary curve needs degree >= 1, got {degree_k}")
+    # By Bezout the real points lie among the k*k points of C and conj(C).
+    if not 0 <= real_intersections <= expected:
+        raise ConstructionError(
+            f"a curve of degree {degree_k} has 0 to {expected} real points, "
+            f"not {real_intersections}"
+        )
     if real_intersections != expected:
         return ImaginaryImageStatement(
             False, False, None,

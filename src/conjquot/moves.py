@@ -403,7 +403,8 @@ def enumerate_moves(
     pair of shapes, and a split keeps the first ovals of each shape.  The
     outcome dedupe then drops the coincidences no symmetry explains, so
     the list is the first candidate of each outcome, as without pruning.
-    Other classes, read off depth parity, and unwanted splits are skipped
+    Births and splits are made only when their classes are allowed (and
+    splits wanted); other classes, read off depth parity, are skipped
     before they are built.  The outcome key holds the kind and the class,
     so the list is the full list with those moves left out.
     """
@@ -412,8 +413,8 @@ def enumerate_moves(
     regions = [None, *(path for path, _ in ovals)]
     candidates: list[Rewrite] = []
 
-    for region in regions:
-        candidates.append(AddEmpty(region))
+    if allowed & {Classification.M0, Classification.M2_INV}:
+        candidates.extend(AddEmpty(region) for region in regions)
 
     for path, oval in ovals:
         if not oval.children:
@@ -435,36 +436,38 @@ def enumerate_moves(
             if not rank:
                 candidates.append(FuseParentChild(path, path + (ci,)))
 
-    for path, oval in ovals:
-        kids = oval.children
-        shapes: dict[str, list[int]] = {}
-        for i, c in enumerate(kids):
-            shapes.setdefault(c.key, []).append(i)
-        keeps = []
-        for s in _grouped_subsets([((i,), c.key) for i, c in enumerate(kids)]):
-            keep = sorted(i for (i,) in s)
-            taken = Counter(kids[i].key for i in keep)
-            # A keep set and its complement give the same split: keep the
-            # one whose least-mask representative has the smaller mask.
-            rest = [i for key, ix in shapes.items() for i in ix[: len(ix) - taken[key]]]
-            if _mask(rest) >= _mask(keep):
-                keeps.append((_mask(keep), tuple(keep)))
-        candidates.extend(SplitSibling(path, keep) for _, keep in sorted(keeps))
+    # Splits are band moves, of class M1 or M1^-1.
+    if splits and allowed & {Classification.M1, Classification.M1_INV}:
+        for path, oval in ovals:
+            kids = oval.children
+            shapes: dict[str, list[int]] = {}
+            for i, c in enumerate(kids):
+                shapes.setdefault(c.key, []).append(i)
+            keeps = []
+            for s in _grouped_subsets([((i,), c.key) for i, c in enumerate(kids)]):
+                keep = sorted(i for (i,) in s)
+                taken = Counter(kids[i].key for i in keep)
+                # A keep set and its complement give the same split: keep the
+                # one whose least-mask representative has the smaller mask.
+                rest = [i for key, ix in shapes.items() for i in ix[: len(ix) - taken[key]]]
+                if _mask(rest) >= _mask(keep):
+                    keeps.append((_mask(keep), tuple(keep)))
+            candidates.extend(SplitSibling(path, keep) for _, keep in sorted(keeps))
 
-    for path, oval in ovals:
-        region = path[:-1]
-        neighbours = [
-            (region + (k,), o.key)
-            for k, o in enumerate(_siblings(roots, region))
-            if k != path[-1]
-        ]
-        for subset in _grouped_subsets(neighbours):
-            candidates.append(SplitNest(path, subset))
+        for path, oval in ovals:
+            region = path[:-1]
+            neighbours = [
+                (region + (k,), o.key)
+                for k, o in enumerate(_siblings(roots, region))
+                if k != path[-1]
+            ]
+            for subset in _grouped_subsets(neighbours):
+                candidates.append(SplitNest(path, subset))
 
     moves = []
     seen: set[tuple[str, str, Classification]] = set()
     for rw in candidates:
-        if _classify(t, rw) not in allowed or (not splits and isinstance(rw, SPLITS)):
+        if _classify(t, rw) not in allowed:
             continue
         m = _move(t, rw)
         key = (type(rw).__name__, canonical_key(m.successor.scheme), m.classification)

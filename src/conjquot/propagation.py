@@ -32,16 +32,19 @@ Both enumerate only the relation's classes, and propagation splits only
 from a type-2 state, so no move is built to be dropped.
 
 Facts always carry a replayable path: a chain of move records and axiom
-edges back to a seed.  One replay check serves search certificates and
+edges back to a seed.  One step check serves search certificates and
 fact paths; a fact's path must end on its typed state (forest, dividing
 type and side), so a fact does not replay after its side or type changes.
+A fact's path is its parent's plus one step, so fact replay resumes
+after the longest prefix its declaration has verified (the declaration
+holds the states reached, never a verdict): one step check per fact.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -133,38 +136,37 @@ def parse_state_label(label: str, degree: int) -> TrackedScheme:
 # ------------------------------------------------------------- certificates
 
 
-def _replay(
-    start: TrackedScheme,
-    steps: Iterable[tuple[MoveRecord | None, TrackedScheme]],
+def _step(
+    state: TrackedScheme,
+    chi: int,
+    m: MoveRecord | None,
+    expected: TrackedScheme,
     rel: RelationSpec,
-) -> TrackedScheme | None:
-    """Run (move, expected state) steps, a None move being a trusted axiom
-    edge.  A move must apply, be in ``rel``, reach the expected forest and
-    side with a compatible type (a fusion lands on type 2) and, along
-    SUCC, strictly drop the tracked Euler characteristic.  Returns the end
-    state, typed as the steps say, or None at the first failing step."""
-    state, chi = start, euler_W(start, Side.TRACKED)
-    for m, expected in steps:
-        if m is None:
-            state, chi = expected, euler_W(expected, Side.TRACKED)
-            continue
-        if m.classification not in rel.allowed:
-            return None
-        try:
-            after = apply(state, m)
-        except MoveError:
-            return None
-        if state_key(after) != state_key(expected):
-            return None
-        curve_type = expected.scheme.curve_type
-        if after.scheme.curve_type not in (CurveType.UNKNOWN, curve_type):
-            return None
-        new_chi = euler_W(after, Side.TRACKED)
-        if rel is SUCC and new_chi >= chi:
-            return None
-        # Keep the stored forest: later steps address ovals by index paths.
-        state, chi = replace(after, scheme=after.scheme.with_type(curve_type)), new_chi
-    return state
+) -> tuple[TrackedScheme, int] | None:
+    """Check one replay step from ``state``, of tracked Euler characteristic
+    ``chi``; a None move is a trusted axiom edge to ``expected``.  A move
+    must be in ``rel``, apply, reach the expected forest and side with a
+    compatible type (a fusion lands on type 2) and, along SUCC, strictly
+    drop the tracked Euler characteristic.  Returns the state reached,
+    typed as expected, and its chi, or None if a check fails."""
+    if m is None:
+        return expected, euler_W(expected, Side.TRACKED)
+    if m.classification not in rel.allowed:
+        return None
+    try:
+        after = apply(state, m)  # checks the record's delta_chi on both forests
+    except MoveError:
+        return None
+    curve_type = expected.scheme.curve_type
+    if state_key(after) != state_key(expected) or after.scheme.curve_type not in (
+        CurveType.UNKNOWN, curve_type
+    ):
+        return None
+    if rel is SUCC and m.delta_chi_tracked >= 0:
+        return None
+    # Keep the stored forest: later steps address ovals by index paths.
+    typed = TrackedScheme(after.scheme.with_type(curve_type), after.degree, after.outer_tracked)
+    return typed, chi + m.delta_chi_tracked
 
 
 @dataclass(frozen=True)
@@ -175,11 +177,16 @@ class Certificate:
     states: tuple[TrackedScheme, ...]  # includes source and final state
 
     def replay(self, rel: RelationSpec = SUCC) -> bool:
-        start = self.states[0]
-        if state_key(start) != state_key(self.source) or len(self.states) != len(self.moves) + 1:
+        state = self.states[0]
+        if state_key(state) != state_key(self.source) or len(self.states) != len(self.moves) + 1:
             return False
-        end = _replay(start, zip(self.moves, self.states[1:]), rel)
-        return end is not None and state_key(end) == state_key(self.target)
+        chi = euler_W(state, Side.TRACKED)
+        for m, expected in zip(self.moves, self.states[1:]):
+            reached = _step(state, chi, m, expected, rel)
+            if reached is None:
+                return False
+            state, chi = reached
+        return state_key(state) == state_key(self.target)
 
     def records(self) -> list[dict]:
         return [
@@ -370,7 +377,7 @@ def propagate(
     def extend(dst: TrackedScheme, provenance: str, head: dict) -> None:
         """Add the fact that one more step, ``head``, carries from the fact
         popped last to ``dst``."""
-        step = {**head, "from": state_label(fact.state), "to": state_label(dst)}
+        step = {**head, "from": source, "to": state_label(dst)}
         new = Fact(dst, fact.predicate, provenance, fact.path + (step,))
         if table.add(new):
             work.append(new)
@@ -378,6 +385,7 @@ def propagate(
     while work:
         fact = work.popleft()
         state = fact.state
+        source = state_label(state)
         # A split runs a fusion backwards, so it only leaves a type-2 state.
         splits = state.scheme.curve_type is CurveType.TWO
         for m in enumerate_moves(state, rel.allowed, splits=splits):
@@ -415,6 +423,10 @@ class Declared:
     # The seeds' fact keys with provenance, the seed states by (predicate,
     # label) and the edge targets by (typed key of the source, label).
     _index: tuple = field(init=False, repr=False, compare=False)
+    # The state and tracked chi each prefix verified by replay_fact reaches,
+    # by (relation, predicate, degree), then (((start,), repr(step 0)), ...):
+    # the repr of a step of JSON values pins their content, types and order.
+    _reached: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", (
@@ -463,42 +475,55 @@ SWEEP_DECLARED = Declared(
 
 
 def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP_DECLARED) -> bool:
-    """Re-run a fact's path with the one replay check against ``declared``.
+    """Re-run a fact's path with the one step check against ``declared``.
     The path must start at a seed of the fact's predicate, on its stored
     forest; each step must start where the last one ended; a split must
     start from a type-2 state; an axiom step must be a declared edge from
     the state reached, and lands on the edge's own target; and the path
     must end on the fact's typed state (forest, dividing type and side).
     A pathless fact must be a seed, with its provenance.  A malformed or
-    non-applying path gives False, never an error."""
+    non-applying path gives False, never an error.
+
+    Replay resumes after the longest prefix of the path that ``declared``
+    has already verified under ``rel``.  The declaration keeps the state
+    each verified prefix reaches, keyed by the steps' content, and never a
+    verdict: the end-state check runs on every call."""
     seed_keys, starts, targets = declared._index
     if not fact.path:
         return (fact_key(fact), fact.provenance) in seed_keys
     degree = fact.state.degree
     try:
+        memo = declared._reached.setdefault((rel, fact.predicate, degree), {})
         label = fact.path[0]["from"]
-        start = state = starts.get((fact.predicate, label))
-        if start is None:
-            return False
-        steps = []
+        key = (label,)
+        if key not in memo:
+            start = starts[(fact.predicate, label)]  # a KeyError if not a declared seed
+            memo[key] = start, euler_W(start, Side.TRACKED)
+        state, chi = memo[key]
         for step in fact.path:
-            if step["from"] != label:
-                return False
+            key = key, repr(step)
+            reached = memo.get(key)
+            if reached is None:
+                if step["from"] != label:
+                    return False
+                if step["edge"] == "axiom":
+                    m, expected = None, targets.get((typed_key(state), step["to"]))
+                    if expected is None:
+                        return False
+                else:
+                    m = MoveRecord.from_record(step)
+                    if isinstance(m.rewrite, SPLITS) and state.scheme.curve_type is not CurveType.TWO:
+                        return False
+                    expected = parse_state_label(step["to"], degree)
+                reached = _step(state, chi, m, expected, rel)
+                if reached is None:
+                    return False
+                memo[key] = reached
+            state, chi = reached
             label = step["to"]
-            if step["edge"] == "axiom":
-                m, state = None, targets.get((typed_key(state), label))
-                if state is None:
-                    return False
-            else:
-                m = MoveRecord.from_record(step)
-                if isinstance(m.rewrite, SPLITS) and state.scheme.curve_type is not CurveType.TWO:
-                    return False
-                state = parse_state_label(label, degree)
-            steps.append((m, state))
     except (KeyError, TypeError, ValueError):
         return False
-    end = _replay(start, steps, rel)
-    return end is not None and typed_key(end) == typed_key(fact.state)
+    return typed_key(state) == typed_key(fact.state)
 
 
 # ------------------------------------------------------------------- sweep

@@ -313,6 +313,24 @@ def test_construct_u_basepoints_named_twice_exit(capsys):
     assert err.startswith("error: ") and "twice" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["imaginary", "--base-degree", "-3", "--real-intersections", "9"], "degree >= 1, got -3"),
+        (["imaginary", "--base-degree", "0", "--real-intersections", "0"], "degree >= 1, got 0"),
+        (["imaginary", "--base-degree", "3", "--real-intersections", "-5"], "0 to 9 real points, not -5"),
+        (["imaginary", "--base-degree", "3", "--real-intersections", "10"], "0 to 9 real points, not 10"),
+        (["v", "<1>", "--base-degree", "-2"], "degree >= 1, got -2"),
+        (["u", "<1>", "--base-degree", "0"], "degree >= 1, got 0"),
+    ],
+)
+def test_construct_impossible_degree_exit(capsys, argv, message):
+    assert main(["construct", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_construct_fibered(capsys):
     code, out = run(
         capsys, "construct", "fibered", "--quotient", "S4", "--fiber-genus", "1",

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -381,6 +382,175 @@ def test_replay_fact_rejects_forgeries_against_a_user_declaration():
     assert all(replay_fact(f, SUCC) for f in corpus.values())
     replays = {name: replay_fact(f, SUCC, user) for name, f in corpus.items()}
     assert replays == dict.fromkeys(corpus, False)
+
+
+# --------------------------------------------------------- resumed replay
+
+
+def _fresh(declared=SWEEP_DECLARED):
+    """The same declaration with nothing verified yet."""
+    return Declared(declared.seeds, declared.axiom_edges)
+
+
+def _child_fact(facts):
+    """(parent, child): sweep facts where the child's path is the
+    parent's, of three or more steps, plus one move."""
+    by_path = {repr(f.path): f for f in facts}
+    for f in facts:
+        parent = by_path.get(repr(f.path[:-1]))
+        if parent is not None and len(parent.path) >= 3 and f.path[-1]["edge"] == "move":
+            return parent, f
+    raise AssertionError("no fact extends another by one move")
+
+
+def _replay_corpus(facts):
+    """(fact, declaration, verdict) triples: the sweep's facts, forgeries
+    against the sweep's declaration, and forgeries against a user's that
+    the sweep's declaration accepts."""
+    _, child = _child_fact(facts)
+    state = child.state
+    other_type = CurveType.ONE if state.scheme.curve_type is CurveType.TWO else CurveType.TWO
+    honest = [*facts, _split_fact(2)]
+    forged = [
+        _split_fact(1),
+        replace(child, state=replace(state, outer_tracked=not state.outer_tracked)),
+        replace(child, state=replace(state, scheme=state.scheme.with_type(other_type))),
+        replace(child, path=(child.path[1], child.path[0], *child.path[2:])),
+        _with_step(child, 0, classification="M2^-1"),
+        _with_step(child, -1, classification="M2^-1"),
+        _with_step(child, -1, rewrite={"kind": "delete_empty", "oval": "9.9.9"}),
+        _with_step(child, -1, **{"from": child.path[-1]["to"]}),
+        _one_step_fact("<9>_2", SplitSibling((0,), ()), "<10>_2", outer=True),
+        _one_step_fact("<1<10>>_2", DeleteEmpty((0, 0)), "<1<9>>_2", outer=True),
+        Fact(
+            tracked("<1<9>>_2", outer=True),
+            Predicate.ARNOLD_STANDARD,
+            "axiom-edge",
+            ({"edge": "axiom", "from": "<10>_2+", "to": "<1<9>>_2-"},),
+        ),
+    ]
+    user = Declared.from_records(['{"scheme": "<10>_2", "side": "+"}'], 6)
+    death = make_move(tracked("<10>_2"), DeleteEmpty((0,)))
+    to_nine = {"edge": "move", **death.record(), "from": "<10>_2+", "to": "<9>_2+"}
+    step_fact = Fact(tracked("<9>_2"), Predicate.ARNOLD_STANDARD, "propagated", (to_nine,))
+    forged_by_user = [
+        Fact(tracked("<10>_2", outer=True), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
+        _one_step_fact("<9>_1", DeleteEmpty((0,)), "<8>_2"),
+        Fact(
+            tracked("<1<8>>_1", outer=True),
+            Predicate.ARNOLD_STANDARD,
+            "axiom-edge",
+            (to_nine, {"edge": "axiom", "from": "<9>_2+", "to": "<1<8>>_1-"}),
+        ),
+    ]
+    return [
+        *((f, SWEEP_DECLARED, True) for f in honest),
+        *((f, SWEEP_DECLARED, False) for f in forged),
+        (step_fact, user, True),
+        (step_fact, SWEEP_DECLARED, True),
+        *((f, user, False) for f in forged_by_user),
+        *((f, SWEEP_DECLARED, True) for f in forged_by_user),
+    ]
+
+
+@pytest.mark.parametrize("order", ["table", "reversed"])
+def test_resumed_replay_gives_the_cold_verdicts(catalog, order):
+    corpus = _replay_corpus(list(sextic_sweep(catalog).table.facts.values()))
+    if order == "reversed":
+        corpus.reverse()
+    cold = [replay_fact(f, SUCC, _fresh(d)) for f, d, _ in corpus]
+    assert cold == [verdict for _, _, verdict in corpus]
+    warm_of = {}  # one warm copy of each declaration object
+    warm = [replay_fact(f, SUCC, warm_of.setdefault(id(d), _fresh(d))) for f, d, _ in corpus]
+    assert warm == cold
+
+
+def test_a_bad_step_after_a_verified_prefix_fails(catalog):
+    parent, child = _child_fact(list(sextic_sweep(catalog).table.facts.values()))
+    declared = _fresh()
+    assert replay_fact(parent, SUCC, declared) and replay_fact(child, SUCC, declared)
+    last = child.path[-1]
+    forgeries = [
+        _with_step(child, -1, classification="M2^-1"),
+        _with_step(child, -1, delta_chi=1),
+        _with_step(child, -1, rewrite={"kind": "delete_empty", "oval": "9.9.9"}),
+        _with_step(child, -1, to=parent.path[-1]["from"]),
+        _with_step(child, -1, edge="axiom"),
+        replace(child, path=child.path + (last,)),
+    ]
+    assert [replay_fact(f, SUCC, declared) for f in forgeries] == [False] * len(forgeries)
+    assert replay_fact(child, SUCC, declared)
+
+
+def test_a_step_mutated_after_it_was_verified_is_checked_again(monkeypatch, catalog):
+    _, child = _child_fact(list(sextic_sweep(catalog).table.facts.values()))
+    fact = copy.deepcopy(child)  # the sweep's own records stay as they are
+    i = next(i for i, step in enumerate(fact.path[:-1]) if step["edge"] == "move")
+    declared = _fresh()
+    assert replay_fact(fact, SUCC, declared)
+    calls, apply = [], propagation.apply
+    monkeypatch.setattr(propagation, "apply", lambda *a: calls.append(a) or apply(*a))
+    assert replay_fact(fact, SUCC, declared) and calls == []
+    rewrite = fact.path[i]["rewrite"]  # mutated in place, then restored
+    saved = dict(rewrite)
+    rewrite.clear()
+    rewrite.update(kind="delete_empty", oval="9.9.9")
+    assert not replay_fact(fact, SUCC, declared) and len(calls) == 1
+    rewrite.clear()
+    rewrite.update(saved)
+    assert replay_fact(fact, SUCC, declared) and len(calls) == 1
+
+
+def test_replaying_the_sweep_applies_each_distinct_move_step_once(monkeypatch, catalog):
+    facts = list(sextic_sweep(catalog).table.facts.values())
+    calls, apply = [], propagation.apply
+    monkeypatch.setattr(propagation, "apply", lambda *a: calls.append(a) or apply(*a))
+    declared = _fresh()
+    assert all(replay_fact(f, SUCC, declared) for f in facts)
+    distinct = {
+        repr(f.path[: i + 1])
+        for f in facts
+        for i, step in enumerate(f.path)
+        if step["edge"] == "move"
+    }
+    assert len(calls) == len(distinct) == 119
+    assert sum(len(f.path) for f in facts) == 949
+
+
+def test_replay_never_calls_search_code(monkeypatch, catalog):
+    facts = list(sextic_sweep(catalog).table.facts.values())
+    cert = relation_search(tracked("<10>_2"), tracked("<1<1<1>>>"), SUCC)
+    assert cert is not None and len(cert.moves) == 9
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a checker called search code")
+
+    for module, name in [
+        (moves, "enumerate_moves"),
+        (propagation, "enumerate_moves"),
+        (propagation, "relation_search"),
+        (propagation, "propagate"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    declared = _fresh()
+    assert all(replay_fact(f, SUCC, declared) for f in facts)
+    assert cert.replay(SUCC)
+
+
+def test_sweep_closure_classifies_no_birth_and_no_split_off_type_2(monkeypatch, catalog):
+    seen, classify = [], moves._classify
+
+    def recorded(t, rw):
+        seen.append((t, rw))
+        return classify(t, rw)
+
+    monkeypatch.setattr(moves, "_classify", recorded)
+    table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, SUCC, catalog)
+    assert len(table) == 126 and seen
+    assert not [rw for _, rw in seen if isinstance(rw, moves.AddEmpty)]
+    assert not [
+        rw for t, rw in seen if isinstance(rw, SPLITS) and t.scheme.curve_type is not CurveType.TWO
+    ]
 
 
 # ------------------------------------------------------------------ sweep
