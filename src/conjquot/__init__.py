@@ -47,7 +47,6 @@ from .fourman import (
     StandardSurfaceForm,
     branch_cover_word,
     double_plane_invariants,
-    general_cover_invariants,
     k3_classify,
     parse_word,
     predict_standard_form,

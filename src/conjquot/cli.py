@@ -43,6 +43,13 @@ def _tracked(code: str, degree: int, side: str) -> TrackedScheme:
     return TrackedScheme(parse_viro(code), degree, outer_tracked=(side == "-"))
 
 
+def _start(code: str, degree: int, side: str) -> TrackedScheme:
+    """A state that moves start from: some curve of the degree has it."""
+    t = _tracked(code, degree, side)
+    fourman.require_curve(t)
+    return t
+
+
 def _load_catalog(path: str | None) -> tuple[schemes.SchemeCatalogEntry, ...]:
     if path is None:
         return schemes.default_catalog()
@@ -101,7 +108,7 @@ def cmd_domains_invariants(args) -> int:
 
 
 def cmd_moves_enumerate(args) -> int:
-    t = _tracked(args.code, args.degree, args.side)
+    t = _start(args.code, args.degree, args.side)
     recs = [
         {**m.record(), "result": schemes.format_viro(m.successor.scheme)}
         for m in moves.enumerate_moves(t)
@@ -115,7 +122,7 @@ def _run_moves(args) -> tuple[list[TrackedScheme], list[moves.MoveRecord]]:
     states visited (start first) and the moves made."""
     with open(args.moves, encoding="utf-8") as fh:
         recs = [json.loads(ln) for ln in fh if ln.strip()]
-    states = [_tracked(args.code, args.degree, args.side)]
+    states = [_start(args.code, args.degree, args.side)]
     made = []
     for rec in recs:
         if isinstance(rec, dict) and "rewrite" in rec:  # a full move record
@@ -148,7 +155,7 @@ def cmd_moves_trace(args) -> int:
 
 def cmd_search_derive(args) -> int:
     rel = propagation.RELATIONS[args.relation]
-    src = _tracked(args.source, args.degree, args.side)
+    src = _start(args.source, args.degree, args.side)
     dst = _tracked(args.target, args.degree, args.target_side or args.side)
     cert = propagation.relation_search(src, dst, rel, args.max_steps)
     if cert is None:

@@ -20,12 +20,12 @@ for the imaginary pairs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .domains import Path, iter_ovals
 from .fourman import FourManifoldWord, word
-from .schemes import CurveType, Oval, RealScheme, format_viro
+from .schemes import MAX_OVALS, CurveType, Oval, RealScheme, format_viro
 
 PSEUDOLINE = "pseudoline"
 
@@ -98,6 +98,11 @@ class PerturbResult:
         }
 
 
+def _require_codable(kind: str, ovals: int) -> None:
+    if ovals > MAX_OVALS:
+        raise ConstructionError(f"the {kind}-curve has {ovals} ovals, more than {MAX_OVALS}")
+
+
 def perturb_v(b: BaseCurveSpec) -> PerturbResult:
     """The v-curve: d disjoint empty ovals around the basepoints.
 
@@ -108,6 +113,7 @@ def perturb_v(b: BaseCurveSpec) -> PerturbResult:
         raise ConstructionError(
             f"basepoints total {b.total_basepoints}, expected d = {b.d}"
         )
+    _require_codable("v", b.d)
     scheme = RealScheme(tuple(Oval() for _ in range(b.d)), False, CurveType.ONE)
     return PerturbResult(
         scheme,
@@ -131,6 +137,10 @@ def perturb_u(b: BaseCurveSpec) -> PerturbResult:
         raise ConstructionError(
             f"basepoints total {b.total_basepoints}, expected d = {b.d}"
         )
+    # Every basepoint becomes a bead, every unmarked oval a nested pair.
+    marked = sum(1 for key, n in b.basepoints if key != PSEUDOLINE and n)
+    lone_pseudoline = b.scheme.pseudoline and not b.count_at(PSEUDOLINE)
+    _require_codable("u", b.d + 2 * (b.scheme.oval_count - marked) + lone_pseudoline)
 
     def transform(path: Path, oval: Oval) -> list[Oval]:
         r = b.count_at(path)
@@ -285,13 +295,6 @@ def fibered_quotient(f: FiberedSpec) -> FiberedResult:
     )
 
 
-def rational_fiber_surgery_note(real_part_empty: bool) -> str:
-    """Effect of a type-1 surgery on a rational fiber."""
-    if real_part_empty:
-        return "replaces fiber x D2 by (RP3 - D3) x S1"
-    return "index-2 surgery along the fiber"
-
-
 @dataclass(frozen=True)
 class ImaginaryImageStatement:
     embedded: bool
@@ -300,12 +303,7 @@ class ImaginaryImageStatement:
     note: str
 
     def record(self) -> dict:
-        return {
-            "embedded": self.embedded,
-            "bounds_handlebody": self.bounds_handlebody,
-            "standard": self.standard,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def imaginary_curve_image(

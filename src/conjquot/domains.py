@@ -49,10 +49,6 @@ class Side(Enum):
     TRACKED = "tracked"
     NONTRACKED = "nontracked"
 
-    @property
-    def other(self) -> "Side":
-        return Side.NONTRACKED if self is Side.TRACKED else Side.TRACKED
-
 
 class Orientability(Enum):
     ORIENTABLE = "orientable"
@@ -180,12 +176,6 @@ class SurfaceDescriptor:
         if self.orientability is not Orientability.ORIENTABLE or self.components != 1:
             raise ValueError("genus is defined for connected orientable surfaces")
         return (2 - self.euler) // 2
-
-    @property
-    def crosscaps(self) -> int:
-        if self.orientability is not Orientability.NON_ORIENTABLE or self.components != 1:
-            raise ValueError("crosscap count is defined for connected non-orientable surfaces")
-        return 2 - self.euler
 
     def record(self) -> dict:
         rec = {

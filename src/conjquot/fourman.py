@@ -21,8 +21,7 @@ chi(X) = 24 and sigma(X) = -16, the K3 lattice (3, 19).
 
 from __future__ import annotations
 
-
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .domains import (
     Orientability,
@@ -164,29 +163,23 @@ class DoublePlaneInvariants:
     sigma_Y: int
     chi_Y: int
 
-    @property
-    def pg(self) -> int:
-        """Geometric genus of the cover equals b2+ of the quotient."""
-        return self.b2plus_Y
-
     def record(self) -> dict:
-        return {
-            "chi_X": self.chi_X,
-            "sigma_X": self.sigma_X,
-            "b2plus_X": self.b2plus_X,
-            "b2minus_X": self.b2minus_X,
-            "chi_XR": self.chi_XR,
-            "b2plus_Y": self.b2plus_Y,
-            "b2minus_Y": self.b2minus_Y,
-            "sigma_Y": self.sigma_Y,
-            "chi_Y": self.chi_Y,
-        }
+        return asdict(self)
 
 
 def _half(n: int, what: str) -> int:
     if n % 2:
         raise WordError(f"{what} must be even, got {n}")
     return n // 2
+
+
+def require_curve(t: TrackedScheme) -> None:
+    """Raise WordError when no curve of the degree has this many ovals."""
+    bound = harnack_bound(t.degree)
+    if t.scheme.oval_count > bound:
+        raise WordError(
+            f"{t.scheme.oval_count} ovals exceed the Harnack bound {bound} of degree {t.degree}"
+        )
 
 
 def double_plane_invariants(t: TrackedScheme) -> DoublePlaneInvariants:
@@ -198,11 +191,7 @@ def double_plane_invariants(t: TrackedScheme) -> DoublePlaneInvariants:
     A scheme with more ovals than the Harnack bound of its degree has no
     curve, and raises too.
     """
-    bound = harnack_bound(t.degree)
-    if t.scheme.oval_count > bound:
-        raise WordError(
-            f"{t.scheme.oval_count} ovals exceed the Harnack bound {bound} of degree {t.degree}"
-        )
+    require_curve(t)
     k = t.half_degree
     chi_a = curve_euler(t.degree)
     chi_x = 2 * 3 - chi_a
@@ -226,53 +215,6 @@ def double_plane_invariants(t: TrackedScheme) -> DoublePlaneInvariants:
     if inv.b2plus_Y - inv.b2minus_Y != inv.sigma_Y:
         raise WordError("Betti/signature bookkeeping failed")
     return inv
-
-
-@dataclass(frozen=True)
-class AmbientInvariants:
-    """Betti data of a simply-connected-like ambient surface (b1 = 0)."""
-
-    b2plus: int
-    b2minus: int
-    sigma: int
-    chi: int
-
-    def __post_init__(self):
-        if self.sigma != self.b2plus - self.b2minus:
-            raise WordError("sigma must equal b2+ - b2-")
-        if self.chi != 2 + self.b2plus + self.b2minus:
-            raise WordError("chi must equal 2 + b2 (b1 = 0 ambient data)")
-
-
-@dataclass(frozen=True)
-class BranchClassData:
-    """The half-class of the branch curve: self-intersection and pairing
-    with the canonical class."""
-
-    self_int: int
-    k_dot_b: int
-
-
-def general_cover_invariants(
-    ambient: AmbientInvariants, branch: BranchClassData, chi_xr: int
-) -> tuple[int, int]:
-    """(b2+, b2-) of a double-cover quotient over a general ambient.
-
-    Computed twice, through the adjunction form chi(B) = -(B+K).B and
-    through the intersection form directly; a mismatch or an odd half
-    raises.
-    """
-    d, kb = branch.self_int, branch.k_dot_b
-    chi_b = -(d + kb)
-    b2plus_via_chi = ambient.b2plus - _half(chi_b, "chi(B)")
-    b2plus_via_int = ambient.b2plus + _half(d + kb, "(B+K).B")
-    if b2plus_via_chi != b2plus_via_int:
-        raise WordError("the two b2+ expressions disagree")
-    b2minus_via_chi = ambient.b2minus + _half(-chi_b + chi_xr, "-chi(B) + chi(XR)") + d
-    b2minus_via_int = ambient.b2minus + _half(3 * d + kb, "(3B+K).B") + _half(chi_xr, "chi(XR)")
-    if b2minus_via_chi != b2minus_via_int:
-        raise WordError("the two b2- expressions disagree")
-    return b2plus_via_int, b2minus_via_int
 
 
 # -------------------------------------------------- standard-form algebra
@@ -299,16 +241,6 @@ class StandardSurfaceForm:
     @property
     def euler(self) -> int:
         return 2 - 2 * self.tori - self.rp2 - self.rp2bar
-
-    def record(self) -> dict:
-        return {
-            "orientable": self.orientable,
-            "tori": self.tori,
-            "rp2": self.rp2,
-            "rp2bar": self.rp2bar,
-            "components": self.components,
-            "note": self.note,
-        }
 
 
 class FormError(ValueError):

@@ -44,7 +44,7 @@ may ask for some classes only, or no splits; the rest are never built.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import ClassVar, Iterable, Sequence
 
@@ -516,11 +516,7 @@ class EffectRecord:
     xr_effect: str
 
     def record(self) -> dict:
-        return {
-            "arnold_effect": self.arnold_effect,
-            "y_effect": self.y_effect,
-            "xr_effect": self.xr_effect,
-        }
+        return asdict(self)
 
 
 _BLOW_UP = EffectRecord("# RP2bar (real blow-up)", "# CP2bar (blow-up)", "Morse index 2")
@@ -563,11 +559,7 @@ class LogTransformEvent:
     note: ClassVar[str] = "log transform multiplicity 2 along torus component of X_R"
 
     def record(self) -> dict:
-        return {
-            "fuse_step": self.fuse_step,
-            "delete_step": self.delete_step,
-            "note": self.note,
-        }
+        return {**asdict(self), "note": self.note}
 
 
 def _transport(

@@ -416,7 +416,12 @@ def propagate(
 class Declared:
     """The inputs a fact closure trusts: seed facts and axiom edges.  A
     fact path names states by label and addresses ovals in the seeds' and
-    the edge targets' own stored forests."""
+    the edge targets' own stored forests.
+
+    The replay memo holds one entry per distinct path prefix verified
+    against the declaration, kept as long as the declaration lives: for
+    the whole process on :data:`SWEEP_DECLARED`, and bounded by its file
+    for a declaration read from one seed file."""
 
     seeds: tuple[Fact, ...]
     axiom_edges: tuple[tuple[TrackedScheme, TrackedScheme], ...] = ()

@@ -167,6 +167,25 @@ def test_search_derive_target_past_the_oval_bound_is_not_searched(capsys):
     assert records(out) == [{"found": False, "note": "not found <= 64 steps"}]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moves", "enumerate", "<12>"],
+        ["moves", "apply", "<12>", "MOVES"],
+        ["moves", "trace", "<12>", "MOVES"],
+        ["search", "derive", "<12>", "<0>"],
+    ],
+)
+def test_start_state_past_the_harnack_bound_exit(tmp_path, capsys, argv):
+    # No sextic has 12 ovals, so no move starts from <12>.
+    seq = tmp_path / "moves.jsonl"
+    seq.write_text(json.dumps({"kind": "delete_empty", "oval": "0"}) + "\n")
+    assert main([str(seq) if a == "MOVES" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == "error: 12 ovals exceed the Harnack bound 11 of degree 6\n"
+
+
 def test_search_derive_across_sides_is_not_searched(capsys):
     # No move changes the tracked side, so no path leads from + to -.
     start = time.perf_counter()
@@ -322,6 +341,8 @@ def test_construct_u_basepoints_named_twice_exit(capsys):
         (["imaginary", "--base-degree", "3", "--real-intersections", "10"], "0 to 9 real points, not 10"),
         (["v", "<1>", "--base-degree", "-2"], "degree >= 1, got -2"),
         (["u", "<1>", "--base-degree", "0"], "degree >= 1, got 0"),
+        (["v", "<1>", "--base-degree", "180"], "32400 ovals, more than 32386"),
+        (["u", "<1>", "--base-degree", "180", "--basepoints", "0:32400"], "32400 ovals, more than 32386"),
     ],
 )
 def test_construct_impossible_degree_exit(capsys, argv, message):

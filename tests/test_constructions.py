@@ -190,13 +190,6 @@ def test_fibered_multiplicity_list_grows():
     assert res.y_plus.result == "E(2)_3,0"
 
 
-def test_rational_fiber_surgery_notes():
-    from conjquot.constructions import rational_fiber_surgery_note
-
-    assert rational_fiber_surgery_note(True) == "replaces fiber x D2 by (RP3 - D3) x S1"
-    assert "index-2" in rational_fiber_surgery_note(False)
-
-
 def test_fibered_validates_inputs():
     with pytest.raises(ConstructionError):
         fibered_quotient(elliptic(""))

@@ -201,4 +201,3 @@ def test_surface_descriptor_invariants():
         SurfaceDescriptor(3, Orientability.ORIENTABLE)
     with pytest.raises(ValueError):
         SurfaceDescriptor(2, Orientability.NON_ORIENTABLE)
-    assert SurfaceDescriptor(0, Orientability.NON_ORIENTABLE).crosscaps == 2

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conjquot.domains import (
     Orientability,
@@ -12,14 +10,11 @@ from conjquot.domains import (
 from conjquot.fourman import (
     CP2,
     S4,
-    AmbientInvariants,
-    BranchClassData,
     FormError,
     FourManifoldWord,
     WordError,
     branch_cover_word,
     double_plane_invariants,
-    general_cover_invariants,
     k3_classify,
     parse_word,
     predict_standard_form,
@@ -99,7 +94,6 @@ def test_quartic_and_conic_covers():
     assert (conic.b2plus_Y, conic.b2minus_Y) == (0, 0)
     quartic = double_plane_invariants(tracked("<4>", degree=4))
     assert quartic.b2plus_Y == 0  # rational cover, zero geometric genus
-    assert quartic.pg == quartic.b2plus_Y
 
 
 def test_betti_euler_identity_on_catalog(catalog):
@@ -111,47 +105,6 @@ def test_betti_euler_identity_on_catalog(catalog):
             inv = double_plane_invariants(t)
             chi_a = arnold_descriptor(t).euler
             assert inv.b2plus_Y + inv.b2minus_Y == 2 - chi_a
-
-
-# ------------------------------------------------------ general ambients
-
-
-def test_general_cover_plane_cubic():
-    plane = AmbientInvariants(1, 0, 1, 3)
-    assert general_cover_invariants(plane, BranchClassData(9, -9), -16) == (1, 1)
-
-
-def test_general_cover_plane_line():
-    plane = AmbientInvariants(1, 0, 1, 3)
-    assert general_cover_invariants(plane, BranchClassData(1, -3), 0) == (0, 0)
-
-
-def test_general_cover_quadric_bidegree22():
-    quadric = AmbientInvariants(1, 1, 0, 4)
-    assert general_cover_invariants(quadric, BranchClassData(8, -8), 16) == (1, 17)
-
-
-def test_general_cover_parity_error():
-    plane = AmbientInvariants(1, 0, 1, 3)
-    with pytest.raises(WordError):
-        general_cover_invariants(plane, BranchClassData(2, -3), 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 20),
-    st.integers(0, 40),
-    st.integers(0, 6),
-    st.integers(-20, 20),
-    st.integers(-20, 20),
-)
-def test_general_cover_two_forms_agree(b2p, b2m, g, d, chi_half):
-    # adjunction-consistent branch data: chi(B) = 2 - 2g, K.B = -d - chi(B)
-    chi_b = 2 - 2 * g
-    kb = -d - chi_b
-    ambient = AmbientInvariants(b2p, b2m, b2p - b2m, 2 + b2p + b2m)
-    out = general_cover_invariants(ambient, BranchClassData(d, kb), 2 * chi_half)
-    assert out[0] == b2p - chi_b // 2
 
 
 # ------------------------------------------------------- standard forms
