@@ -220,6 +220,8 @@ class FiberedSpec:
     def __post_init__(self):
         if self.imaginary_pairs < 0:
             raise ConstructionError("imaginary pair count must be >= 0")
+        if self.r + self.s > MAX_OVALS:  # one printed surgery per fiber
+            raise ConstructionError(f"{self.r + self.s} fibers, more than {MAX_OVALS}")
         if self.elliptic_name is not None and self.fiber_genus != 1:
             raise ConstructionError("a named elliptic surface has fiber genus 1")
 

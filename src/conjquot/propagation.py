@@ -33,8 +33,9 @@ from a type-2 state, so no move is built to be dropped.
 
 Facts always carry a replayable path: a chain of move records and axiom
 edges back to a seed.  One step check serves search certificates and
-fact paths; a fact's path must end on its typed state (forest, dividing
-type and side), so a fact does not replay after its side or type changes.
+fact paths, with the one type rule that :func:`propagate` closes under;
+a fact's path must end on its typed state (forest, dividing type and
+side), so a fact does not replay after its side or type changes.
 A fact's path is its parent's plus one step, so fact replay resumes
 after the longest prefix its declaration has verified (the declaration
 holds the states reached, never a verdict): one step check per fact.
@@ -52,7 +53,6 @@ from . import fourman
 from .domains import Orientability, Side, TrackedScheme, arnold_descriptor, euler_W
 from .moves import (
     DECREASING,
-    FUSIONS,
     SPLITS,
     Classification,
     MoveError,
@@ -136,37 +136,36 @@ def parse_state_label(label: str, degree: int) -> TrackedScheme:
 # ------------------------------------------------------------- certificates
 
 
+def _lands_on(after: TrackedScheme, curve_type: CurveType) -> bool:
+    """Whether a move's successor, of type 2 after a fusion and of unknown
+    type otherwise, may be read as a state of ``curve_type``."""
+    return after.scheme.curve_type in (CurveType.UNKNOWN, curve_type)
+
+
 def _step(
     state: TrackedScheme,
-    chi: int,
     m: MoveRecord | None,
     expected: TrackedScheme,
     rel: RelationSpec,
-) -> tuple[TrackedScheme, int] | None:
-    """Check one replay step from ``state``, of tracked Euler characteristic
-    ``chi``; a None move is a trusted axiom edge to ``expected``.  A move
-    must be in ``rel``, apply, reach the expected forest and side with a
-    compatible type (a fusion lands on type 2) and, along SUCC, strictly
-    drop the tracked Euler characteristic.  Returns the state reached,
-    typed as expected, and its chi, or None if a check fails."""
+) -> TrackedScheme | None:
+    """Check one replay step from ``state``; a None move is a trusted axiom
+    edge to ``expected``.  A move must be in ``rel``, apply (which checks the
+    record's class and Euler characteristic change on both forests), and
+    reach the expected forest and side, landing on its type.  Returns the
+    state reached, typed as expected, or None if a check fails."""
     if m is None:
-        return expected, euler_W(expected, Side.TRACKED)
+        return expected
     if m.classification not in rel.allowed:
         return None
     try:
-        after = apply(state, m)  # checks the record's delta_chi on both forests
+        after = apply(state, m)
     except MoveError:
         return None
     curve_type = expected.scheme.curve_type
-    if state_key(after) != state_key(expected) or after.scheme.curve_type not in (
-        CurveType.UNKNOWN, curve_type
-    ):
-        return None
-    if rel is SUCC and m.delta_chi_tracked >= 0:
+    if state_key(after) != state_key(expected) or not _lands_on(after, curve_type):
         return None
     # Keep the stored forest: later steps address ovals by index paths.
-    typed = TrackedScheme(after.scheme.with_type(curve_type), after.degree, after.outer_tracked)
-    return typed, chi + m.delta_chi_tracked
+    return TrackedScheme(after.scheme.with_type(curve_type), after.degree, after.outer_tracked)
 
 
 @dataclass(frozen=True)
@@ -180,12 +179,10 @@ class Certificate:
         state = self.states[0]
         if state_key(state) != state_key(self.source) or len(self.states) != len(self.moves) + 1:
             return False
-        chi = euler_W(state, Side.TRACKED)
         for m, expected in zip(self.moves, self.states[1:]):
-            reached = _step(state, chi, m, expected, rel)
-            if reached is None:
+            state = _step(state, m, expected, rel)
+            if state is None:
                 return False
-            state, chi = reached
         return state_key(state) == state_key(self.target)
 
     def records(self) -> list[dict]:
@@ -366,12 +363,16 @@ def propagate(
     table = FactTable()
     work: deque[Fact] = deque()
     for fact in seeds:
-        if typed_key(fact.state) not in keys:
-            raise ValueError(f"seed {state_label(fact.state)} is not in the universe")
+        if fact.state.degree != degree or typed_key(fact.state) not in keys:
+            raise ValueError(f"seed {state_label(fact.state)} is not in the degree-{degree} universe")
         if table.add(fact):
             work.append(fact)
     axioms: dict[tuple[str, str, bool], list[TrackedScheme]] = {}
     for src, dst in axiom_edges:
+        if src.degree != degree or dst.degree != degree:
+            raise ValueError(
+                f"axiom edge {state_label(src)} -> {state_label(dst)} is not of degree {degree}"
+            )
         axioms.setdefault(typed_key(src), []).append(dst)
 
     def extend(dst: TrackedScheme, provenance: str, head: dict) -> None:
@@ -391,15 +392,9 @@ def propagate(
         for m in enumerate_moves(state, rel.allowed, splits=splits):
             after = m.successor
             fk = forest_key(after.scheme)
-            if isinstance(m.rewrite, FUSIONS):
-                target_types: Iterable[CurveType] = (CurveType.TWO,)
-            else:
-                target_types = sorted(
-                    types_by_forest.get(fk, ()), key=lambda c: c.value
-                )
-            for ct in target_types:
-                key = (fk, ct.value, after.outer_tracked)
-                if key not in keys or (fact.predicate.value, *key) in table.facts:
+            for ct in sorted(types_by_forest.get(fk, ()), key=lambda c: c.value):
+                key = (fact.predicate.value, fk, ct.value, after.outer_tracked)
+                if not _lands_on(after, ct) or key in table.facts:
                     continue
                 target = TrackedScheme(
                     after.scheme.with_type(ct), degree, after.outer_tracked
@@ -428,9 +423,9 @@ class Declared:
     # The seeds' fact keys with provenance, the seed states by (predicate,
     # label) and the edge targets by (typed key of the source, label).
     _index: tuple = field(init=False, repr=False, compare=False)
-    # The state and tracked chi each prefix verified by replay_fact reaches,
-    # by (relation, predicate, degree), then (((start,), repr(step 0)), ...):
-    # the repr of a step of JSON values pins their content, types and order.
+    # The state each prefix verified by replay_fact reaches, by (relation,
+    # predicate, degree), then (((start,), repr(step 0)), ...): the repr of
+    # a step of JSON values pins their content, types and order.
     _reached: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -482,10 +477,11 @@ SWEEP_DECLARED = Declared(
 def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP_DECLARED) -> bool:
     """Re-run a fact's path with the one step check against ``declared``.
     The path must start at a seed of the fact's predicate, on its stored
-    forest; each step must start where the last one ended; a split must
-    start from a type-2 state; an axiom step must be a declared edge from
-    the state reached, and lands on the edge's own target; and the path
-    must end on the fact's typed state (forest, dividing type and side).
+    forest; each step must start where the last one ended and be a
+    ``"move"`` or an ``"axiom"`` edge; a move must pass :func:`_step`, and a
+    split must start from a type-2 state; an axiom step must be a declared
+    edge from the state reached, and lands on the edge's own target; and the
+    path must end on the fact's typed state (forest, dividing type and side).
     A pathless fact must be a seed, with its provenance.  A malformed or
     non-applying path gives False, never an error.
 
@@ -501,15 +497,12 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP
         memo = declared._reached.setdefault((rel, fact.predicate, degree), {})
         label = fact.path[0]["from"]
         key = (label,)
-        if key not in memo:
-            start = starts[(fact.predicate, label)]  # a KeyError if not a declared seed
-            memo[key] = start, euler_W(start, Side.TRACKED)
-        state, chi = memo[key]
+        state = starts[(fact.predicate, label)]  # a KeyError if not a declared seed
         for step in fact.path:
             key = key, repr(step)
             reached = memo.get(key)
             if reached is None:
-                if step["from"] != label:
+                if step["from"] != label or step["edge"] not in ("axiom", "move"):
                     return False
                 if step["edge"] == "axiom":
                     m, expected = None, targets.get((typed_key(state), step["to"]))
@@ -520,11 +513,11 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP
                     if isinstance(m.rewrite, SPLITS) and state.scheme.curve_type is not CurveType.TWO:
                         return False
                     expected = parse_state_label(step["to"], degree)
-                reached = _step(state, chi, m, expected, rel)
+                reached = _step(state, m, expected, rel)
                 if reached is None:
                     return False
                 memo[key] = reached
-            state, chi = reached
+            state = reached
             label = step["to"]
     except (KeyError, TypeError, ValueError):
         return False

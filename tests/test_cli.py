@@ -242,6 +242,22 @@ def test_facts_propagate_bad_seed_line_exit(tmp_path, capsys, line):
     assert err.startswith("error: seed line 2:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        {"scheme": "<10>_2", "side": "+"},
+        {"edge": "axiom", "from": "<9>_2+", "to": "<1<8>>_1-"},
+    ],
+)
+def test_facts_propagate_degree_other_than_the_catalog_exit(tmp_path, capsys, line):
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_text(json.dumps(line) + "\n")
+    assert main(["facts", "propagate", str(seeds), "--degree", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "degree" in captured.err and "Traceback" not in captured.err
+
+
 def test_facts_propagate_non_json_seed_line_exit(tmp_path, capsys):
     seeds = tmp_path / "seeds.jsonl"
     seeds.write_text(json.dumps({"scheme": "<10>_2", "side": "+"}) + "\nnot json\n")
@@ -343,6 +359,8 @@ def test_construct_u_basepoints_named_twice_exit(capsys):
         (["u", "<1>", "--base-degree", "0"], "degree >= 1, got 0"),
         (["v", "<1>", "--base-degree", "180"], "32400 ovals, more than 32386"),
         (["u", "<1>", "--base-degree", "180", "--basepoints", "0:32400"], "32400 ovals, more than 32386"),
+        # With the one default doubled fiber: one fiber past the cap.
+        (["fibered", "--imaginary-pairs", "32386"], "32387 fibers, more than 32386"),
     ],
 )
 def test_construct_impossible_degree_exit(capsys, argv, message):

@@ -13,6 +13,7 @@ from conjquot.moves import (
     SPLITS,
     Classification,
     DeleteEmpty,
+    FuseSiblings,
     MoveRecord,
     SplitSibling,
     enumerate_moves,
@@ -384,6 +385,18 @@ def test_replay_fact_rejects_forgeries_against_a_user_declaration():
     assert replays == dict.fromkeys(corpus, False)
 
 
+def test_a_fusion_lands_on_type_2_in_closure_and_in_replay():
+    # <1<2>> is reached from <2<1>> only by fusing the two outer ovals.
+    catalog = load_catalog(["<1<1> u 1<1>>\t6\t2\tt", "<1<2>>\t6\t1\tt", "<1<2>>\t6\t2\tt"])
+    declared = Declared.from_records(['{"scheme": "<1<1> u 1<1>>_2", "side": "+"}'], 6)
+    table = propagate(declared.seeds, declared.axiom_edges, SUCC, catalog)
+    marked = {state_label(f.state) for f in table.facts.values()}
+    assert marked == {"<2<1>>_2+", "<1<2>>_2+"}
+    fuse = FuseSiblings((0,), (1,))
+    assert replay_fact(_one_step_fact("<2<1>>_2", fuse, "<1<2>>_2"), SUCC, declared)
+    assert not replay_fact(_one_step_fact("<2<1>>_2", fuse, "<1<2>>_1"), SUCC, declared)
+
+
 # --------------------------------------------------------- resumed replay
 
 
@@ -501,6 +514,16 @@ def test_a_step_mutated_after_it_was_verified_is_checked_again(monkeypatch, cata
     assert replay_fact(fact, SUCC, declared) and len(calls) == 1
 
 
+@pytest.mark.parametrize("edge", ["bogus", "Move"])
+def test_a_step_of_unknown_edge_kind_fails(catalog, edge):
+    parent, child = _child_fact(list(sextic_sweep(catalog).table.facts.values()))
+    forged = _with_step(child, -1, edge=edge)
+    assert not replay_fact(forged, SUCC, _fresh())
+    warm = _fresh()
+    assert replay_fact(parent, SUCC, warm) and replay_fact(child, SUCC, warm)
+    assert not replay_fact(forged, SUCC, warm)
+
+
 def test_replaying_the_sweep_applies_each_distinct_move_step_once(monkeypatch, catalog):
     facts = list(sextic_sweep(catalog).table.facts.values())
     calls, apply = [], propagation.apply
@@ -532,6 +555,19 @@ def test_replay_never_calls_search_code(monkeypatch, catalog):
         (propagation, "propagate"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
+    declared = _fresh()
+    assert all(replay_fact(f, SUCC, declared) for f in facts)
+    assert cert.replay(SUCC)
+
+
+def test_replay_computes_no_euler_characteristic(monkeypatch, catalog):
+    facts = list(sextic_sweep(catalog).table.facts.values())
+    cert = relation_search(tracked("<10>_2"), tracked("<1<1<1>>>"), SUCC)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("replay called euler_W")
+
+    monkeypatch.setattr(propagation, "euler_W", forbidden)
     declared = _fresh()
     assert all(replay_fact(f, SUCC, declared) for f in facts)
     assert cert.replay(SUCC)
