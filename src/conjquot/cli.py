@@ -3,7 +3,9 @@
 Batch-oriented: every subcommand reads its inputs from flags or files,
 prints either an aligned table or sorted-key JSON records (one object
 per line), and exits 0 on success, 2 on validation failure (invalid
-trace input included), 3 on an unstable or untrustworthy trace.
+trace input included), 3 on an unstable or untrustworthy trace.  Each
+``cmd_*`` handler returns its records and exit code; only ``main``
+prints.
 """
 
 from __future__ import annotations
@@ -57,25 +59,20 @@ def _load_catalog(path: str | None) -> tuple[schemes.SchemeCatalogEntry, ...]:
         return schemes.load_catalog(fh)
 
 
-def cmd_scheme_parse(args) -> int:
+def cmd_scheme_parse(args) -> tuple[list[dict], int]:
     s = parse_viro(args.code)
-    _emit(
-        [
-            {
-                "code": schemes.format_viro(s),
-                "ovals": s.oval_count,
-                "depth": s.depth,
-                "pseudoline": s.pseudoline,
-                "type": s.curve_type.value,
-                "canonical_key": schemes.canonical_key(s),
-            }
-        ],
-        args.format,
-    )
-    return EXIT_OK
+    rec = {
+        "code": schemes.format_viro(s),
+        "ovals": s.oval_count,
+        "depth": s.depth,
+        "pseudoline": s.pseudoline,
+        "type": s.curve_type.value,
+        "canonical_key": schemes.canonical_key(s),
+    }
+    return [rec], EXIT_OK
 
 
-def cmd_scheme_validate(args) -> int:
+def cmd_scheme_validate(args) -> tuple[list[dict], int]:
     s = parse_viro(args.code)
     report = schemes.validate(s, args.degree)
     recs = report.records() or [{"check": "ok", "detail": "passes necessary conditions"}]
@@ -83,11 +80,10 @@ def cmd_scheme_validate(args) -> int:
         recs.append(
             {"check": "l-curve-bound", "detail": "oval count blocks the line-perturbation tag"}
         )
-    _emit(recs, args.format)
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    return recs, EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def cmd_domains_invariants(args) -> int:
+def cmd_domains_invariants(args) -> tuple[list[dict], int]:
     t = _tracked(args.code, args.degree, args.side)
     arl = domains.arnold_descriptor(t)
     summary = {
@@ -100,21 +96,15 @@ def cmd_domains_invariants(args) -> int:
         "arnold": arl.record(),
         "double_plane": fourman.double_plane_invariants(t).record(),
     }
-    if args.regions:
-        _emit([r.record() for r in domains.regions(t)], args.format)
-    else:
-        _emit([summary], args.format)
-    return EXIT_OK
+    return ([r.record() for r in domains.regions(t)] if args.regions else [summary]), EXIT_OK
 
 
-def cmd_moves_enumerate(args) -> int:
+def cmd_moves_enumerate(args) -> tuple[list[dict], int]:
     t = _start(args.code, args.degree, args.side)
-    recs = [
+    return [
         {**m.record(), "result": schemes.format_viro(m.successor.scheme)}
         for m in moves.enumerate_moves(t)
-    ]
-    _emit(recs, args.format)
-    return EXIT_OK
+    ], EXIT_OK
 
 
 def _run_moves(args) -> tuple[list[TrackedScheme], list[moves.MoveRecord]]:
@@ -134,63 +124,49 @@ def _run_moves(args) -> tuple[list[TrackedScheme], list[moves.MoveRecord]]:
     return states, made
 
 
-def cmd_moves_apply(args) -> int:
+def cmd_moves_apply(args) -> tuple[list[dict], int]:
     states, made = _run_moves(args)
-    out = [
+    return [
         {"scheme": schemes.format_viro(s.scheme), **m.record()}
         for s, m in zip(states[1:], made)
-    ]
-    _emit(out, args.format)
-    return EXIT_OK
+    ], EXIT_OK
 
 
-def cmd_moves_trace(args) -> int:
+def cmd_moves_trace(args) -> tuple[list[dict], int]:
     states, made = _run_moves(args)
     records = moves.trace_records(states[0], made)
     for ev in moves.detect_log_transform(list(zip(states, made))):
         records.append({"event": "log_transform", **ev.record()})
-    _emit(records, args.format)
-    return EXIT_OK
+    return records, EXIT_OK
 
 
-def cmd_search_derive(args) -> int:
+def cmd_search_derive(args) -> tuple[list[dict], int]:
     rel = propagation.RELATIONS[args.relation]
     src = _start(args.source, args.degree, args.side)
     dst = _tracked(args.target, args.degree, args.target_side or args.side)
     cert = propagation.relation_search(src, dst, rel, args.max_steps)
     if cert is None:
-        _emit(
-            [{"found": False, "note": f"not found <= {args.max_steps} steps"}],
-            args.format,
-        )
-        return EXIT_OK
-    _emit(cert.records() or [{"found": True, "steps": 0}], args.format)
-    return EXIT_OK
+        return [{"found": False, "note": f"not found <= {args.max_steps} steps"}], EXIT_OK
+    return cert.records() or [{"found": True, "steps": 0}], EXIT_OK
 
 
-def cmd_facts_propagate(args) -> int:
+def cmd_facts_propagate(args) -> tuple[list[dict], int]:
     catalog = _load_catalog(args.catalog)
     rel = propagation.RELATIONS[args.relation]
     with open(args.seeds, encoding="utf-8") as fh:
         declared = propagation.Declared.from_records(fh, args.degree)
     table = propagation.propagate(declared.seeds, declared.axiom_edges, rel, catalog)
-    _emit(table.records(), args.format)
-    return EXIT_OK
+    return table.records(), EXIT_OK
 
 
-def cmd_sweep_sextics(args) -> int:
-    catalog = _load_catalog(args.catalog)
-    report = propagation.sextic_sweep(catalog)
-    recs = report.records()
-    recs.append(
-        {
-            "summary": "exceptions",
-            "minus_side": sorted(report.minus_exceptions),
-            "plus_side": sorted(report.plus_exceptions),
-        }
-    )
-    _emit(recs, args.format)
-    return EXIT_OK
+def cmd_sweep_sextics(args) -> tuple[list[dict], int]:
+    report = propagation.sextic_sweep(_load_catalog(args.catalog))
+    exceptions = {
+        "summary": "exceptions",
+        "minus_side": sorted(report.minus_exceptions),
+        "plus_side": sorted(report.plus_exceptions),
+    }
+    return [*report.records(), exceptions], EXIT_OK
 
 
 # Smith-Thom: b*(X_R) <= b*(K3) = 24, and each component adds at least 2.
@@ -223,65 +199,59 @@ def _parse_xr(text: str):
     ]
 
 
-def cmd_k3_classify(args) -> int:
-    xr = _parse_xr(args.xr)
-    word = fourman.k3_classify(xr, class_vanishes=args.class_vanishes)
-    _emit([{"xr": args.xr, "quotient": str(word)}], args.format)
-    return EXIT_OK
+def cmd_k3_classify(args) -> tuple[list[dict], int]:
+    word = fourman.k3_classify(_parse_xr(args.xr), class_vanishes=args.class_vanishes)
+    return [{"xr": args.xr, "quotient": str(word)}], EXIT_OK
 
 
-def cmd_construct(args) -> int:
-    if args.what == "v":
-        spec = constructions.BaseCurveSpec(
-            parse_viro(args.base), args.base_degree,
-            {constructions.PSEUDOLINE: args.base_degree ** 2}
-            if args.on_pseudoline
-            else {(0,): args.base_degree ** 2} if parse_viro(args.base).roots else {},
-        )
-        res = constructions.perturb_v(spec)
-        _emit([res.record()], args.format)
-        return EXIT_OK
-    if args.what == "u":
-        base = parse_viro(args.base)
-        points: dict = {}
-        if args.basepoints:
-            for item in args.basepoints.split(","):
-                key, _, count = item.partition(":")
-                component = constructions.PSEUDOLINE if key == "J" else domains.parse_path(key)
-                if component in points:
-                    raise ValueError(f"--basepoints names component {key!r} twice")
-                points[component] = int(count)
-        spec = constructions.BaseCurveSpec(base, args.base_degree, points)
-        res = constructions.perturb_u(spec)
-        _emit([res.record()], args.format)
-        return EXIT_OK
-    if args.what == "fibered":
-        types = tuple(
-            CurveType(t) for t in (args.double_fiber_types.split(",") if args.double_fiber_types else [])
-        )
-        spec = constructions.FiberedSpec(
-            quotient_q=fourman.parse_word(args.quotient),
-            fiber_genus=args.fiber_genus,
-            double_fiber_types=types,
-            imaginary_pairs=args.imaginary_pairs,
-            elliptic_name=args.elliptic_name,
-        )
-        res = constructions.fibered_quotient(spec)
-        _emit(
-            [{"y_minus": str(res.y_minus), "y_plus": res.y_plus.record()}],
-            args.format,
-        )
-        return EXIT_OK
-    if args.what == "imaginary":
-        stmt = constructions.imaginary_curve_image(
-            args.base_degree, args.real_intersections, not args.not_simply_connected
-        )
-        _emit([stmt.record()], args.format)
-        return EXIT_OK
-    raise ValueError(args.what)
+def cmd_construct_v(args) -> tuple[list[dict], int]:
+    base = parse_viro(args.base)
+    count = args.base_degree ** 2
+    points = (
+        {constructions.PSEUDOLINE: count} if args.on_pseudoline
+        else {(0,): count} if base.roots else {}
+    )
+    res = constructions.perturb_v(constructions.BaseCurveSpec(base, args.base_degree, points))
+    return [res.record()], EXIT_OK
 
 
-def cmd_trace_poly(args) -> int:
+def cmd_construct_u(args) -> tuple[list[dict], int]:
+    base = parse_viro(args.base)
+    points: dict = {}
+    if args.basepoints:
+        for item in args.basepoints.split(","):
+            key, _, count = item.partition(":")
+            component = constructions.PSEUDOLINE if key == "J" else domains.parse_path(key)
+            if component in points:
+                raise ValueError(f"--basepoints names component {key!r} twice")
+            points[component] = int(count)
+    res = constructions.perturb_u(constructions.BaseCurveSpec(base, args.base_degree, points))
+    return [res.record()], EXIT_OK
+
+
+def cmd_construct_fibered(args) -> tuple[list[dict], int]:
+    types = tuple(
+        CurveType(t) for t in (args.double_fiber_types.split(",") if args.double_fiber_types else [])
+    )
+    spec = constructions.FiberedSpec(
+        quotient_q=fourman.parse_word(args.quotient),
+        fiber_genus=args.fiber_genus,
+        double_fiber_types=types,
+        imaginary_pairs=args.imaginary_pairs,
+        elliptic_name=args.elliptic_name,
+    )
+    res = constructions.fibered_quotient(spec)
+    return [{"y_minus": str(res.y_minus), "y_plus": res.y_plus.record()}], EXIT_OK
+
+
+def cmd_construct_imaginary(args) -> tuple[list[dict], int]:
+    stmt = constructions.imaginary_curve_image(
+        args.base_degree, args.real_intersections, not args.not_simply_connected
+    )
+    return [stmt.record()], EXIT_OK
+
+
+def cmd_trace_poly(args) -> tuple[list[dict], int]:
     from . import tracer
 
     if args.file:
@@ -290,11 +260,10 @@ def cmd_trace_poly(args) -> int:
     else:
         spec = tracer.PolySpec.from_text(args.poly.replace(";", "\n"))
     result = tracer.trace_scheme(spec, tracer.GridConfig(args.grid, args.grid_cap))
-    _emit([result.record()], args.format)
-    return EXIT_OK if result.stable else EXIT_UNSTABLE
+    return [result.record()], EXIT_OK if result.stable else EXIT_UNSTABLE
 
 
-def cmd_trace_lcurve(args) -> int:
+def cmd_trace_lcurve(args) -> tuple[list[dict], int]:
     from . import tracer
 
     lines = []
@@ -311,10 +280,8 @@ def cmd_trace_lcurve(args) -> int:
             lines, g, epsilon=args.epsilon, grid=tracer.GridConfig(args.grid, args.grid_cap)
         )
     except (tracer.UnstableTraceError, tracer.TracerInternalError) as err:
-        _emit([{"error": str(err)}], args.format)
-        return EXIT_UNSTABLE
-    _emit([result.record()], args.format)
-    return EXIT_OK
+        return [{"error": str(err)}], EXIT_UNSTABLE
+    return [result.record()], EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     common(p)
     p.add_argument("--target-side", choices=("+", "-"), default=None)
-    p.add_argument("--relation", choices=("succ", "rhd"), default="succ")
+    p.add_argument("--relation", choices=tuple(propagation.RELATIONS), default="succ")
     p.add_argument("--max-steps", type=int, default=64)
     p.set_defaults(func=cmd_search_derive)
 
@@ -374,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = facts.add_parser("propagate", parents=[fmt])
     p.add_argument("seeds", help="JSON-lines of seed facts and axiom edges")
     common(p, side=False)
-    p.add_argument("--relation", choices=("succ", "rhd"), default="succ")
+    p.add_argument("--relation", choices=tuple(propagation.RELATIONS), default="succ")
     p.add_argument("--catalog", default=None)
     p.set_defaults(func=cmd_facts_propagate)
 
@@ -390,29 +357,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_k3_classify)
 
     cons = sub.add_parser("construct").add_subparsers(dest="sub", required=True)
-    for what in ("v", "u", "fibered", "imaginary"):
-        p = cons.add_parser(what, parents=[fmt])
-        p.set_defaults(func=cmd_construct, what=what)
-        if what in ("v", "u"):
-            p.add_argument("base", help="base curve code, J for the one-sided component")
-            p.add_argument("--base-degree", type=int, required=True)
-        if what == "v":
-            p.add_argument("--on-pseudoline", action="store_true")
-        if what == "u":
-            p.add_argument(
-                "--basepoints",
-                help="comma list like 'J:9,0:0' mapping components to counts",
-            )
-        if what == "fibered":
-            p.add_argument("--quotient", default="S4")
-            p.add_argument("--fiber-genus", type=int, default=1)
-            p.add_argument("--double-fiber-types", default="1")
-            p.add_argument("--imaginary-pairs", type=int, default=0)
-            p.add_argument("--elliptic-name", default=None)
-        if what == "imaginary":
-            p.add_argument("--base-degree", type=int, required=True)
-            p.add_argument("--real-intersections", type=int, required=True)
-            p.add_argument("--not-simply-connected", action="store_true")
+    v, u = cons.add_parser("v", parents=[fmt]), cons.add_parser("u", parents=[fmt])
+    for p, fn in ((v, cmd_construct_v), (u, cmd_construct_u)):
+        p.add_argument("base", help="base curve code, J for the one-sided component")
+        p.add_argument("--base-degree", type=int, required=True)
+        p.set_defaults(func=fn)
+    v.add_argument("--on-pseudoline", action="store_true")
+    u.add_argument("--basepoints", help="comma list like 'J:9,0:0' mapping components to counts")
+    p = cons.add_parser("fibered", parents=[fmt])
+    p.add_argument("--quotient", default="S4")
+    p.add_argument("--fiber-genus", type=int, default=1)
+    p.add_argument("--double-fiber-types", default="1")
+    p.add_argument("--imaginary-pairs", type=int, default=0)
+    p.add_argument("--elliptic-name", default=None)
+    p.set_defaults(func=cmd_construct_fibered)
+    p = cons.add_parser("imaginary", parents=[fmt])
+    p.add_argument("--base-degree", type=int, required=True)
+    p.add_argument("--real-intersections", type=int, required=True)
+    p.add_argument("--not-simply-connected", action="store_true")
+    p.set_defaults(func=cmd_construct_imaginary)
 
     tr = sub.add_parser("trace").add_subparsers(dest="sub", required=True)
     p = tr.add_parser("poly", parents=[fmt])
@@ -438,10 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (schemes.ViroSyntaxError, ValueError, OSError) as err:
+        records, code = args.func(args)
+        _emit(records, args.format)
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    return code
 
 
 if __name__ == "__main__":

@@ -308,7 +308,7 @@ def _classify(t: TrackedScheme, rw: Rewrite) -> Classification:
     return Classification.M1 if t.is_tracked_level(level) else Classification.M1_INV
 
 
-def _move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
+def make_move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
     """Classify a rewrite on this state, checked by the successor's Euler
     characteristic; the record carries the successor."""
     roots = _apply_rewrite(t.scheme, rw)
@@ -324,14 +324,9 @@ def _move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
     return MoveRecord(rw, cls, delta, after)
 
 
-def make_move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
-    """Classify a rewrite on this state and package it as a record."""
-    return _move(t, rw)
-
-
 def apply(t: TrackedScheme, m: MoveRecord) -> TrackedScheme:
     """Apply a move; the tracked class follows through the rewrite."""
-    check = _move(t, m.rewrite)
+    check = make_move(t, m.rewrite)
     if check.classification is not m.classification or check.delta_chi_tracked != m.delta_chi_tracked:
         raise MoveError(
             f"record says {m.classification.value}/{m.delta_chi_tracked}, "
@@ -467,7 +462,7 @@ def enumerate_moves(
     for rw in candidates:
         if _classify(t, rw) not in allowed:
             continue
-        m = _move(t, rw)
+        m = make_move(t, rw)
         key = (type(rw).__name__, canonical_key(m.successor.scheme), m.classification)
         if key in seen:
             continue
@@ -498,7 +493,7 @@ def inverse_move(t: TrackedScheme, m: MoveRecord) -> MoveRecord:
     else:  # SplitNest
         grown, oval = appended[0], _get(t.scheme.roots, rw.oval)
         inv = FuseParentChild(grown, grown + (len(oval.children),))
-    record = _move(after, inv)
+    record = make_move(after, inv)
     if forest_key(record.successor.scheme) != forest_key(t.scheme):
         raise MoveError("inverse does not restore the forest")
     return record

@@ -369,10 +369,12 @@ def propagate(
             work.append(fact)
     axioms: dict[tuple[str, str, bool], list[TrackedScheme]] = {}
     for src, dst in axiom_edges:
-        if src.degree != degree or dst.degree != degree:
-            raise ValueError(
-                f"axiom edge {state_label(src)} -> {state_label(dst)} is not of degree {degree}"
-            )
+        for end in (src, dst):
+            if end.degree != degree or typed_key(end) not in keys:
+                raise ValueError(
+                    f"axiom edge {state_label(src)} -> {state_label(dst)}: "
+                    f"{state_label(end)} is not in the degree-{degree} universe"
+                )
         axioms.setdefault(typed_key(src), []).append(dst)
 
     def extend(dst: TrackedScheme, provenance: str, head: dict) -> None:
@@ -401,8 +403,7 @@ def propagate(
                 )
                 extend(target, "propagated", {"edge": "move", **m.record()})
         for dst in axioms.get(typed_key(state), ()):  # trusted non-move edges
-            key = typed_key(dst)
-            if key in keys and (fact.predicate.value, *key) not in table.facts:
+            if (fact.predicate.value, *typed_key(dst)) not in table.facts:
                 extend(dst, "axiom-edge", {"edge": "axiom"})
     return table
 

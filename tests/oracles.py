@@ -31,8 +31,8 @@ from conjquot.moves import (
     MoveRecord,
     SplitNest,
     SplitSibling,
-    _move,
     enumerate_moves,
+    make_move,
 )
 from conjquot.propagation import (
     MAX_SEARCH_OVALS,
@@ -159,7 +159,7 @@ def enumerate_unpruned(t: TrackedScheme) -> list[MoveRecord]:
 
     moves, seen = [], set()
     for rw in candidates:
-        m = _move(t, rw)
+        m = make_move(t, rw)
         key = (type(rw).__name__, canonical_key(m.successor.scheme), m.classification)
         if key not in seen:
             seen.add(key)

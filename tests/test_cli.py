@@ -47,6 +47,18 @@ def test_scheme_parse_too_many_ovals_exit(capsys):
     assert "more than 32386 ovals" in err and "Traceback" not in err
 
 
+def test_stdout_write_error_exit(monkeypatch, capsys):
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["scheme", "parse", "<1>"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert "Traceback" not in err
+
+
 def test_scheme_validate_failure_exit(capsys):
     code, out = run(capsys, "scheme", "validate", "<12>", "--degree", "6", "--format", "records")
     assert code == 2
@@ -256,6 +268,26 @@ def test_facts_propagate_degree_other_than_the_catalog_exit(tmp_path, capsys, li
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert "degree" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        # 13 ovals, past the sextic Harnack bound; then 30 ovals.
+        {"edge": "axiom", "from": "<9>_2+", "to": "<1<11>>_1-"},
+        {"edge": "axiom", "from": "<30>_2+", "to": "<1<8>>_1-"},
+    ],
+)
+def test_facts_propagate_axiom_edge_outside_the_universe_exit(tmp_path, capsys, edge):
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_text(
+        json.dumps({"scheme": "<10>_2", "side": "+"}) + "\n" + json.dumps(edge) + "\n"
+    )
+    assert main(["facts", "propagate", str(seeds)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: axiom edge ") and "not in the degree-6 universe" in line
 
 
 def test_facts_propagate_non_json_seed_line_exit(tmp_path, capsys):

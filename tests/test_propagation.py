@@ -184,14 +184,14 @@ def test_propagate_marks_fusion_chain():
 def test_propagate_builds_only_the_moves_it_keeps(monkeypatch, catalog):
     # Births, M2 deaths, M1^-1 band moves and splits from a state not of
     # type 2 are skipped before they are built, not built and dropped.
-    built, move = [], moves._move
+    built, move = [], moves.make_move
 
     def counted(t, rw):
         m = move(t, rw)
         built.append((t, m))
         return m
 
-    monkeypatch.setattr(moves, "_move", counted)
+    monkeypatch.setattr(moves, "make_move", counted)
     table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, SUCC, catalog)
     assert len(table) == 126 and built
     dropped = [
