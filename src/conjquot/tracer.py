@@ -7,15 +7,17 @@ points of the rim glued.  The grid's coordinates are odd multiples of
 1/n, so it is exactly symmetric under (u, v) -> (-u, -v), and the lower
 sheet, w < 0, is the upper one turned times (-1)^degree, bit for bit.
 Only the upper sheet is evaluated, in cache-sized bands, by Horner's
-rule in w; an int8 sign per cell is kept.
+rule in w.  Only each band's sign runs are kept, maximal stretches of
+one nonzero sign along a row; no per-cell array of the grid is made.
 
-Sign components are labelled once, by runs (after He, Chao & Suzuki,
-IEEE TIP 17(5), 2008), and each stands for two lifts: itself on the
-upper sheet and its turned copy on the lower one.  Rim pairs (the
-labels at p and -p) of equal sign stitch lifts into sphere components,
-whose roots are snapshotted, then each component's two lifts fold into
-one projective region, one-sided exactly when one sphere component
-covers it.
+Sign components are labelled once, by joining runs (after He, Chao &
+Suzuki, IEEE TIP 17(5), 2008), and each stands for two lifts: itself on
+the upper sheet and its turned copy on the lower one.  Rim pairs (the
+ids of the runs holding p and -p) of equal sign stitch lifts into
+sphere components, whose roots are snapshotted, then each component's
+two lifts fold into one projective region, one-sided exactly when one
+sphere component covers it.  Adjacencies across the curve are read off
+runs of opposite signs that touch.
 
 For disjoint embedded circles the region adjacency graph is a tree whose
 edges are the curve components; the root is the unique one-sided region
@@ -210,7 +212,10 @@ def circle(cx: float, cy: float, radius: float) -> PolySpec:
     )
 
 
-# The finest grid a trace may ask for; its int8 signs and int32 labels take 0.3 GB.
+# The finest grid a trace may ask for.  A trace keeps sign runs, not pixels: the
+# degree-12 six-circle product peaks at 4.6 MB of allocations there.  Joining
+# runs and scanning their adjacencies peak at about 70 bytes a run, so signs
+# that alternate cell by cell (a checkerboard) would still take gigabytes.
 MAX_RESOLUTION = 8192
 
 
@@ -285,94 +290,135 @@ def _disc_cells(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
 
 
-def _label_signs(sg: np.ndarray, first: int = 1) -> tuple[np.ndarray, int, int]:
-    """4-connected components of each sign of an int8 sign array, by runs.
+def _sign_runs(sg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of an int8 sign array: maximal stretches of one nonzero sign
+    along a row, as flat first cells, flat last cells and signs, in raster
+    order."""
+    flat, cols = sg.ravel(), sg.shape[1]
+    # A stretch starts where the sign changes or a row begins; the sentinel
+    # past the last cell ends the last one.
+    cut = np.ones(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=cut[1:-1])
+    if cols:
+        cut[::cols] = True
+    edges = np.flatnonzero(cut)
+    on = flat[edges[:-1]] != 0
+    first = edges[:-1][on]
+    return first, edges[1:][on] - 1, flat[first]
 
-    A run is a maximal stretch of one nonzero sign along a row.  Runs of one
-    sign in adjacent rows that share a column are joined, then each run's
-    component id is painted over its cells.  Ids ``first, first + 1, ...``
-    go to the positive components in raster order of their first cell,
-    then to the negative ones in the same order.  Returns the int32 label
-    array (0 where the sign is 0) and the numbers of positive and negative
-    components.  After He, Chao & Suzuki, "A run-based two-scan labeling
-    algorithm", IEEE TIP 17(5), 2008.
+
+def _runs_below(start: np.ndarray, end: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(a, b)`` of runs, ``b`` one row below ``a`` with a
+    column in common, for runs of rows ``cols`` cells wide."""
+    # Runs are disjoint and sorted, so the runs one row down that share a
+    # column with run a, those ending at or after a's start and starting at
+    # or before a's end shifted by one row, are one stretch lo..hi-1 of them.
+    lo = np.searchsorted(end, start + cols)
+    hi = np.searchsorted(start, end + cols, side="right")
+    k = hi - lo
+    a = np.repeat(np.arange(len(start)), k)
+    return a, np.repeat(lo - (np.cumsum(k) - k), k) + np.arange(len(a))
+
+
+def _label_runs(
+    start: np.ndarray, end: np.ndarray, sign: np.ndarray, cols: int, first: int = 1
+) -> tuple[np.ndarray, int, int]:
+    """4-connected components of the runs of a sign array, ``_sign_runs``'
+    output for rows ``cols`` cells wide.
+
+    Runs of one sign in adjacent rows that share a column are joined.  Ids
+    ``first, first + 1, ...`` go to the positive components in raster order
+    of their first cell, then to the negative ones in the same order.
+    Returns the int32 id of each run and the numbers of positive and
+    negative components.  After He, Chao & Suzuki, "A run-based two-scan
+    labeling algorithm", IEEE TIP 17(5), 2008.
     """
-    rows, cols = sg.shape
-    on = sg != 0
-    # A run starts (ends) at a nonzero cell whose left (right) neighbour
-    # differs in sign or lies past the row's end.
-    cut = np.ones((rows, cols + 1), dtype=bool)
-    np.not_equal(sg[:, 1:], sg[:, :-1], out=cut[:, 1:-1])
-    first_cell = np.flatnonzero(on & cut[:, :-1])
-    last_cell = np.flatnonzero(on & cut[:, 1:])
-    run_sign = sg.reshape(-1)[first_cell]
-    ids = np.empty(len(first_cell), dtype=np.int32)
-    counts = []
-    for s in (1, -1):
-        which = np.flatnonzero(run_sign == s)
-        start, end = first_cell[which], last_cell[which]
-        # Same-sign runs are disjoint and sorted, so the runs one row down
-        # that share a column with run a, those ending at or after a's start
-        # and starting at or before a's end shifted by one row, are one
-        # stretch lo..hi-1 of them.  Edges go from a to each.
-        lo = np.searchsorted(end, start + cols)
-        hi = np.searchsorted(start, end + cols, side="right")
-        k = hi - lo
-        a = np.repeat(np.arange(len(start)), k)
-        b = np.repeat(lo - (np.cumsum(k) - k), k) + np.arange(len(a))
-        # Hook the larger root of every edge under the smaller, then jump
-        # pointers to the roots, until no edge joins two trees.  A root is
-        # never hooked under a larger id, so each component's root is its
-        # first run in raster order.
-        parent = np.arange(len(start))
+    a, b = _runs_below(start, end, cols)
+    same = sign[a] == sign[b]
+    a, b = a[same], b[same]
+    # Hook the larger root of every edge under the smaller, then jump
+    # pointers to the roots, until no edge joins two trees.  A root is never
+    # hooked under a larger index, so each component's root is its first run.
+    parent = np.arange(len(start))
+    while True:
+        pa, pb = parent[a], parent[b]
+        apart = pa != pb
+        if not apart.any():
+            break
+        a, b, pa, pb = a[apart], b[apart], pa[apart], pb[apart]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
         while True:
-            pa, pb = parent[a], parent[b]
-            apart = pa != pb
-            if not apart.any():
+            up = parent[parent]
+            if np.array_equal(up, parent):
                 break
-            a, b, pa, pb = a[apart], b[apart], pa[apart], pb[apart]
-            np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
-            while True:
-                up = parent[parent]
-                if np.array_equal(up, parent):
-                    break
-                parent = up
-        root = parent == np.arange(len(start))
-        ids[which] = np.cumsum(root)[parent] + (first - 1)
-        counts.append(int(np.count_nonzero(root)))
-        first += counts[-1]
-    lab = np.zeros(sg.shape, dtype=np.int32)
-    lab[on] = np.repeat(ids, last_cell - first_cell + 1)  # runs tile ``on`` in raster order
-    return lab, counts[0], counts[1]
+            parent = up
+    roots = np.flatnonzero(parent == np.arange(len(start)))
+    pos = sign[roots] > 0
+    positive = int(np.count_nonzero(pos))
+    rank = np.empty(len(start), dtype=np.int32)
+    rank[roots[pos]] = np.arange(first, first + positive)
+    rank[roots[~pos]] = np.arange(first + positive, first + len(roots))
+    return rank[parent], positive, len(roots) - positive
 
 
-# ``_trace_once`` calls the labeller once per resolution as ``ndimage.label``,
-# the name of the labelling it replaced, which perfbench's ``tracer.label`` hooks.
-ndimage = SimpleNamespace(label=_label_signs)
+def _run_ids_at(start: np.ndarray, end: np.ndarray, ids: np.ndarray, cells: np.ndarray):
+    """The id of the run that holds each flat cell, 0 where no run does."""
+    k = np.searchsorted(start, cells, side="right") - 1  # the last run to start by the cell
+    held = np.flatnonzero(k >= 0)
+    held = held[end[k[held]] >= cells[held]]
+    out = np.zeros(len(cells), dtype=np.int32)
+    out[held] = ids[k[held]]
+    return out
+
+
+def _opposite_runs(start: np.ndarray, end: np.ndarray, sign: np.ndarray, cols: int):
+    """Index pairs ``(a, b)`` of runs of opposite signs with 4-adjacent
+    cells: ``b`` one row below ``a`` with a column in common, then ``b``
+    right after ``a`` in one row."""
+    a, b = _runs_below(start, end, cols)
+    across = sign[a] != sign[b]
+    # Runs that touch in a row have opposite signs; a run that starts a row
+    # touches the previous row's last run only in flat order.
+    beside = np.flatnonzero((end[:-1] + 1 == start[1:]) & (start[1:] % cols != 0))
+    return (a[across], b[across]), (beside, beside + 1)
+
+
+# ``_trace_once`` joins runs as ``ndimage.label``, the name of the pixel
+# labelling it replaced, because perfbench times ``tracer.label`` through that
+# name; the shim goes when perfbench hooks ``_label_runs`` itself.
+ndimage = SimpleNamespace(label=_label_runs)
 
 
 def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     # Upper-sheet signs by bands of rows of about _BAND_CELLS cells, cut to
     # the columns where the band's row nearest the centre meets the disc, so
     # that float values stay in cache.  Cells outside the disc get sign 0.
+    # Only each band's sign runs are kept, as flat cells of the n-by-n grid;
+    # no array of the whole grid is made.
     axis = _disc_axis(n)
-    sg = np.zeros((n, n), dtype=np.int8)
+    runs = []
     hi = np.empty(n, dtype=np.int64)  # last disc column of each row
     zeros = 0  # exact zeros; the lower sheet's are these turned
     step = max(1, _BAND_CELLS // n)
     for r0 in range(0, n, step):
-        rows, u = slice(r0, r0 + step), axis[r0 : r0 + step, None]
+        u = axis[r0 : r0 + step, None]
         hit = np.flatnonzero(_disc_cells(u[np.abs(u).argmin()], axis)[1])
-        cols = slice(hit[0], hit[-1] + 1)
-        w, band = _disc_cells(u, axis[None, cols])
-        f = p.evaluate(u, axis[None, cols], w)
-        np.subtract(f > 0, f < 0, dtype=np.int8, out=sg[rows, cols], where=band)
+        c0, width = hit[0], hit[-1] + 1 - hit[0]
+        v = axis[None, c0 : c0 + width]
+        w, band = _disc_cells(u, v)
+        f = p.evaluate(u, v, w)
+        sg = np.zeros(f.shape, dtype=np.int8)
+        np.subtract(f > 0, f < 0, dtype=np.int8, out=sg, where=band)
         zeros += int(np.count_nonzero(band & (f == 0.0)))
-        hi[rows] = (n - 2 + np.count_nonzero(band, axis=1)) // 2  # centred intervals
+        hi[r0 : r0 + step] = (n - 2 + np.count_nonzero(band, axis=1)) // 2  # centred intervals
+        first, last, s = _sign_runs(sg)
+        shift = first // width * (n - width) + (r0 * n + c0)  # band cell to grid cell
+        runs.append((first + shift, last + shift, s))
+    start, end, run_sign = (np.concatenate(x) for x in zip(*runs))
 
     # One labelling serves both sheets: upper component c has id c, and its
     # turned copy id m + c, sign times (-1)^degree; 0 is curve and outside.
-    lab, positive, negative = ndimage.label(sg)
+    ids, positive, negative = ndimage.label(start, end, run_sign, n)
     m = positive + negative
     sign = [0] + [1] * positive + [-1] * negative
     sign += [-s if p.degree % 2 else s for s in sign[1:]]
@@ -390,8 +436,8 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     ends = np.concatenate([[-1], hi, [-1]])
     k = hi - np.minimum(hi - 1, np.minimum(ends[:-2], ends[2:]))
     i = np.repeat(np.arange(n), k)
-    j = np.repeat(hi + 1 - np.cumsum(k), k) + np.arange(len(i))
-    x, y = lab[i, j], lab[n - 1 - i, n - 1 - j]
+    cells = i * n + np.repeat(hi + 1 - np.cumsum(k), k) + np.arange(len(i))
+    x, y = (_run_ids_at(start, end, ids, c) for c in (cells, n * n - 1 - cells))
     x, y = x[(x > 0) & (y > 0)], y[(x > 0) & (y > 0)]
 
     # Stitch the sheets along the rim, lower cell p being upper cell -p.
@@ -405,10 +451,9 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
         else:
             adjacency.append((a, b))
 
-    # Adjacent cells of opposite signs; the lower sheet's are these turned.
-    for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
-        across = sg[a] * sg[b] < 0
-        adjacency += pairs(lab[a][across], lab[b][across])
+    # Runs of opposite signs with adjacent cells; the lower sheet's are these turned.
+    for a, b in _opposite_runs(start, end, run_sign, n):
+        adjacency += pairs(ids[a], ids[b])
 
     # Snapshot the sphere components, then fold each lift pair into a region.
     sphere = {dsu.find(i) for i in range(1, base)}

@@ -12,7 +12,8 @@ pixel tracer has two references, both of which evaluate and label both
 sheets term by term: one on the whole square grid at once, deduplicating
 antipodal pairs over every disc cell, and the banded two-sheet tracer
 that the one-sheet tracer replaced.  They and the reference for the
-tracer's run labeller label pixels with ``scipy.ndimage.label``.
+tracer's run labeller label pixels with ``scipy.ndimage.label``; the run
+labeller's ids are painted over pixels to be compared with it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,15 @@ from conjquot.propagation import (
     state_key,
 )
 from conjquot.schemes import CurveType, Oval, RealScheme, canonical_key, forest_key
-from conjquot.tracer import PolySpec, TraceError, TracerInternalError, _Dsu, _PixelTopology
+from conjquot.tracer import (
+    PolySpec,
+    TraceError,
+    TracerInternalError,
+    _Dsu,
+    _label_runs,
+    _PixelTopology,
+    _sign_runs,
+)
 
 
 # ---------------------------------------------------- forest isomorphism
@@ -509,8 +518,19 @@ def trace_once_two_sheets(p: PolySpec, n: int) -> _PixelTopology:
     return _regions_to_topology(p, sign, dsu, sphere, adjacency, ambiguous)
 
 
+def label_signs_by_runs(sg: np.ndarray, first: int = 1) -> tuple[np.ndarray, int, int]:
+    """The tracer's run labeller painted over an int8 sign array: each run's
+    id over its cells, 0 where the sign is 0, and the numbers of positive and
+    negative components."""
+    start, end, sign = _sign_runs(sg)
+    ids, positive, negative = _label_runs(start, end, sign, sg.shape[1], first)
+    lab = np.zeros(sg.shape, dtype=np.int32)
+    lab[sg != 0] = np.repeat(ids, end - start + 1)  # runs tile the nonzero cells in raster order
+    return lab, positive, negative
+
+
 def label_signs_by_pixels(sg: np.ndarray, first: int = 1) -> tuple[np.ndarray, int, int]:
-    """Reference for ``tracer._label_signs``: ``ndimage.label`` on each sign
+    """Reference for ``label_signs_by_runs``: ``ndimage.label`` on each sign
     of an int8 sign array, positive components first, ids from ``first``."""
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     lab = np.zeros(sg.shape, dtype=np.int32)

@@ -19,7 +19,10 @@ from conjquot.tracer import (
     TracerInternalError,
     _disc_axis,
     _disc_cells,
-    _label_signs,
+    _label_runs,
+    _opposite_runs,
+    _run_ids_at,
+    _sign_runs,
     _trace_once,
     circle,
     l_curve_sample,
@@ -35,6 +38,7 @@ from oracles import (
     circle_layout,
     disc_grid,
     label_signs_by_pixels,
+    label_signs_by_runs,
     min_feature_gap,
     trace_once_full_grid,
     trace_once_two_sheets,
@@ -416,7 +420,7 @@ def test_fold_checks_antipodal_signs(monkeypatch):
 
 
 def assert_labels_match(sg, first=1):
-    got, want = _label_signs(sg, first), label_signs_by_pixels(sg, first)
+    got, want = label_signs_by_runs(sg, first), label_signs_by_pixels(sg, first)
     assert got[0].dtype == np.int32 and got[0].shape == sg.shape
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (sg.shape, got[1:], want[1:])
 
@@ -430,7 +434,7 @@ def test_label_signs_matches_pixel_labelling_on_small_masks():
     checker = ((rows + cols) % 2).astype(np.int8)
     for sg in (checker, 2 * checker - 1, -checker):
         assert_labels_match(sg, first=7)
-    lab, positive, negative = _label_signs((2 * checker - 1).astype(np.int8))
+    lab, positive, negative = label_signs_by_runs((2 * checker - 1).astype(np.int8))
     assert positive + negative == checker.size  # every cell is its own component
     line_sg = np.array([[1, 1, 0, -1, -1, 1, 0, 0, 1]], dtype=np.int8)
     assert_labels_match(line_sg)
@@ -445,6 +449,48 @@ def test_label_signs_matches_pixel_labelling_on_random_signs(density):
         for _ in range(3):
             sg = rng.choice(values, size=shape, p=[density / 2, 1 - density, density / 2])
             assert_labels_match(sg, first=int(rng.integers(1, 50)))
+
+
+def pixel_opposite_pairs(sg, lab):
+    """Label pairs of 4-adjacent cells of opposite signs, one set for
+    vertical neighbours and one for horizontal ones."""
+    out = []
+    for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+        across = sg[a] * sg[b] < 0
+        pairs = zip(lab[a][across].tolist(), lab[b][across].tolist())
+        out.append({tuple(sorted(q)) for q in pairs})
+    return out
+
+
+def assert_run_consumers_match(sg):
+    lab = label_signs_by_pixels(sg)[0]
+    start, end, sign = _sign_runs(sg)
+    ids = _label_runs(start, end, sign, sg.shape[1])[0]
+    got = [
+        {tuple(sorted(q)) for q in zip(ids[a].tolist(), ids[b].tolist())}
+        for a, b in _opposite_runs(start, end, sign, sg.shape[1])
+    ]
+    assert got == pixel_opposite_pairs(sg, lab), sg.shape
+    cells = np.random.default_rng(sg.size).permutation(sg.size)
+    assert np.array_equal(_run_ids_at(start, end, ids, cells), lab.reshape(-1)[cells]), sg.shape
+
+
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.55, 0.8, 1.0])
+def test_run_adjacency_and_ids_match_a_pixel_scan(density):
+    # What the tracer reads off runs instead of a label grid: opposite-sign
+    # neighbours and the id at a cell.  A run ending a row and one starting
+    # the next touch in flat order but are not neighbours.
+    for shape in [(0, 0), (0, 5), (5, 0), (1, 1), (1, 9), (9, 1)]:
+        for value in (0, 1, -1):
+            assert_run_consumers_match(np.full(shape, value, dtype=np.int8))
+    for sg in ([[0, 1], [-1, 0]], [[0, 0, 1], [-1, 0, 0]], [[1, -1, 1]], [[1], [-1], [1]]):
+        assert_run_consumers_match(np.array(sg, dtype=np.int8))
+    rng = np.random.default_rng(int(100 * density))
+    values = np.array([1, 0, -1], dtype=np.int8)
+    for shape in [(1, 200), (200, 1), (17, 23), (128, 128), (256, 97)]:
+        for _ in range(3):
+            sg = rng.choice(values, size=shape, p=[density / 2, 1 - density, density / 2])
+            assert_run_consumers_match(sg)
 
 
 def serpentine(n):
@@ -481,7 +527,7 @@ def test_label_signs_chains_of_runs_in_bounded_time():
     }
     for name, sg in cases.items():
         start = time.perf_counter()
-        lab, positive, negative = _label_signs(sg)
+        lab, positive, negative = label_signs_by_runs(sg)
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, (name, elapsed)
         assert positive == 1 and negative == (name == "spiral and its complement"), name
@@ -502,9 +548,9 @@ def test_label_signs_matches_pixel_labelling_on_trace_signs():
         np.subtract(f > 0, f < 0, dtype=np.int8, out=sg, where=inside)
         assert_labels_match(sg)
         lower = (-1 if p.degree % 2 else 1) * sg[::-1, ::-1]
-        lab, positive, negative = _label_signs(sg)
+        lab, positive, negative = label_signs_by_runs(sg)
         assert_labels_match(lower, positive + negative + 1)
-        turned, lower_lab = lab[::-1, ::-1], _label_signs(lower)[0]
+        turned, lower_lab = lab[::-1, ::-1], label_signs_by_runs(lower)[0]
         to = np.zeros(positive + negative + 1, dtype=np.int32)
         to[turned] = lower_lab
         assert np.array_equal(to[turned], lower_lab), (p, n)
@@ -528,6 +574,19 @@ def test_trace_once_peak_memory_at_1024():
     finally:
         tracemalloc.stop()
     assert peak < 60e6, peak
+
+
+def test_trace_once_keeps_no_grid_sized_array():
+    # Only sign runs outlive a band, so the traced peak stays below n^2
+    # bytes, the size of one int8 sign grid.
+    n = 2048
+    tracemalloc.start()
+    try:
+        _trace_once(six_circle_product(), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, peak
 
 
 def test_trace_once_evaluates_only_bands_meeting_the_disc(monkeypatch):
