@@ -60,16 +60,19 @@ def search(target: str, tries: int = 200, seed: int = 5) -> None:
     g = definite_sextic()
     grid = GridConfig(192, 768)
     gen = candidates(rng)
+    failures = (TraceError, TracerInternalError, ValueError)
     for attempt in range(tries):
         lines = next(gen)
+        try:  # the autoscaled epsilon, once per arrangement
+            auto = abs(l_curve_sample(lines, g, epsilon=None, grid=grid).epsilon)
+        except failures:
+            continue
         for eps_scale in (1e-3, 1e-4):
             for sign in (+1, -1):
+                eps = sign * auto * eps_scale / 1e-2  # rescaled, with a sign
                 try:
-                    res = l_curve_sample(lines, g, epsilon=None, grid=grid)
-                    # epsilon autoscale is positive; redo with explicit sign
-                    eps = sign * abs(res.epsilon) * eps_scale / 1e-2
                     res = l_curve_sample(lines, g, epsilon=eps, grid=grid)
-                except (TraceError, TracerInternalError, ValueError):
+                except failures:
                     continue
                 code = format_viro(res.trace.scheme)
                 if code == target:

@@ -142,6 +142,11 @@ def _lands_on(after: TrackedScheme, curve_type: CurveType) -> bool:
     return after.scheme.curve_type in (CurveType.UNKNOWN, curve_type)
 
 
+def _splits_from(state: TrackedScheme) -> bool:
+    """A split runs a fusion backwards, so it only leaves a type-2 state."""
+    return state.scheme.curve_type is CurveType.TWO
+
+
 def _step(
     state: TrackedScheme,
     m: MoveRecord | None,
@@ -332,20 +337,19 @@ class FactTable:
         return [f.record() for _, f in sorted(self.facts.items())]
 
 
-def _universe_keys(
+def _universe_index(
     universe: Sequence[SchemeCatalogEntry],
-) -> tuple[set[tuple[str, str, bool]], dict[str, set[CurveType]], int]:
-    keys = set()
-    types_by_forest: dict[str, set[CurveType]] = {}
+) -> tuple[dict[str, tuple[CurveType, ...]], int]:
+    """Each forest key of the universe with its types in value order, once
+    each, and the universe's one degree."""
     degrees = {e.degree for e in universe}
     if len(degrees) != 1:
         raise ValueError("the universe must have a single degree")
+    types: dict[str, set[CurveType]] = {}
     for e in universe:
-        fk = forest_key(e.scheme)
-        types_by_forest.setdefault(fk, set()).add(e.curve_type)
-        for side in (False, True):
-            keys.add((fk, e.curve_type.value, side))
-    return keys, types_by_forest, degrees.pop()
+        types.setdefault(forest_key(e.scheme), set()).add(e.curve_type)
+    index = {fk: tuple(sorted(ts, key=lambda c: c.value)) for fk, ts in types.items()}
+    return index, degrees.pop()
 
 
 def propagate(
@@ -359,18 +363,22 @@ def propagate(
 
     Monotone and idempotent: rerunning on its own output adds nothing.
     """
-    keys, types_by_forest, degree = _universe_keys(universe)
+    index, degree = _universe_index(universe)
+
+    def outside(t: TrackedScheme) -> bool:
+        return t.degree != degree or t.scheme.curve_type not in index.get(forest_key(t.scheme), ())
+
     table = FactTable()
     work: deque[Fact] = deque()
     for fact in seeds:
-        if fact.state.degree != degree or typed_key(fact.state) not in keys:
+        if outside(fact.state):
             raise ValueError(f"seed {state_label(fact.state)} is not in the degree-{degree} universe")
         if table.add(fact):
             work.append(fact)
     axioms: dict[tuple[str, str, bool], list[TrackedScheme]] = {}
     for src, dst in axiom_edges:
         for end in (src, dst):
-            if end.degree != degree or typed_key(end) not in keys:
+            if outside(end):
                 raise ValueError(
                     f"axiom edge {state_label(src)} -> {state_label(dst)}: "
                     f"{state_label(end)} is not in the degree-{degree} universe"
@@ -378,23 +386,21 @@ def propagate(
         axioms.setdefault(typed_key(src), []).append(dst)
 
     def extend(dst: TrackedScheme, provenance: str, head: dict) -> None:
-        """Add the fact that one more step, ``head``, carries from the fact
-        popped last to ``dst``."""
+        """Add the fact, new as its caller checked, that one more step,
+        ``head``, carries from the fact popped last to ``dst``."""
         step = {**head, "from": source, "to": state_label(dst)}
         new = Fact(dst, fact.predicate, provenance, fact.path + (step,))
-        if table.add(new):
-            work.append(new)
+        table.add(new)
+        work.append(new)
 
     while work:
         fact = work.popleft()
         state = fact.state
         source = state_label(state)
-        # A split runs a fusion backwards, so it only leaves a type-2 state.
-        splits = state.scheme.curve_type is CurveType.TWO
-        for m in enumerate_moves(state, rel.allowed, splits=splits):
+        for m in enumerate_moves(state, rel.allowed, splits=_splits_from(state)):
             after = m.successor
             fk = forest_key(after.scheme)
-            for ct in sorted(types_by_forest.get(fk, ()), key=lambda c: c.value):
+            for ct in index.get(fk, ()):
                 key = (fact.predicate.value, fk, ct.value, after.outer_tracked)
                 if not _lands_on(after, ct) or key in table.facts:
                     continue
@@ -511,7 +517,7 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP
                         return False
                 else:
                     m = MoveRecord.from_record(step)
-                    if isinstance(m.rewrite, SPLITS) and state.scheme.curve_type is not CurveType.TWO:
+                    if isinstance(m.rewrite, SPLITS) and not _splits_from(state):
                         return False
                     expected = parse_state_label(step["to"], degree)
                 reached = _step(state, m, expected, rel)
@@ -573,15 +579,6 @@ class SweepReport:
         return [r.record() for r in self.rows]
 
 
-def _entry(catalog: Sequence[SchemeCatalogEntry], code: str) -> None:
-    """Raise unless the catalog has the typed row ``code``."""
-    want = parse_viro(code)
-    for e in catalog:
-        if forest_key(e.scheme) == forest_key(want) and e.curve_type is want.curve_type:
-            return
-    raise ValueError(f"catalog is missing the required entry {code}")
-
-
 def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
     """Propagate standardness over the whole sextic catalog from
     :data:`SWEEP_DECLARED`.
@@ -592,12 +589,15 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
     """
     if {e.degree for e in catalog} != {6}:
         raise ValueError("the sextic sweep needs a catalog of degree-6 rows only")
+    index, _ = _universe_index(catalog)
     for code in (
         *(label[:-1] for label, _ in SWEEP_SEEDS),
         *EXPECTED_MINUS_EXCEPTIONS,  # required rows, even though never marked
         *(label[:-1] for edge in SWEEP_AXIOM_EDGES for label in edge),
     ):
-        _entry(catalog, code)
+        want = parse_viro(code)
+        if want.curve_type not in index.get(forest_key(want), ()):
+            raise ValueError(f"catalog is missing the required entry {code}")
     table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, SUCC, catalog)
 
     # A pencil-perturbation seed's Arnold surface bounds an orientable handlebody.

@@ -20,7 +20,7 @@ from conjquot.fourman import (
     predict_standard_form,
     word,
 )
-from conjquot.schemes import parse_viro
+from conjquot.schemes import harnack_bound, parse_viro
 
 
 def tracked(code, outer=False, degree=6):
@@ -105,6 +105,24 @@ def test_betti_euler_identity_on_catalog(catalog):
             inv = double_plane_invariants(t)
             chi_a = arnold_descriptor(t).euler
             assert inv.b2plus_Y + inv.b2minus_Y == 2 - chi_a
+
+
+@pytest.mark.parametrize("degree", range(2, 41, 2))
+def test_covering_identities_hold_at_every_degree(degree):
+    # The halvings are exact and invert the covering identities, so these
+    # hold without any check inside double_plane_invariants.
+    k, h = degree // 2, harnack_bound(degree)
+    codes = {"<0>", "<1>", f"<{h}>"}
+    if h >= 3:
+        codes |= {f"<1<{h - 1}>>", f"<{h // 2} u 1<{h - h // 2 - 1}>>", "<1<1<1>>>"}
+    for code in codes:
+        for outer in (False, True):
+            inv = double_plane_invariants(tracked(code, outer, degree))
+            assert inv.sigma_X == 2 * inv.sigma_Y + inv.chi_XR
+            assert inv.chi_X == 2 * inv.chi_Y - inv.chi_XR
+            assert inv.b2plus_Y - inv.b2minus_Y == inv.sigma_Y
+            assert inv.b2plus_X + inv.b2minus_X == inv.chi_X - 2
+            assert inv.b2plus_Y == (k - 1) * (k - 2) // 2
 
 
 # ------------------------------------------------------- standard forms

@@ -244,6 +244,28 @@ def test_propagate_rejects_foreign_seed():
         )
 
 
+def test_propagate_rejects_a_seed_of_another_degree():
+    # <10>_2 is a universe forest and type; only the degree is foreign.
+    seed = Fact(TrackedScheme(parse_viro("<10>_2"), 8), Predicate.ARNOLD_STANDARD, "lcurve-seed")
+    with pytest.raises(ValueError, match="seed <10>_2\\+ is not in the degree-6 universe"):
+        propagate([seed], [], SUCC, small_catalog())
+
+
+@pytest.mark.parametrize("foreign", ["from", "to"])
+def test_propagate_rejects_an_axiom_end_of_another_degree(foreign):
+    seeds = [Fact(tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "lcurve-seed")]
+    ends = {"from": tracked("<9>_2"), "to": tracked("<8>_2")}
+    ends[foreign] = TrackedScheme(ends[foreign].scheme, 8)
+    with pytest.raises(ValueError, match="axiom edge .* is not in the degree-6 universe"):
+        propagate(seeds, [(ends["from"], ends["to"])], SUCC, small_catalog())
+
+
+def test_propagate_rejects_a_mixed_degree_universe():
+    universe = [*small_catalog(), *load_catalog(["<9>\t8\t2\tt"])]
+    with pytest.raises(ValueError, match="the universe must have a single degree"):
+        propagate([], [], SUCC, universe)
+
+
 def test_propagated_facts_replay(catalog):
     seeds = [
         Fact(tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
@@ -395,6 +417,23 @@ def test_a_fusion_lands_on_type_2_in_closure_and_in_replay():
     fuse = FuseSiblings((0,), (1,))
     assert replay_fact(_one_step_fact("<2<1>>_2", fuse, "<1<2>>_2"), SUCC, declared)
     assert not replay_fact(_one_step_fact("<2<1>>_2", fuse, "<1<2>>_1"), SUCC, declared)
+
+
+def test_the_split_rule_has_one_source(monkeypatch, catalog):
+    # <1 u 1<8>>_2- is reached only by splitting an oval of the type-1
+    # state <1<8>>_1-.  The rule against that split is _splits_from alone,
+    # so letting it pass changes both the closure and replay.
+    monkeypatch.setattr(propagation, "_splits_from", lambda state: True)
+    report = sextic_sweep(catalog)
+    assert sorted(report.minus_exceptions) == sorted(
+        set(EXPECTED_MINUS_EXCEPTIONS) - {"<1 u 1<8>>_2"}
+    )
+    fact = report.table.marked(parse_viro("<1 u 1<8>>_2"), True)
+    split = fact.path[-1]
+    assert (split["rewrite"]["kind"], split["from"]) == ("split_sibling", "<1<8>>_1-")
+    assert replay_fact(fact, SUCC, _fresh())
+    monkeypatch.undo()
+    assert not replay_fact(fact, SUCC, _fresh())
 
 
 # --------------------------------------------------------- resumed replay
