@@ -26,6 +26,7 @@ from conjquot.tracer import (
     PolySpec,
     TraceError,
     TracerInternalError,
+    l_curve_epsilon,
     l_curve_sample,
 )
 
@@ -64,7 +65,7 @@ def search(target: str, tries: int = 200, seed: int = 5) -> None:
     for attempt in range(tries):
         lines = next(gen)
         try:  # the autoscaled epsilon, once per arrangement
-            auto = abs(l_curve_sample(lines, g, epsilon=None, grid=grid).epsilon)
+            auto = abs(l_curve_epsilon(lines))
         except failures:
             continue
         for eps_scale in (1e-3, 1e-4):

@@ -31,14 +31,14 @@ leaves the type unknown.
 Rewrites address ovals by index paths into the stored forest, so records
 replay deterministically.  Each rewrite is one edit of one sibling list:
 it drops some siblings, may rebuild one in place (only a parent-child
-fusion does) and appends new ovals at the end.  That single description
-is what application, path transport and inversion all read.  Enumeration
-lists one representative per combinatorially distinct outcome (identical
-siblings are interchangeable).  It prunes symmetric candidates before it
-builds them: a candidate that a swap of identical siblings maps onto an
-earlier one is skipped, and a dedupe on the outcome drops the remaining
-coincidences.  Each listed move carries the state it leads to.  A caller
-may ask for some classes only, or no splits; the rest are never built.
+fusion does) and appends new ovals, each described by its children.
+Application, key splicing, path transport and inversion all read that
+one description.  Enumeration lists one representative per distinct
+outcome: it skips a candidate that a swap of identical siblings maps onto
+an earlier one, and never generates a family of a class not asked for.
+It dedupes the rest on the successor's forest key, spliced from cached
+keys with no oval built, and lets its caller refuse a candidate on that
+key; only the listed moves are built, each carrying its successor.
 """
 
 from __future__ import annotations
@@ -46,10 +46,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import ClassVar, Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .domains import Path, Side, TrackedScheme, euler_W, format_path, parse_path
-from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key
+# canonical_key is not called here; perfbench's key span hooks this module's name.
+from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key, tree_key
 
 
 class Classification(Enum):
@@ -218,14 +220,16 @@ def _siblings(roots: tuple[Oval, ...], region: Path) -> tuple[Oval, ...]:
 
 def _edit(
     roots: tuple[Oval, ...], rw: Rewrite
-) -> tuple[Path, tuple[int, ...], dict[int, Oval], tuple[Oval, ...]]:
+) -> tuple[Path, tuple[int, ...], dict[int, tuple[Oval, ...]], tuple[tuple[Oval, ...], ...]]:
     """A rewrite as one edit of one sibling list: ``(region, drop, rebuilt,
     added)`` drops the siblings indexed by ``drop`` from the list under
-    ``region``, replaces ``rebuilt[k]`` in place and appends ``added``."""
+    ``region``, replaces sibling ``k`` by an oval with children ``rebuilt[k]``
+    and appends an oval for each children tuple in ``added``.  Only a nest
+    split's inner oval is built here: readers build the rest or key them."""
     if isinstance(rw, AddEmpty):
         if rw.region is not None:
             _get(roots, rw.region)
-        return rw.region or (), (), {}, (Oval(),)
+        return rw.region or (), (), {}, ((),)
 
     if isinstance(rw, DeleteEmpty):
         if _get(roots, rw.oval).children:
@@ -237,24 +241,24 @@ def _edit(
         if a[:-1] != b[:-1] or a == b:
             raise MoveError("fusion needs two distinct ovals in one region")
         oa, ob = _get(roots, a), _get(roots, b)
-        return a[:-1], (a[-1], b[-1]), {}, (Oval(oa.children + ob.children),)
+        return a[:-1], (a[-1], b[-1]), {}, (oa.children + ob.children,)
 
     if isinstance(rw, FuseParentChild):
         if rw.child[:-1] != rw.parent:
             raise MoveError("child path must extend the parent path by one step")
         parent, child = _get(roots, rw.parent), _get(roots, rw.child)
         ci = rw.child[-1]
-        fused = Oval(parent.children[:ci] + parent.children[ci + 1 :])
+        fused = parent.children[:ci] + parent.children[ci + 1 :]
         # the child's own children escape to the ambient region
-        return rw.parent[:-1], (), {rw.parent[-1]: fused}, child.children
+        return rw.parent[:-1], (), {rw.parent[-1]: fused}, tuple(c.children for c in child.children)
 
     if isinstance(rw, SplitSibling):
         oval = _get(roots, rw.oval)
         if not set(rw.keep) <= set(range(len(oval.children))):
             raise MoveError("keep indices out of range")
         keep = set(rw.keep)
-        first = Oval(tuple(c for k, c in enumerate(oval.children) if k in keep))
-        second = Oval(tuple(c for k, c in enumerate(oval.children) if k not in keep))
+        first = tuple(c for k, c in enumerate(oval.children) if k in keep)
+        second = tuple(c for k, c in enumerate(oval.children) if k not in keep)
         return rw.oval[:-1], (rw.oval[-1],), {}, (first, second)
 
     if isinstance(rw, SplitNest):
@@ -267,54 +271,79 @@ def _edit(
         oval = _get(roots, rw.oval)
         enclosed = tuple(_get(roots, p) for p in rw.enclosed)
         drop = (rw.oval[-1], *(p[-1] for p in rw.enclosed))
-        return region, drop, {}, (Oval(oval.children + (Oval(enclosed),)),)
+        return region, drop, {}, (oval.children + (Oval(enclosed),),)
 
     raise MoveError(f"unknown rewrite {rw!r}")
 
 
 def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
     region, drop, rebuilt, added = _edit(scheme.roots, rw)
-    lists = [scheme.roots]
-    for i in region:
-        lists.append(lists[-1][i].children)
+    lists = list(accumulate(region, lambda sibs, i: sibs[i].children, initial=scheme.roots))
     sibs = lists.pop()
     if drop or rebuilt:
-        sibs = tuple(rebuilt.get(k, o) for k, o in enumerate(sibs) if k not in drop)
-    sibs += added
+        sibs = tuple(
+            Oval(rebuilt[k]) if k in rebuilt else o for k, o in enumerate(sibs) if k not in drop
+        )
+    sibs += tuple(map(Oval, added))
     for i in reversed(region):
         up = lists.pop()
         sibs = up[:i] + (Oval(sibs),) + up[i + 1 :]
     return sibs
 
 
+def _successor_key(roots: tuple[Oval, ...], rw: Rewrite) -> str:
+    """The forest key :func:`_apply_rewrite` would give, spliced from cached
+    keys: only new ovals and the edited list's ancestors get keys computed."""
+    region, drop, rebuilt, added = _edit(roots, rw)
+    lists = list(accumulate(region, lambda sibs, i: sibs[i].children, initial=roots))
+    keys = [tree_key(c.key for c in rebuilt[k]) if k in rebuilt else o.key
+            for k, o in enumerate(lists.pop()) if k not in drop]
+    keys += (tree_key(c.key for c in kids) for kids in added)
+    for i in reversed(region):
+        keys = [tree_key(keys) if k == i else o.key for k, o in enumerate(lists.pop())]
+    return "".join(sorted(keys))
+
+
+# A rewrite's class at a tracked level, then at another: the level a birth
+# or death changes, or that a band move takes Euler characteristic from (the
+# fused ovals' interiors, a sibling split's region, a nest split's oval).
+_CLASSES = {
+    AddEmpty: (Classification.M2_INV, Classification.M0),
+    DeleteEmpty: (Classification.M0_INV, Classification.M2),
+    **dict.fromkeys(FUSIONS + SPLITS, (Classification.M1, Classification.M1_INV)),
+}
+
+
+def _class_at(t: TrackedScheme, kind: type, level: int) -> Classification:
+    return _CLASSES[kind][not t.is_tracked_level(level)]
+
+
 def _classify(t: TrackedScheme, rw: Rewrite) -> Classification:
-    """The class of a rewrite, read off depth parity before it is built.  A
-    band move is M1 when the level that loses Euler characteristic is
-    tracked: the fused ovals' interiors, the region a sibling split adds
-    to, or the oval a nest split grows in."""
+    """The class of a rewrite, read off depth parity before it is built."""
     if isinstance(rw, AddEmpty):
         level = 0 if rw.region is None else len(rw.region)
-        return Classification.M2_INV if t.is_tracked_level(level) else Classification.M0
-    if isinstance(rw, DeleteEmpty):
-        return Classification.M0_INV if t.is_tracked_level(len(rw.oval)) else Classification.M2
-    if isinstance(rw, FuseSiblings):
+    elif isinstance(rw, (DeleteEmpty, SplitNest)):
+        level = len(rw.oval)
+    elif isinstance(rw, FuseSiblings):
         level = len(rw.first)
     elif isinstance(rw, FuseParentChild):
         level = len(rw.child)
-    elif isinstance(rw, SplitSibling):
+    else:  # SplitSibling
         level = len(rw.oval) - 1
-    else:  # SplitNest
-        level = len(rw.oval)
-    return Classification.M1 if t.is_tracked_level(level) else Classification.M1_INV
+    return _class_at(t, type(rw), level)
+
+
+def type_after(rw: Rewrite) -> CurveType:
+    """A successor's dividing type: 2 after a fusion, otherwise unknown."""
+    return CurveType.TWO if isinstance(rw, FUSIONS) else CurveType.UNKNOWN
 
 
 def make_move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
     """Classify a rewrite on this state, checked by the successor's Euler
     characteristic; the record carries the successor."""
     roots = _apply_rewrite(t.scheme, rw)
-    curve_type = CurveType.TWO if isinstance(rw, FUSIONS) else CurveType.UNKNOWN
     after = TrackedScheme(
-        RealScheme(roots, t.scheme.pseudoline, curve_type), t.degree, t.outer_tracked
+        RealScheme(roots, t.scheme.pseudoline, type_after(rw)), t.degree, t.outer_tracked
     )
     delta = euler_W(after, Side.TRACKED) - euler_W(t, Side.TRACKED)
     cls = _classify(t, rw)
@@ -359,11 +388,11 @@ def _grouped_subsets(items: Sequence[tuple[Path, str]]) -> Iterable[tuple[Path, 
 
 def _ranks(siblings: tuple[Oval, ...]) -> list[int]:
     """For each sibling, how many earlier siblings have its shape."""
-    seen: Counter[str] = Counter()
+    seen: dict[str, int] = {}
     ranks = []
     for o in siblings:
-        ranks.append(seen[o.key])
-        seen[o.key] += 1
+        ranks.append(seen.get(o.key, 0))
+        seen[o.key] = ranks[-1] + 1
     return ranks
 
 
@@ -384,7 +413,8 @@ def _mask(indices: Iterable[int]) -> int:
 
 
 def enumerate_moves(
-    t: TrackedScheme, allowed: frozenset[Classification] = ALL_CLASSES, *, splits: bool = True
+    t: TrackedScheme, allowed: frozenset[Classification] = ALL_CLASSES, *, splits: bool = True,
+    keep: Callable[[Rewrite, str], bool] | None = None,
 ) -> list[MoveRecord]:
     """All applicable rewrites of a class in ``allowed`` (no split unless
     ``splits``), deduplicated up to identical-sibling symmetry, in a
@@ -393,28 +423,33 @@ def enumerate_moves(
     A candidate is skipped before it is built when a swap of identical
     siblings maps it onto an earlier candidate: single-oval rewrites
     address canonical paths only, a fusion takes the first pair of each
-    pair of shapes, and a split keeps the first ovals of each shape.  The
-    outcome dedupe then drops the coincidences no symmetry explains, so
-    the list is the first candidate of each outcome, as without pruning.
-    Births and splits are made only when their classes are allowed (and
-    splits wanted); other classes, read off depth parity, are skipped
-    before they are built.  The outcome key holds the kind and the class,
-    so the list is the full list with those moves left out.
+    pair of shapes, and a split keeps the first ovals of each shape.  A
+    family whose class, read off depth parity, is not allowed is never
+    generated (births in a region, deaths of an oval, fusions in a region
+    or with a child, splits at a level).  A dedupe on the kind and the
+    spliced successor forest key, which fix the class, drops coincidences
+    no symmetry explains, so the list is each outcome's first candidate,
+    as without pruning.  Only listed moves are built.  ``keep(rewrite,
+    key)``, if given, is asked first; a refused candidate is not listed.
     """
     roots = t.scheme.roots
     ovals = list(_canonical_ovals(roots))
     regions = [None, *(path for path, _ in ovals)]
     candidates: list[Rewrite] = []
 
-    if allowed & {Classification.M0, Classification.M2_INV}:
-        candidates.extend(AddEmpty(region) for region in regions)
+    def allows(kind: type, level: int) -> bool:
+        return _class_at(t, kind, level) in allowed
+
+    candidates.extend(AddEmpty(r) for r in regions if allows(AddEmpty, len(r or ())))
 
     for path, oval in ovals:
-        if not oval.children:
+        if not oval.children and allows(DeleteEmpty, len(path)):
             candidates.append(DeleteEmpty(path))
 
     for region in regions:
         prefix = region or ()
+        if not allows(FuseSiblings, len(prefix) + 1):
+            continue
         sibs = _siblings(roots, prefix)
         ranks = _ranks(sibs)
         for i in range(len(sibs)):
@@ -425,29 +460,33 @@ def enumerate_moves(
                     candidates.append(FuseSiblings(prefix + (i,), prefix + (j,)))
 
     for path, oval in ovals:
-        for ci, rank in enumerate(_ranks(oval.children)):
-            if not rank:
-                candidates.append(FuseParentChild(path, path + (ci,)))
+        if allows(FuseParentChild, len(path) + 1):
+            for ci, rank in enumerate(_ranks(oval.children)):
+                if not rank:
+                    candidates.append(FuseParentChild(path, path + (ci,)))
 
-    # Splits are band moves, of class M1 or M1^-1.
-    if splits and allowed & {Classification.M1, Classification.M1_INV}:
+    if splits:
         for path, oval in ovals:
+            if not allows(SplitSibling, len(path) - 1):
+                continue
             kids = oval.children
             shapes: dict[str, list[int]] = {}
             for i, c in enumerate(kids):
                 shapes.setdefault(c.key, []).append(i)
             keeps = []
             for s in _grouped_subsets([((i,), c.key) for i, c in enumerate(kids)]):
-                keep = sorted(i for (i,) in s)
-                taken = Counter(kids[i].key for i in keep)
+                kept = sorted(i for (i,) in s)
+                taken = Counter(kids[i].key for i in kept)
                 # A keep set and its complement give the same split: keep the
                 # one whose least-mask representative has the smaller mask.
                 rest = [i for key, ix in shapes.items() for i in ix[: len(ix) - taken[key]]]
-                if _mask(rest) >= _mask(keep):
-                    keeps.append((_mask(keep), tuple(keep)))
-            candidates.extend(SplitSibling(path, keep) for _, keep in sorted(keeps))
+                if _mask(rest) >= _mask(kept):
+                    keeps.append((_mask(kept), tuple(kept)))
+            candidates.extend(SplitSibling(path, kept) for _, kept in sorted(keeps))
 
         for path, oval in ovals:
+            if not allows(SplitNest, len(path)):
+                continue
             region = path[:-1]
             neighbours = [
                 (region + (k,), o.key)
@@ -458,16 +497,15 @@ def enumerate_moves(
                 candidates.append(SplitNest(path, subset))
 
     moves = []
-    seen: set[tuple[str, str, Classification]] = set()
+    seen: set[tuple[type, str]] = set()
     for rw in candidates:
-        if _classify(t, rw) not in allowed:
-            continue
-        m = make_move(t, rw)
-        key = (type(rw).__name__, canonical_key(m.successor.scheme), m.classification)
+        fk = _successor_key(roots, rw)
+        key = (type(rw), fk)
         if key in seen:
             continue
         seen.add(key)
-        moves.append(m)
+        if keep is None or keep(rw, fk):
+            moves.append(make_move(t, rw))
     return moves
 
 

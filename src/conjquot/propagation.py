@@ -28,8 +28,8 @@ Two graph semantics are exposed:
   This asymmetry is what keeps facts at a type-1 state from leaking to
   the type-2 state of the same forest.
 
-Both enumerate only the relation's classes, and propagation splits only
-from a type-2 state, so no move is built to be dropped.
+Both enumerate only the relation's classes, propagation splits only from
+a type-2 state, and both judge a successor by its key before building it.
 
 Facts always carry a replayable path: a chain of move records and axiom
 edges back to a seed.  One step check serves search certificates and
@@ -57,8 +57,10 @@ from .moves import (
     Classification,
     MoveError,
     MoveRecord,
+    Rewrite,
     apply,
     enumerate_moves,
+    type_after,
 )
 from .schemes import (
     CurveType,
@@ -136,10 +138,10 @@ def parse_state_label(label: str, degree: int) -> TrackedScheme:
 # ------------------------------------------------------------- certificates
 
 
-def _lands_on(after: TrackedScheme, curve_type: CurveType) -> bool:
-    """Whether a move's successor, of type 2 after a fusion and of unknown
-    type otherwise, may be read as a state of ``curve_type``."""
-    return after.scheme.curve_type in (CurveType.UNKNOWN, curve_type)
+def _lands_on(after: CurveType, curve_type: CurveType) -> bool:
+    """Whether a move's successor, of type ``after`` (:func:`type_after`),
+    may be read as a state of ``curve_type``."""
+    return after in (CurveType.UNKNOWN, curve_type)
 
 
 def _splits_from(state: TrackedScheme) -> bool:
@@ -167,7 +169,7 @@ def _step(
     except MoveError:
         return None
     curve_type = expected.scheme.curve_type
-    if state_key(after) != state_key(expected) or not _lands_on(after, curve_type):
+    if state_key(after) != state_key(expected) or not _lands_on(after.scheme.curve_type, curve_type):
         return None
     # Keep the stored forest: later steps address ovals by index paths.
     return TrackedScheme(after.scheme.with_type(curve_type), after.degree, after.outer_tracked)
@@ -250,23 +252,25 @@ def relation_search(
     if bound(source.scheme.oval_count, chi) > max_steps:
         return None
     seen = {start}
+
+    def keep(rw: Rewrite, fk: str) -> bool:
+        """Claim a forest within the oval cap (one ``(`` per oval), first time only."""
+        key = (fk, source.outer_tracked)
+        fresh = fk.count("(") <= MAX_SEARCH_OVALS and key not in seen
+        seen.add(key)
+        return fresh
+
     # A node is (state, move into it, parent node, steps from the source,
     # tracked chi); the path is read back through the parents once, at the goal.
     frontier: deque[tuple] = deque([(source, None, None, 0, chi)])
     while frontier:
         node = frontier.popleft()
         state, _, _, steps, chi = node
-        for m in enumerate_moves(state, rel.allowed):
+        for m in enumerate_moves(state, rel.allowed, keep=keep):
             nxt = m.successor
-            if nxt.scheme.oval_count > MAX_SEARCH_OVALS:
-                continue
-            key = state_key(nxt)
-            if key in seen:
-                continue
-            seen.add(key)
             nxt_chi = chi + m.delta_chi_tracked
             child = (nxt, m, node, steps + 1, nxt_chi)
-            if key == goal:
+            if state_key(nxt) == goal:
                 moves, states = [], []
                 while child is not None:
                     reached, move, child, _, _ = child
@@ -393,20 +397,23 @@ def propagate(
         table.add(new)
         work.append(new)
 
+    def landings(after: CurveType, fk: str) -> list[CurveType]:
+        """The universe types of ``fk`` a successor of type ``after`` lands on, not marked yet."""
+        pred, side = fact.predicate.value, fact.state.outer_tracked
+        return [ct for ct in index.get(fk, ())
+                if _lands_on(after, ct) and (pred, fk, ct.value, side) not in table.facts]
+
+    def keep(rw: Rewrite, fk: str) -> bool:
+        return bool(landings(type_after(rw), fk))
+
     while work:
         fact = work.popleft()
         state = fact.state
-        source = state_label(state)
-        for m in enumerate_moves(state, rel.allowed, splits=_splits_from(state)):
+        source = fact.path[-1]["to"] if fact.path else state_label(state)
+        for m in enumerate_moves(state, rel.allowed, splits=_splits_from(state), keep=keep):
             after = m.successor
-            fk = forest_key(after.scheme)
-            for ct in index.get(fk, ()):
-                key = (fact.predicate.value, fk, ct.value, after.outer_tracked)
-                if not _lands_on(after, ct) or key in table.facts:
-                    continue
-                target = TrackedScheme(
-                    after.scheme.with_type(ct), degree, after.outer_tracked
-                )
+            for ct in landings(after.scheme.curve_type, forest_key(after.scheme)):
+                target = TrackedScheme(after.scheme.with_type(ct), degree, state.outer_tracked)
                 extend(target, "propagated", {"edge": "move", **m.record()})
         for dst in axioms.get(typed_key(state), ()):  # trusted non-move edges
             if (fact.predicate.value, *typed_key(dst)) not in table.facts:

@@ -47,6 +47,11 @@ class CurveType(Enum):
         return "" if self is CurveType.UNKNOWN else "_" + self.value
 
 
+def tree_key(child_keys: Iterable[str]) -> str:
+    """An oval's canonical (AHU) key from its children's: one ``(`` per oval."""
+    return "(" + "".join(sorted(child_keys)) + ")"
+
+
 @dataclass(frozen=True, slots=True)
 class Oval:
     """A two-sided component; ``children`` are the ovals directly inside.
@@ -64,7 +69,7 @@ class Oval:
             size, signed = size + c.size, signed - c.signed
             keys.append(c.key)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "key", "(" + "".join(sorted(keys)) + ")")
+        object.__setattr__(self, "key", tree_key(keys))
         object.__setattr__(self, "signed", signed)
 
     @property

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from types import SimpleNamespace
 from typing import ClassVar, Mapping, Sequence
@@ -290,6 +290,14 @@ def _disc_cells(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
 
 
+def _disc_span(n: int, a: int) -> tuple[int, int]:
+    """First column and width of the cells v = b/n with a² + b² <= n² in row u = a/n.  a and b
+    have the parity of n + 1, so a² + b² never equals n²: the float test agrees."""
+    s = math.isqrt(n * n - a * a)
+    s -= (s + n + 1) % 2  # the largest |b| of the right parity
+    return (n - 1 - s) // 2, s + 1
+
+
 def _sign_runs(sg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The runs of an int8 sign array: maximal stretches of one nonzero sign
     along a row, as flat first cells, flat last cells and signs, in raster
@@ -402,8 +410,8 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     step = max(1, _BAND_CELLS // n)
     for r0 in range(0, n, step):
         u = axis[r0 : r0 + step, None]
-        hit = np.flatnonzero(_disc_cells(u[np.abs(u).argmin()], axis)[1])
-        c0, width = hit[0], hit[-1] + 1 - hit[0]
+        centre = min(max((n - 1) // 2, r0), min(r0 + step, n) - 1)  # the band's widest row
+        c0, width = _disc_span(n, 2 * centre + 1 - n)
         v = axis[None, c0 : c0 + width]
         w, band = _disc_cells(u, v)
         f = p.evaluate(u, v, w)
@@ -559,6 +567,16 @@ def _check_arrangement(lines: Sequence[tuple[float, float, float]]) -> None:
             raise TraceError(f"lines {i}, {j}, {k} share a point")
 
 
+def l_curve_epsilon(lines: Sequence[tuple[float, float, float]]) -> float:
+    """The default epsilon of :func:`l_curve_sample`: 1e-2 of the 10% quantile
+    of the nonzero |line product| on a coarse disc sample, below face values."""
+    axis = _disc_axis(64)
+    w, inside = _disc_cells(axis[:, None], axis)
+    prod = reduce(poly_mul, (line(*c) for c in lines))
+    samples = np.abs(prod.evaluate_terms(axis[:, None], axis, w)[inside])
+    return 1e-2 * float(np.quantile(samples[samples > 0], 0.1))
+
+
 def l_curve_sample(
     lines: Sequence[tuple[float, float, float]],
     g: PolySpec,
@@ -569,10 +587,8 @@ def l_curve_sample(
 
     The lines must be pairwise distinct with no common triple point and
     g must have the same degree as their number.  When epsilon is not
-    given it is scaled from the small quantile of the line product over
-    a coarse sample, so the perturbation stays below the generic face
-    values.  The oval count of a stable result must respect the
-    one-third bound; a violation signals a tracer bug.
+    given it is :func:`l_curve_epsilon`.  The oval count of a stable
+    result must respect the one-third bound; a violation signals a tracer bug.
     """
     m = len(lines)
     if m < 2:
@@ -580,15 +596,9 @@ def l_curve_sample(
     if g.degree != m:
         raise TraceError(f"perturbation must have degree {m}, got {g.degree}")
     _check_arrangement(lines)
-    prod = line(*lines[0])
-    for coeffs in lines[1:]:
-        prod = poly_mul(prod, line(*coeffs))
     if epsilon is None:
-        axis = _disc_axis(64)
-        w, inside = _disc_cells(axis[:, None], axis)
-        samples = np.abs(prod.evaluate_terms(axis[:, None], axis, w)[inside])
-        epsilon = 1e-2 * float(np.quantile(samples[samples > 0], 0.1))
-    f = poly_add(prod, g, scale=-epsilon)
+        epsilon = l_curve_epsilon(lines)
+    f = poly_add(reduce(poly_mul, (line(*c) for c in lines)), g, scale=-epsilon)
     trace = trace_scheme(f, grid)
     if not trace.stable:
         raise UnstableTraceError(f"unstable perturbation trace: {'; '.join(trace.notes)}")

@@ -129,11 +129,9 @@ def _subsets_by_shape(items):
     return subsets
 
 
-def enumerate_unpruned(t: TrackedScheme) -> list[MoveRecord]:
-    """Build a candidate at every oval, region, sibling pair and child
-    index (splits: every multiset of children or neighbours, keep sets by
-    mask), then keep the first candidate of each outcome (kind, successor
-    key, classification)."""
+def unpruned_candidates(t: TrackedScheme) -> list:
+    """A rewrite at every oval, region, sibling pair and child index
+    (splits: every multiset of children or neighbours, keep sets by mask)."""
     roots = t.scheme.roots
     ovals = list(iter_ovals(t.scheme))
     regions = [None, *(path for path, _ in ovals)]
@@ -165,9 +163,14 @@ def enumerate_unpruned(t: TrackedScheme) -> list[MoveRecord]:
             (region + (k,), o.key) for k, o in enumerate(siblings(region)) if k != path[-1]
         ]
         candidates += [SplitNest(path, s) for s in _subsets_by_shape(neighbours)]
+    return candidates
 
+
+def enumerate_unpruned(t: TrackedScheme) -> list[MoveRecord]:
+    """Build every unpruned candidate, then keep the first candidate of each
+    outcome (kind, successor key, classification)."""
     moves, seen = [], set()
-    for rw in candidates:
+    for rw in unpruned_candidates(t):
         m = make_move(t, rw)
         key = (type(rw).__name__, canonical_key(m.successor.scheme), m.classification)
         if key not in seen:

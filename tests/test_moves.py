@@ -30,6 +30,7 @@ from conjquot.moves import (
     ledger_effect,
     make_move,
     rewrite_from_record,
+    _successor_key,
     trace_records,
 )
 from conjquot.propagation import RHD, SUCC
@@ -43,7 +44,7 @@ from conjquot.schemes import (
 )
 
 from conftest import forests, random_forest
-from oracles import check_cached_fields, enumerate_unpruned
+from oracles import check_cached_fields, enumerate_unpruned, unpruned_candidates
 
 
 def tracked(code, outer=False):
@@ -195,6 +196,19 @@ def test_pruned_enumeration_matches_every_index_oracle(outer):
         assert [m.record() for m in ms] == [m.record() for m in enumerate_unpruned(t)]
         for m in ms:
             assert m.successor == apply(t, m)  # forest, type, degree and side
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_spliced_key_is_the_built_successors(outer):
+    # Enumeration dedupes, and asks its caller whether to build, on the key
+    # spliced from cached keys; it must be the built successor's forest key.
+    states = [TrackedScheme(RealScheme(roots), 6, outer) for roots in iter_forests(8)]
+    states += [TrackedScheme(parse_viro(code), 40, outer) for code in HIGH_SYMMETRY]
+    for t in states:
+        for rw in unpruned_candidates(t):
+            key = _successor_key(t.scheme.roots, rw)
+            after = make_move(t, rw).successor.scheme
+            assert (key, key.count("(")) == (forest_key(after), after.oval_count), rw
 
 
 @pytest.mark.parametrize("outer", [False, True])

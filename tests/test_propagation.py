@@ -131,9 +131,9 @@ def test_search_cut_keeps_the_unpruned_certificates_on_small_forests():
 def test_search_cut_skips_hopeless_queries(monkeypatch):
     enumerated = []
 
-    def counted(t, *rest):
+    def counted(t, *rest, **kw):
         enumerated.append(t)
-        return enumerate_moves(t, *rest)
+        return enumerate_moves(t, *rest, **kw)
 
     monkeypatch.setattr(propagation, "enumerate_moves", counted)
     # SUCC lowers the tracked Euler characteristic at every step.
@@ -201,6 +201,24 @@ def test_propagate_builds_only_the_moves_it_keeps(monkeypatch, catalog):
         or (isinstance(m.rewrite, SPLITS) and t.scheme.curve_type is not CurveType.TWO)
     ]
     assert dropped == []
+
+
+def test_closure_and_search_build_only_the_successors_they_keep(monkeypatch, catalog):
+    # A successor's spliced forest key is checked before it is built: the
+    # closure builds a successor that adds a fact and the search one it has
+    # not seen (970 and 1,121 builds when every outcome was built).
+    built, move = [], moves.make_move
+
+    def counted(t, rw):
+        built.append(rw)
+        return move(t, rw)
+
+    monkeypatch.setattr(moves, "make_move", counted)
+    table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, SUCC, catalog)
+    assert len(table) == 126 and len(built) <= 200
+    built.clear()
+    cert = relation_search(tracked("<10>_2"), tracked("<1<1<1>>>"), SUCC)
+    assert cert is not None and len(cert.moves) == 9 and len(built) <= 400
 
 
 def test_propagate_empty_seeds():

@@ -16,9 +16,11 @@ from conjquot.tracer import (
     GridConfig,
     PolySpec,
     TraceError,
+    TraceResult,
     TracerInternalError,
     _disc_axis,
     _disc_cells,
+    _disc_span,
     _label_runs,
     _opposite_runs,
     _run_ids_at,
@@ -406,6 +408,27 @@ def test_disc_grid_is_antipodally_symmetric():
         assert np.array_equal(want[3], inside), n
 
 
+def test_disc_span_is_the_float_disc_test():
+    # The closed-form column cut of each row equals the in-disc cells of
+    # _disc_cells: every row at n = 1..400, and the cells either side of
+    # each row's cut at larger sizes, where a row's in-disc cells are one
+    # stretch because u*u + v*v grows with |v| in floating point too.
+    for n in range(1, 401):
+        axis = _disc_axis(n)
+        inside = _disc_cells(axis[:, None], axis)[1]
+        spans = np.array([_disc_span(n, 2 * r + 1 - n) for r in range(n)])
+        assert np.array_equal(spans[:, 0], inside.argmax(axis=1)), n
+        assert np.array_equal(spans[:, 1], inside.sum(axis=1)), n
+    for n in (511, 1000, 1023, 1024, 2047, 2048, 2999, 4096, 5000, 8192):
+        axis = _disc_axis(n)
+        c0, width = np.array([_disc_span(n, 2 * r + 1 - n) for r in range(n)]).T
+        u = axis[:, None]
+        cols = np.stack([c0 - 1, c0, c0 + width - 1, c0 + width], axis=1)
+        inside = _disc_cells(u, axis[np.clip(cols, 0, n - 1)])[1]
+        assert inside[:, 1:3].all(), n
+        assert not inside[c0 > 0, 0].any() and not inside[c0 + width < n, 3].any(), n
+
+
 def test_fold_checks_antipodal_signs(monkeypatch):
     # The one-sheet tracer reads the lower sheet as the upper one turned; the
     # two-sheet reference folds evaluated pairs and checks their signs.
@@ -652,3 +675,26 @@ def test_l_curve_autoscaled_epsilon():
     )
     assert res.epsilon.hex() == "0x1.471adb1ac37dfp-13"  # from the term-order sample
     assert res.trace.scheme.oval_count <= 0 or res.trace.stable
+
+
+def test_search_lcurves_traces_only_the_rescaled_perturbations(monkeypatch, capsys):
+    # The script reads the autoscaled epsilon without tracing it: four traces
+    # per arrangement (two scales, two signs), none thrown away.
+    import importlib.util
+
+    import conjquot.tracer as tracer
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "search_lcurves.py"
+    spec = importlib.util.spec_from_file_location("search_lcurves", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    traced = []
+
+    def stub(p, grid):
+        traced.append(p)
+        return TraceResult(RealScheme(), (), grid.resolution, stable=True)
+
+    monkeypatch.setattr(tracer, "trace_scheme", stub)
+    script.search("<10>", tries=3)
+    assert capsys.readouterr().out == "not found\n"
+    assert len(traced) == 12
