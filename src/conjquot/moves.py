@@ -21,7 +21,7 @@ the classification follows the sign and the locus:
   and ``M1^-1`` when it gains;
 * death of a non-tracked disc is ``M2``, its birth ``M2^-1``.
 
-The class is read off the depth parity of the ovals a rewrite names,
+The class is read off the depth parity of the level a rewrite changes,
 before it is applied; the Euler characteristic of the result checks it.
 
 Thus {M0^-1, M1, M2^-1} are the moves with delta = -1 on the tracked
@@ -32,8 +32,9 @@ Rewrites address ovals by index paths into the stored forest, so records
 replay deterministically.  Each rewrite is one edit of one sibling list:
 it drops some siblings, may rebuild one in place (only a parent-child
 fusion does) and appends new ovals, each described by its children.
-Application, key splicing, path transport and inversion all read that
-one description.  Enumeration lists one representative per distinct
+Application and key splicing (one splice, two readers), classification,
+the enumeration filter, path transport and inversion all read that one
+description.  Enumeration lists one representative per distinct
 outcome: it skips a candidate that a swap of identical siblings maps onto
 an earlier one, and never generates a family of a class not asked for.
 It dedupes the rest on the successor's forest key, spliced from cached
@@ -49,7 +50,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Callable, ClassVar, Iterable, Sequence
 
-from .domains import Path, Side, TrackedScheme, euler_W, format_path, parse_path
+from .domains import OUTER, Path, Side, TrackedScheme, euler_W, format_path, parse_path
 # canonical_key is not called here; perfbench's key span hooks this module's name.
 from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key, tree_key
 
@@ -169,6 +170,8 @@ def rewrite_from_record(rec: dict) -> Rewrite:
                 raise TypeError(f"{f.name} must be a list")
             _, decode = _FIELD_CODECS.get(f.name, _PATH_CODEC)
             args[f.name] = decode(value)
+        if cls is not AddEmpty and OUTER in (*args.values(), *args.get("enclosed", ())):
+            raise ValueError("only add_empty's region may be 'outer'")
         return cls(**args)
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise MoveError(f"bad rewrite record {rec!r}: {err!r}") from None
@@ -276,61 +279,48 @@ def _edit(
     raise MoveError(f"unknown rewrite {rw!r}")
 
 
-def _apply_rewrite(scheme: RealScheme, rw: Rewrite) -> tuple[Oval, ...]:
-    region, drop, rebuilt, added = _edit(scheme.roots, rw)
-    lists = list(accumulate(region, lambda sibs, i: sibs[i].children, initial=scheme.roots))
-    sibs = lists.pop()
-    if drop or rebuilt:
-        sibs = tuple(
-            Oval(rebuilt[k]) if k in rebuilt else o for k, o in enumerate(sibs) if k not in drop
-        )
-    sibs += tuple(map(Oval, added))
+def _splice(roots: tuple[Oval, ...], edit: tuple, node: Callable, read: Callable) -> list:
+    """The successor's top-level list under an ``_edit`` description, as
+    values: ``read`` gives a sibling tuple's values, and ``node`` a new oval's
+    from its children's.  Only the edited list and its ancestors are walked;
+    ``_BUILD`` gives ovals and ``_KEY`` keys spliced from cached ones."""
+    region, drop, rebuilt, added = edit
+    lists = list(accumulate(region, lambda sibs, i: sibs[i].children, initial=roots))
+    out = [node(read(rebuilt[k])) if k in rebuilt else v
+           for k, v in enumerate(read(lists.pop())) if k not in drop]
+    out += (node(read(kids)) for kids in added)
     for i in reversed(region):
-        up = lists.pop()
-        sibs = up[:i] + (Oval(sibs),) + up[i + 1 :]
-    return sibs
+        out = [node(tuple(out)) if k == i else v for k, v in enumerate(read(lists.pop()))]
+    return out
+
+
+_BUILD = (Oval, tuple)
+_KEY = (tree_key, lambda sibs: [o.key for o in sibs])
 
 
 def _successor_key(roots: tuple[Oval, ...], rw: Rewrite) -> str:
-    """The forest key :func:`_apply_rewrite` would give, spliced from cached
-    keys: only new ovals and the edited list's ancestors get keys computed."""
-    region, drop, rebuilt, added = _edit(roots, rw)
-    lists = list(accumulate(region, lambda sibs, i: sibs[i].children, initial=roots))
-    keys = [tree_key(c.key for c in rebuilt[k]) if k in rebuilt else o.key
-            for k, o in enumerate(lists.pop()) if k not in drop]
-    keys += (tree_key(c.key for c in kids) for kids in added)
-    for i in reversed(region):
-        keys = [tree_key(keys) if k == i else o.key for k, o in enumerate(lists.pop())]
-    return "".join(sorted(keys))
+    """The forest key of the successor :func:`make_move` would build."""
+    return "".join(sorted(_splice(roots, _edit(roots, rw), *_KEY)))
 
 
-# A rewrite's class at a tracked level, then at another: the level a birth
-# or death changes, or that a band move takes Euler characteristic from (the
-# fused ovals' interiors, a sibling split's region, a nest split's oval).
+# A rewrite's level as a depth below its edited list, then its class at a
+# tracked level and at another.  The level is the one a birth or death
+# changes, or that a band move takes Euler characteristic from: the fused
+# ovals' interiors, a sibling split's region, a nest split's oval.
+_M1 = (Classification.M1, Classification.M1_INV)
 _CLASSES = {
-    AddEmpty: (Classification.M2_INV, Classification.M0),
-    DeleteEmpty: (Classification.M0_INV, Classification.M2),
-    **dict.fromkeys(FUSIONS + SPLITS, (Classification.M1, Classification.M1_INV)),
+    AddEmpty: (0, Classification.M2_INV, Classification.M0),
+    DeleteEmpty: (1, Classification.M0_INV, Classification.M2),
+    FuseSiblings: (1, *_M1),
+    FuseParentChild: (2, *_M1),
+    SplitSibling: (0, *_M1),
+    SplitNest: (1, *_M1),
 }
 
 
-def _class_at(t: TrackedScheme, kind: type, level: int) -> Classification:
-    return _CLASSES[kind][not t.is_tracked_level(level)]
-
-
-def _classify(t: TrackedScheme, rw: Rewrite) -> Classification:
-    """The class of a rewrite, read off depth parity before it is built."""
-    if isinstance(rw, AddEmpty):
-        level = 0 if rw.region is None else len(rw.region)
-    elif isinstance(rw, (DeleteEmpty, SplitNest)):
-        level = len(rw.oval)
-    elif isinstance(rw, FuseSiblings):
-        level = len(rw.first)
-    elif isinstance(rw, FuseParentChild):
-        level = len(rw.child)
-    else:  # SplitSibling
-        level = len(rw.oval) - 1
-    return _class_at(t, type(rw), level)
+def _class_at(t: TrackedScheme, kind: type, region: Path) -> Classification:
+    depth, tracked, other = _CLASSES[kind]
+    return tracked if t.is_tracked_level(len(region) + depth) else other
 
 
 def type_after(rw: Rewrite) -> CurveType:
@@ -341,12 +331,13 @@ def type_after(rw: Rewrite) -> CurveType:
 def make_move(t: TrackedScheme, rw: Rewrite) -> MoveRecord:
     """Classify a rewrite on this state, checked by the successor's Euler
     characteristic; the record carries the successor."""
-    roots = _apply_rewrite(t.scheme, rw)
+    edit = _edit(t.scheme.roots, rw)
+    roots = tuple(_splice(t.scheme.roots, edit, *_BUILD))
     after = TrackedScheme(
         RealScheme(roots, t.scheme.pseudoline, type_after(rw)), t.degree, t.outer_tracked
     )
     delta = euler_W(after, Side.TRACKED) - euler_W(t, Side.TRACKED)
-    cls = _classify(t, rw)
+    cls = _class_at(t, type(rw), edit[0])
     expected = -1 if cls in DECREASING else 1
     if delta != expected:
         raise MoveError(f"{cls.value} must have delta {expected}, got {delta}")
@@ -434,40 +425,39 @@ def enumerate_moves(
     """
     roots = t.scheme.roots
     ovals = list(_canonical_ovals(roots))
-    regions = [None, *(path for path, _ in ovals)]
+    regions = [(), *(path for path, _ in ovals)]
     candidates: list[Rewrite] = []
 
-    def allows(kind: type, level: int) -> bool:
-        return _class_at(t, kind, level) in allowed
+    def allows(kind: type, region: Path) -> bool:
+        return _class_at(t, kind, region) in allowed
 
-    candidates.extend(AddEmpty(r) for r in regions if allows(AddEmpty, len(r or ())))
+    candidates.extend(AddEmpty(r or None) for r in regions if allows(AddEmpty, r))
 
     for path, oval in ovals:
-        if not oval.children and allows(DeleteEmpty, len(path)):
+        if not oval.children and allows(DeleteEmpty, path[:-1]):
             candidates.append(DeleteEmpty(path))
 
     for region in regions:
-        prefix = region or ()
-        if not allows(FuseSiblings, len(prefix) + 1):
+        if not allows(FuseSiblings, region):
             continue
-        sibs = _siblings(roots, prefix)
+        sibs = _siblings(roots, region)
         ranks = _ranks(sibs)
         for i in range(len(sibs)):
             if ranks[i]:
                 continue
             for j in range(i + 1, len(sibs)):
                 if not ranks[j] or (ranks[j] == 1 and sibs[j].key == sibs[i].key):
-                    candidates.append(FuseSiblings(prefix + (i,), prefix + (j,)))
+                    candidates.append(FuseSiblings(region + (i,), region + (j,)))
 
     for path, oval in ovals:
-        if allows(FuseParentChild, len(path) + 1):
+        if allows(FuseParentChild, path[:-1]):
             for ci, rank in enumerate(_ranks(oval.children)):
                 if not rank:
                     candidates.append(FuseParentChild(path, path + (ci,)))
 
     if splits:
         for path, oval in ovals:
-            if not allows(SplitSibling, len(path) - 1):
+            if not allows(SplitSibling, path[:-1]):
                 continue
             kids = oval.children
             shapes: dict[str, list[int]] = {}
@@ -484,10 +474,10 @@ def enumerate_moves(
                     keeps.append((_mask(kept), tuple(kept)))
             candidates.extend(SplitSibling(path, kept) for _, kept in sorted(keeps))
 
-        for path, oval in ovals:
-            if not allows(SplitNest, len(path)):
-                continue
+        for path, _ in ovals:
             region = path[:-1]
+            if not allows(SplitNest, region):
+                continue
             neighbours = [
                 (region + (k,), o.key)
                 for k, o in enumerate(_siblings(roots, region))
@@ -594,7 +584,7 @@ class LogTransformEvent:
 
 
 def _transport(
-    path: Path, region: Path, drop: tuple[int, ...], rebuilt: dict[int, Oval]
+    path: Path, region: Path, drop: tuple[int, ...], rebuilt: dict[int, tuple[Oval, ...]]
 ) -> Path | None:
     """Follow an oval's path through a sibling-list edit; None if the edit
     drops or rebuilds the oval or an ancestor."""
@@ -638,8 +628,7 @@ def detect_log_transform(
             and not state.is_tracked_level(len(rw.parent))
         ):
             # The region between parent and child is a non-tracked annulus.
-            fused_path = rw.parent
-            pending.append((step, fused_path))
+            pending.append((step, rw.parent))
     return events
 
 

@@ -329,14 +329,14 @@ def _runs_below(start: np.ndarray, end: np.ndarray, cols: int) -> tuple[np.ndarr
 
 
 def _label_runs(
-    start: np.ndarray, end: np.ndarray, sign: np.ndarray, cols: int, first: int = 1
+    start: np.ndarray, end: np.ndarray, sign: np.ndarray, cols: int
 ) -> tuple[np.ndarray, int, int]:
     """4-connected components of the runs of a sign array, ``_sign_runs``'
     output for rows ``cols`` cells wide.
 
     Runs of one sign in adjacent rows that share a column are joined.  Ids
-    ``first, first + 1, ...`` go to the positive components in raster order
-    of their first cell, then to the negative ones in the same order.
+    ``1, 2, ...`` go to the positive components in raster order of their
+    first cell, then to the negative ones in the same order.
     Returns the int32 id of each run and the numbers of positive and
     negative components.  After He, Chao & Suzuki, "A run-based two-scan
     labeling algorithm", IEEE TIP 17(5), 2008.
@@ -364,8 +364,8 @@ def _label_runs(
     pos = sign[roots] > 0
     positive = int(np.count_nonzero(pos))
     rank = np.empty(len(start), dtype=np.int32)
-    rank[roots[pos]] = np.arange(first, first + positive)
-    rank[roots[~pos]] = np.arange(first + positive, first + len(roots))
+    rank[roots[pos]] = np.arange(1, 1 + positive)
+    rank[roots[~pos]] = np.arange(1 + positive, 1 + len(roots))
     return rank[parent], positive, len(roots) - positive
 
 

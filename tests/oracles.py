@@ -486,7 +486,8 @@ def trace_once_two_sheets(p: PolySpec, n: int) -> _PixelTopology:
     labels = []
     sign = [0]
     for sg in signs:
-        lab, positive, negative = label_signs_by_pixels(sg, len(sign))
+        lab, positive, negative = label_signs_by_pixels(sg)
+        np.add(lab, len(sign) - 1, out=lab, where=lab > 0)  # ids after the last sheet's
         sign += [1] * positive + [-1] * negative
         labels.append(lab)
     base = len(sign)
@@ -521,26 +522,25 @@ def trace_once_two_sheets(p: PolySpec, n: int) -> _PixelTopology:
     return _regions_to_topology(p, sign, dsu, sphere, adjacency, ambiguous)
 
 
-def label_signs_by_runs(sg: np.ndarray, first: int = 1) -> tuple[np.ndarray, int, int]:
+def label_signs_by_runs(sg: np.ndarray) -> tuple[np.ndarray, int, int]:
     """The tracer's run labeller painted over an int8 sign array: each run's
     id over its cells, 0 where the sign is 0, and the numbers of positive and
     negative components."""
     start, end, sign = _sign_runs(sg)
-    ids, positive, negative = _label_runs(start, end, sign, sg.shape[1], first)
+    ids, positive, negative = _label_runs(start, end, sign, sg.shape[1])
     lab = np.zeros(sg.shape, dtype=np.int32)
     lab[sg != 0] = np.repeat(ids, end - start + 1)  # runs tile the nonzero cells in raster order
     return lab, positive, negative
 
 
-def label_signs_by_pixels(sg: np.ndarray, first: int = 1) -> tuple[np.ndarray, int, int]:
+def label_signs_by_pixels(sg: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Reference for ``label_signs_by_runs``: ``ndimage.label`` on each sign
-    of an int8 sign array, positive components first, ids from ``first``."""
+    of an int8 sign array, positive components first, ids from 1."""
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     lab = np.zeros(sg.shape, dtype=np.int32)
     counts = []
     for mask in (sg > 0, sg < 0):
         comp, count = ndimage.label(mask, structure=structure)
-        np.add(comp, first - 1, out=lab, where=comp > 0)
+        np.add(comp, sum(counts), out=lab, where=comp > 0)
         counts.append(count)
-        first += count
     return lab, counts[0], counts[1]

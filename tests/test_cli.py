@@ -128,6 +128,28 @@ def test_moves_apply_bad_lines_exit(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        {"kind": "delete_empty", "oval": "outer"},
+        {"kind": "split_sibling", "oval": "outer", "keep": []},
+        {"kind": "split_nest", "oval": "outer", "enclosed": []},
+        {"kind": "split_nest", "oval": "0", "enclosed": ["outer"]},
+        {"kind": "fuse_siblings", "first": "outer", "second": "0"},
+        {"kind": "fuse_siblings", "first": "0", "second": "outer"},
+        {"kind": "fuse_parent_child", "parent": "0", "child": "outer"},
+    ],
+)
+def test_moves_apply_outer_as_an_oval_exit(tmp_path, capsys, rewrite):
+    # "outer" names the outer region: only add_empty's region may be it
+    seq = tmp_path / "moves.jsonl"
+    seq.write_text(json.dumps(rewrite) + "\n")
+    assert main(["moves", "apply", "<1 u 1>", str(seq)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["apply", "trace"])
 def test_moves_nesting_past_the_depth_cap_exit(tmp_path, capsys, command):
     # the d-th split_nest grows a child under the oval d deep

@@ -631,13 +631,13 @@ def test_replay_computes_no_euler_characteristic(monkeypatch, catalog):
 
 
 def test_sweep_closure_classifies_no_birth_and_no_split_off_type_2(monkeypatch, catalog):
-    seen, classify = [], moves._classify
+    seen, make = [], moves.make_move
 
     def recorded(t, rw):
         seen.append((t, rw))
-        return classify(t, rw)
+        return make(t, rw)
 
-    monkeypatch.setattr(moves, "_classify", recorded)
+    monkeypatch.setattr(moves, "make_move", recorded)
     table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, SUCC, catalog)
     assert len(table) == 126 and seen
     assert not [rw for _, rw in seen if isinstance(rw, moves.AddEmpty)]

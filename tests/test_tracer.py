@@ -442,8 +442,8 @@ def test_fold_checks_antipodal_signs(monkeypatch):
         trace_once_two_sheets(xy, 1023)
 
 
-def assert_labels_match(sg, first=1):
-    got, want = label_signs_by_runs(sg, first), label_signs_by_pixels(sg, first)
+def assert_labels_match(sg):
+    got, want = label_signs_by_runs(sg), label_signs_by_pixels(sg)
     assert got[0].dtype == np.int32 and got[0].shape == sg.shape
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (sg.shape, got[1:], want[1:])
 
@@ -456,7 +456,7 @@ def test_label_signs_matches_pixel_labelling_on_small_masks():
     rows, cols = np.indices((41, 37))
     checker = ((rows + cols) % 2).astype(np.int8)
     for sg in (checker, 2 * checker - 1, -checker):
-        assert_labels_match(sg, first=7)
+        assert_labels_match(sg)
     lab, positive, negative = label_signs_by_runs((2 * checker - 1).astype(np.int8))
     assert positive + negative == checker.size  # every cell is its own component
     line_sg = np.array([[1, 1, 0, -1, -1, 1, 0, 0, 1]], dtype=np.int8)
@@ -471,7 +471,7 @@ def test_label_signs_matches_pixel_labelling_on_random_signs(density):
     for shape in [(1, 200), (200, 1), (17, 23), (128, 128), (256, 97)]:
         for _ in range(3):
             sg = rng.choice(values, size=shape, p=[density / 2, 1 - density, density / 2])
-            assert_labels_match(sg, first=int(rng.integers(1, 50)))
+            assert_labels_match(sg)
 
 
 def pixel_opposite_pairs(sg, lab):
@@ -559,9 +559,8 @@ def test_label_signs_chains_of_runs_in_bounded_time():
 
 def test_label_signs_matches_pixel_labelling_on_trace_signs():
     # the upper sheet the tracer labels, and the lower sheet it stands for:
-    # the upper one turned, signs times (-1)^degree, with the ids the
-    # two-sheet tracer gave it.  Each lower component is one upper
-    # component turned.
+    # the upper one turned, signs times (-1)^degree.  Each lower component
+    # is one upper component turned.
     cubic = PolySpec.from_dict(3, {(3, 0, 0): 1.0, (1, 0, 2): -1.0, (0, 2, 1): -1.0})
     cases = [(six_circle_product(), 256), (six_circle_product(), 1024), (definite(6), 64)]
     for p, n in cases + [(cubic, 255)]:
@@ -572,7 +571,7 @@ def test_label_signs_matches_pixel_labelling_on_trace_signs():
         assert_labels_match(sg)
         lower = (-1 if p.degree % 2 else 1) * sg[::-1, ::-1]
         lab, positive, negative = label_signs_by_runs(sg)
-        assert_labels_match(lower, positive + negative + 1)
+        assert_labels_match(lower)
         turned, lower_lab = lab[::-1, ::-1], label_signs_by_runs(lower)[0]
         to = np.zeros(positive + negative + 1, dtype=np.int32)
         to[turned] = lower_lab
