@@ -22,8 +22,8 @@ each is realizable.  The rules encoded here:
   2 only; everything else not passing the orientation count is type 2
   only.
 
-Rows named by the derivation drivers are tagged as such; the rest carry
-the external-classification tag.
+The rows the sextic sweep names (``propagation.SWEEP_NAMED_ROWS``) are
+tagged as sweep drivers; the rest carry the external-classification tag.
 """
 
 from __future__ import annotations
@@ -33,20 +33,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-# Rows the sweep machinery names directly (seeds, the axiom edge and the
-# expected exceptions); everything else is plain classification data.
-DRIVER_ROWS = {
-    "<10>_2",
-    "<9>_1",
-    "<9>_2",
-    "<1<1<1>>>_1",
-    "<9 u 1<1>>_1",
-    "<1 u 1<9>>_1",
-    "<1 u 1<8>>_2",
-    "<1<9>>_2",
-    "<1<8>>_2",
-    "<1<8>>_1",
-}
+from conjquot.propagation import SWEEP_NAMED_ROWS
+from conjquot.schemes import load_catalog
 
 
 def nested_code(a: int, b: int) -> str:
@@ -67,8 +55,8 @@ def rows() -> list[tuple[str, int, str, str]]:
     out = []
 
     def add(code: str, curve_type: str):
-        tag = "sweep-driver" if f"{code}_{curve_type}" in DRIVER_ROWS else "external-classification"
-        out.append((code, 6, curve_type, tag))
+        named = f"{code}_{curve_type}" in SWEEP_NAMED_ROWS
+        out.append((code, 6, curve_type, "sweep-driver" if named else "external-classification"))
 
     for a in range(1, 11):
         add(f"<{a}>", "2")
@@ -105,9 +93,6 @@ def main() -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines) - 2} rows to {target}")
-
-    from conjquot.schemes import load_catalog
-
     entries = load_catalog(lines)
     print(f"catalog loads: {len(entries)} entries")
 

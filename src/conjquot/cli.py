@@ -134,7 +134,7 @@ def cmd_moves_apply(args) -> tuple[list[dict], int]:
 
 def cmd_moves_trace(args) -> tuple[list[dict], int]:
     states, made = _run_moves(args)
-    records = moves.trace_records(states[0], made)
+    records = moves.trace_records(states, made)
     for ev in moves.detect_log_transform(list(zip(states, made))):
         records.append({"event": "log_transform", **ev.record()})
     return records, EXIT_OK

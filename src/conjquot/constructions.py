@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from .domains import Path, iter_ovals
+from .domains import Path, format_path, iter_ovals
 from .fourman import FourManifoldWord, word
 from .schemes import MAX_OVALS, CurveType, Oval, RealScheme, format_viro
 
@@ -66,7 +66,7 @@ class BaseCurveSpec:
                 if not scheme.pseudoline:
                     raise ConstructionError("no pseudoline to carry basepoints")
             elif key not in {path for path, _ in iter_ovals(scheme)}:
-                raise ConstructionError(f"no oval at path {key}")
+                raise ConstructionError(f"no oval at path {format_path(key)}")
 
     @property
     def d(self) -> int:

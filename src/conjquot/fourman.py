@@ -224,10 +224,6 @@ class StandardSurfaceForm:
         if not self.orientable and self.rp2 + self.rp2bar == 0:
             raise WordError("a non-orientable standard surface needs a crosscap")
 
-    @property
-    def euler(self) -> int:
-        return 2 - 2 * self.tori - self.rp2 - self.rp2bar
-
 
 class FormError(ValueError):
     """Arithmetically impossible standard form: signals a modeling bug."""

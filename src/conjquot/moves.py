@@ -138,9 +138,17 @@ _KINDS = {
 }
 _KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
+
+def _indices(values: list) -> tuple[int, ...]:
+    """Decode sibling indices: ints only, and a bool is not one."""
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"indices must be integers, got {values!r}")
+    return tuple(values)
+
+
 # Fields other than a single oval path, held as lists: (encode, decode).
 _FIELD_CODECS = {
-    "keep": (list, tuple),
+    "keep": (list, _indices),
     "enclosed": (
         lambda paths: [format_path(p) for p in paths],
         lambda texts: tuple(parse_path(t) for t in texts),
@@ -198,7 +206,10 @@ class MoveRecord:
         """Inverse of :meth:`record`; raises KeyError or ValueError on a
         malformed record."""
         rewrite = rewrite_from_record(rec["rewrite"])
-        return cls(rewrite, Classification(rec["classification"]), rec["delta_chi"])
+        delta = rec["delta_chi"]
+        if type(delta) is not int:
+            raise MoveError(f"delta_chi must be an integer, got {delta!r}")
+        return cls(rewrite, Classification(rec["classification"]), delta)
 
 
 # ---------------------------------------------------------------- surgery
@@ -257,9 +268,11 @@ def _edit(
 
     if isinstance(rw, SplitSibling):
         oval = _get(roots, rw.oval)
-        if not set(rw.keep) <= set(range(len(oval.children))):
-            raise MoveError("keep indices out of range")
         keep = set(rw.keep)
+        if not keep <= set(range(len(oval.children))):
+            raise MoveError("keep indices out of range")
+        if len(keep) != len(rw.keep):
+            raise MoveError("keep indices must be distinct")
         first = tuple(c for k, c in enumerate(oval.children) if k in keep)
         second = tuple(c for k, c in enumerate(oval.children) if k not in keep)
         return rw.oval[:-1], (rw.oval[-1],), {}, (first, second)
@@ -632,17 +645,16 @@ def detect_log_transform(
     return events
 
 
-def trace_records(
-    start: TrackedScheme, moves: Iterable[MoveRecord]
-) -> list[dict]:
-    """Serialized move trace in the external record format."""
-    out = []
-    state = start
-    for step, m in enumerate(moves):
-        eff = ledger_effect(m.classification)
-        rec = {"step": step, **m.record(), **eff.record()}
-        rec["scheme_before"] = str(state.scheme)
-        state = apply(state, m)
-        rec["scheme_after"] = str(state.scheme)
-        out.append(rec)
-    return out
+def trace_records(states: Sequence[TrackedScheme], moves: Iterable[MoveRecord]) -> list[dict]:
+    """Serialized move trace in the external record format; move i leads
+    from ``states[i]`` to ``states[i + 1]``."""
+    return [
+        {
+            "step": step,
+            **m.record(),
+            **ledger_effect(m.classification).record(),
+            "scheme_before": str(before.scheme),
+            "scheme_after": str(after.scheme),
+        }
+        for step, (m, before, after) in enumerate(zip(moves, states, states[1:]))
+    ]

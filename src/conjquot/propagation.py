@@ -113,6 +113,21 @@ SWEEP_SEEDS = (
 # sides: from the type-2 nine-oval state on the orientable side to the
 # type-1 nest of nine on the other side.
 SWEEP_AXIOM_EDGES = (("<9>_2+", "<1<8>>_1-"),)
+# The minus-side states the sweep's closure never marks.
+EXPECTED_MINUS_EXCEPTIONS = (
+    "<1 u 1<9>>_1",
+    "<1 u 1<8>>_2",
+    "<1<9>>_2",
+    "<1<8>>_2",
+)
+# The catalog rows the sweep names, as typed codes: its seeds, the ends of
+# its axiom edge and its expected exceptions.  The sweep requires each of
+# them, and the packaged catalog tags each as a sweep driver.
+SWEEP_NAMED_ROWS = tuple(dict.fromkeys((
+    *(label[:-1] for label, _ in SWEEP_SEEDS),
+    *(label[:-1] for edge in SWEEP_AXIOM_EDGES for label in edge),
+    *EXPECTED_MINUS_EXCEPTIONS,
+)))
 
 
 def state_key(t: TrackedScheme) -> tuple[str, bool]:
@@ -216,7 +231,7 @@ def relation_search(
     count n and the tracked Euler characteristic chi by exactly one each,
     so with dn = |n(u) - n(t)| and dchi = chi(u) - chi(t) a state u other
     than the target t is at least max(dn, |dchi|) moves away (2 when both
-    are 0), and unreachable when dn + dchi is odd.  When every allowed move
+    are 0).  When every allowed move
     lowers chi, as along SUCC, u is exactly dchi moves away and unreachable
     unless 0 < dchi and dn <= dchi.  A state on a path of length L found
     at depth d is L - d moves from the target, so it and every state
@@ -242,8 +257,6 @@ def relation_search(
         """Fewest moves to the target from a state with n ovals and tracked
         Euler characteristic chi that is not the target."""
         dn, dchi = abs(n - goal_n), chi - goal_chi
-        if (dn + dchi) % 2:
-            return math.inf
         if graded:
             return dchi if 0 < dchi and dn <= dchi else math.inf
         return max(dn, abs(dchi)) or 2
@@ -541,49 +554,15 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP
 # ------------------------------------------------------------------- sweep
 
 
-EXPECTED_MINUS_EXCEPTIONS = (
-    "<1 u 1<9>>_1",
-    "<1 u 1<8>>_2",
-    "<1<9>>_2",
-    "<1<8>>_2",
-)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    code: str
-    side: str
-    standard: bool
-    provenance: str
-    path_length: int
-    b2plus_y: int
-    b2minus_y: int
-    quotient: str
-    words: tuple[str, ...]
-
-    def record(self) -> dict:
-        return {
-            "scheme": self.code,
-            "side": self.side,
-            "standard": self.standard,
-            "provenance": self.provenance,
-            "path_length": self.path_length,
-            "b2plus_Y": self.b2plus_y,
-            "b2minus_Y": self.b2minus_y,
-            "quotient": self.quotient,
-            "words": list(self.words),
-        }
-
-
 @dataclass(frozen=True)
 class SweepReport:
-    rows: tuple[SweepRow, ...]
+    rows: tuple[dict, ...]  # the records the sweep prints, two per catalog entry
     minus_exceptions: tuple[str, ...]
     plus_exceptions: tuple[str, ...]
     table: FactTable
 
     def records(self) -> list[dict]:
-        return [r.record() for r in self.rows]
+        return list(self.rows)
 
 
 def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
@@ -597,11 +576,7 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
     if {e.degree for e in catalog} != {6}:
         raise ValueError("the sextic sweep needs a catalog of degree-6 rows only")
     index, _ = _universe_index(catalog)
-    for code in (
-        *(label[:-1] for label, _ in SWEEP_SEEDS),
-        *EXPECTED_MINUS_EXCEPTIONS,  # required rows, even though never marked
-        *(label[:-1] for edge in SWEEP_AXIOM_EDGES for label in edge),
-    ):
+    for code in SWEEP_NAMED_ROWS:  # the exceptions too, though never marked
         want = parse_viro(code)
         if want.curve_type not in index.get(forest_key(want), ()):
             raise ValueError(f"catalog is missing the required entry {code}")
@@ -623,19 +598,17 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
                 arnold_descriptor(t).euler, inv.b2plus_Y, inv.b2minus_Y,
                 Orientability.ORIENTABLE if typed_key(t) in pencil else Orientability.UNDETERMINED,
             )
-            rows.append(
-                SweepRow(
-                    e.typed_code,
-                    t.tracked_label,
-                    fact is not None,
-                    fact.provenance if fact else "",
-                    len(fact.path) if fact else -1,
-                    inv.b2plus_Y,
-                    inv.b2minus_Y,
-                    t.quotient_label,
-                    tuple(str(fourman.branch_cover_word(f, fourman.S4)) for f in forms),
-                )
-            )
+            rows.append({
+                "scheme": e.typed_code,
+                "side": t.tracked_label,
+                "standard": fact is not None,
+                "provenance": fact.provenance if fact else "",
+                "path_length": len(fact.path) if fact else -1,
+                "b2plus_Y": inv.b2plus_Y,
+                "b2minus_Y": inv.b2minus_Y,
+                "quotient": t.quotient_label,
+                "words": [str(fourman.branch_cover_word(f, fourman.S4)) for f in forms],
+            })
             if fact is None:
                 (minus_exc if outer else plus_exc).append(e.typed_code)
     return SweepReport(tuple(rows), tuple(minus_exc), tuple(plus_exc), table)

@@ -150,6 +150,17 @@ def test_moves_apply_outer_as_an_oval_exit(tmp_path, capsys, rewrite):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("keep", [[True], [1.0], [0, 0]])
+def test_moves_apply_keep_no_encoder_writes_exit(tmp_path, capsys, keep):
+    # keep lists distinct int indices: a bool or a float equal to one is not one
+    seq = tmp_path / "moves.jsonl"
+    seq.write_text(json.dumps({"kind": "split_sibling", "oval": "0", "keep": keep}) + "\n")
+    assert main(["moves", "apply", "<1<2>>", str(seq)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["apply", "trace"])
 def test_moves_nesting_past_the_depth_cap_exit(tmp_path, capsys, command):
     # the d-th split_nest grows a child under the oval d deep
@@ -415,6 +426,16 @@ def test_construct_u_basepoints_named_twice_exit(capsys):
         (["u", "<1>", "--base-degree", "180", "--basepoints", "0:32400"], "32400 ovals, more than 32386"),
         # With the one default doubled fiber: one fiber past the cap.
         (["fibered", "--imaginary-pairs", "32386"], "32387 fibers, more than 32386"),
+        (["u", "<1>", "--base-degree", "1", "--basepoints", "0:-1"], "basepoint counts must be >= 0"),
+        (["u", "<1>", "--base-degree", "1", "--basepoints", "J:1"], "no pseudoline to carry basepoints"),
+        (["v", "<1>", "--base-degree", "1", "--on-pseudoline"], "no pseudoline to carry basepoints"),
+        (["u", "<1>", "--base-degree", "1", "--basepoints", "3:1"], "no oval at path 3\n"),
+        (["u", "<J>", "--base-degree", "2"], "an even-degree base curve has no pseudoline"),
+        (["u", "<1>", "--base-degree", "3", "--basepoints", "0:3"], "basepoints total 3, expected d = 9"),
+        (["fibered", "--imaginary-pairs", "-1"], "imaginary pair count must be >= 0"),
+        (["fibered", "--elliptic-name", "E", "--fiber-genus", "2"], "named elliptic surface has fiber genus 1"),
+        (["fibered", "--quotient", "S1xS3"], "total space must be simply connected"),
+        (["fibered", "--quotient", "CP2 # "], "bad word token ''"),
     ],
 )
 def test_construct_impossible_degree_exit(capsys, argv, message):

@@ -376,7 +376,7 @@ def test_log_transform_needs_the_fusion_product():
 def test_trace_records_shape():
     t = tracked("<1<1>>", outer=True)
     fuse = make_move(t, FuseParentChild((0,), (0, 0)))
-    recs = trace_records(t, [fuse])
+    recs = trace_records([t, fuse.successor], [fuse])
     assert recs[0]["step"] == 0
     assert recs[0]["classification"] == "M1"
     assert set(recs[0]) >= {"arnold_effect", "y_effect", "xr_effect", "delta_chi"}

@@ -488,6 +488,7 @@ def _replay_corpus(facts):
         replace(child, path=(child.path[1], child.path[0], *child.path[2:])),
         _with_step(child, 0, classification="M2^-1"),
         _with_step(child, -1, classification="M2^-1"),
+        _with_step(child, -1, delta_chi=-1.0),
         _with_step(child, -1, rewrite={"kind": "delete_empty", "oval": "9.9.9"}),
         _with_step(child, -1, **{"from": child.path[-1]["to"]}),
         _one_step_fact("<9>_2", SplitSibling((0,), ()), "<10>_2", outer=True),
@@ -657,20 +658,20 @@ def test_sweep_exceptions_exact(catalog):
 
 def test_sweep_covers_both_sides(catalog):
     report = sextic_sweep(catalog)
-    rows = {(r.code, r.side): r for r in report.rows}
+    rows = {(r["scheme"], r["side"]): r for r in report.rows}
     assert len(rows) == 2 * len(catalog)
-    assert rows[("<10>_2", "-")].standard  # a seed on the non-orientable side
-    assert not rows[("<1<8>>_2", "-")].standard
-    assert rows[("<1<8>>_1", "-")].standard
+    assert rows[("<10>_2", "-")]["standard"]  # a seed on the non-orientable side
+    assert not rows[("<1<8>>_2", "-")]["standard"]
+    assert rows[("<1<8>>_1", "-")]["standard"]
 
 
 def test_sweep_quotient_words(catalog):
     report = sextic_sweep(catalog)
-    rows = {(r.code, r.side): r for r in report.rows}
-    assert rows[("<10>_2", "+")].words == ("CP2",)
-    assert rows[("<9>_1", "+")].words == ("(S2xS2)",)
-    assert rows[("<9 u 1<1>>_1", "+")].words == ("(S2xS2)",)
-    assert rows[("<9>_2", "+")].b2plus_y == 1
+    rows = {(r["scheme"], r["side"]): r for r in report.rows}
+    assert rows[("<10>_2", "+")]["words"] == ["CP2"]
+    assert rows[("<9>_1", "+")]["words"] == ["(S2xS2)"]
+    assert rows[("<9 u 1<1>>_1", "+")]["words"] == ["(S2xS2)"]
+    assert rows[("<9>_2", "+")]["b2plus_Y"] == 1
 
 
 def test_sweep_row_order_ignores_catalog_order(catalog):

@@ -242,6 +242,22 @@ def test_catalog_contains_drivers(catalog):
         assert code in codes
 
 
+def test_make_catalog_reproduces_the_packaged_catalog():
+    # An edit to the rules or the sweep's named rows with no regeneration
+    # shows here, tags included.
+    import importlib.util
+    from importlib import resources
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_catalog.py"
+    spec = importlib.util.spec_from_file_location("make_catalog", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    text = resources.files("conjquot.data").joinpath("sextics.tsv").read_text("utf-8")
+    packaged = [ln.split("\t") for ln in text.splitlines() if not ln.startswith("#")]
+    assert [[code, str(d), t, tag] for code, d, t, tag in script.rows()] == packaged
+
+
 def test_catalog_rejects_bad_rows():
     with pytest.raises(ValueError):
         load_catalog(["<12>\t6\t2\tx"])
