@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import constructions, domains, fourman, moves, propagation, schemes
 from .domains import Side, TrackedScheme
-from .schemes import CurveType, parse_viro
+from .schemes import CurveType, parse_viro, plain_digits
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -171,22 +171,21 @@ def cmd_sweep_sextics(args) -> tuple[list[dict], int]:
 
 # Smith-Thom: b*(X_R) <= b*(K3) = 24, and each component adds at least 2.
 MAX_XR_COMPONENTS = 12
-_XR_PART = re.compile(r"(-?\d+)?S(\d+)")
 
 
 def _parse_xr(text: str):
     """Real-part descriptors like 'S10+S0' or '8S0'."""
     counts = []
-    for tok in text.replace(" ", "").split("+"):
+    for tok in map(str.strip, text.split("+")):
         if not tok:
             continue
-        m = _XR_PART.fullmatch(tok)
-        if m is None:
+        k, s, genus = tok.partition("S")
+        if not (s and plain_digits((k or "1").removeprefix("-")) and plain_digits(genus)):
             raise ValueError(f"real-part component {tok!r} is not of the form kSg, e.g. 8S0")
-        mult = int(m[1] or 1)
+        mult = int(k or 1)
         if mult < 1:
-            raise ValueError(f"multiplicity {mult} of S{m[2]} must be at least 1")
-        counts.append((mult, int(m[2])))
+            raise ValueError(f"multiplicity {mult} of S{genus} must be at least 1")
+        counts.append((mult, int(genus)))
     total = sum(mult for mult, _ in counts)
     if total > MAX_XR_COMPONENTS:
         raise ValueError(
@@ -224,6 +223,8 @@ def cmd_construct_u(args) -> tuple[list[dict], int]:
             component = constructions.PSEUDOLINE if key == "J" else domains.parse_path(key)
             if component in points:
                 raise ValueError(f"--basepoints names component {key!r} twice")
+            if not plain_digits(count.removeprefix("-")):
+                raise ValueError(f"--basepoints count {count!r} is not a plain integer")
             points[component] = int(count)
     res = constructions.perturb_u(constructions.BaseCurveSpec(base, args.base_degree, points))
     return [res.record()], EXIT_OK

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .schemes import Oval, RealScheme
+from .schemes import Oval, RealScheme, plain_digits
 
 OUTER = None  # region owner marker
 
@@ -40,7 +40,7 @@ def parse_path(text: str) -> Path | None:
     if text == "outer":
         return OUTER
     parts = text.split(".")
-    if not all(p.isdigit() for p in parts):
+    if not all(map(plain_digits, parts)):
         raise ValueError(f"bad oval path {text!r}")
     return tuple(map(int, parts))
 

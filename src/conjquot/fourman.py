@@ -31,7 +31,7 @@ from .domains import (
     curve_euler,
     euler_W,
 )
-from .schemes import harnack_bound
+from .schemes import harnack_bound, plain_digits
 
 
 class WordError(ValueError):
@@ -131,7 +131,7 @@ def parse_word(text: str) -> FourManifoldWord:
         tok = raw.strip()
         count = 1
         head, caret, tail = tok.rpartition("^")
-        if caret and tail.isdigit():
+        if caret and plain_digits(tail):
             tok, count = head.strip(), int(tail)
         if tok.startswith("(") and tok.endswith(")") and tok[1:-1] in counts:
             tok = tok[1:-1]

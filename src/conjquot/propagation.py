@@ -47,6 +47,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
+from importlib import resources
 from typing import Iterable, Sequence
 
 from . import fourman
@@ -93,41 +95,6 @@ RELATIONS = {"succ": SUCC, "rhd": RHD}
 
 # Search never leaves the sextic Harnack bound: at most 11 ovals.
 MAX_SEARCH_OVALS = 11
-
-PENCIL_SEED = "pencil-perturbation-seed"
-
-# The sweep's seeds, as (state label, provenance): the two line-perturbation
-# curves (ten empty ovals, the deep nest) on both sides, and the two
-# pencil-perturbation curves (nine empty ovals of type 1, and the
-# nine-plus-nest scheme) on the orientable side, where their Arnold
-# surfaces bound orientable handlebodies.
-SWEEP_SEEDS = (
-    ("<10>_2+", "lcurve-seed"),
-    ("<10>_2-", "lcurve-seed"),
-    ("<1<1<1>>>_1+", "lcurve-seed"),
-    ("<1<1<1>>>_1-", "lcurve-seed"),
-    ("<9>_1+", PENCIL_SEED),
-    ("<9 u 1<1>>_1+", PENCIL_SEED),
-)
-# The sweep's one trusted axiom edge, a hand-verified deformation crossing
-# sides: from the type-2 nine-oval state on the orientable side to the
-# type-1 nest of nine on the other side.
-SWEEP_AXIOM_EDGES = (("<9>_2+", "<1<8>>_1-"),)
-# The minus-side states the sweep's closure never marks.
-EXPECTED_MINUS_EXCEPTIONS = (
-    "<1 u 1<9>>_1",
-    "<1 u 1<8>>_2",
-    "<1<9>>_2",
-    "<1<8>>_2",
-)
-# The catalog rows the sweep names, as typed codes: its seeds, the ends of
-# its axiom edge and its expected exceptions.  The sweep requires each of
-# them, and the packaged catalog tags each as a sweep driver.
-SWEEP_NAMED_ROWS = tuple(dict.fromkeys((
-    *(label[:-1] for label, _ in SWEEP_SEEDS),
-    *(label[:-1] for edge in SWEEP_AXIOM_EDGES for label in edge),
-    *EXPECTED_MINUS_EXCEPTIONS,
-)))
 
 
 def state_key(t: TrackedScheme) -> tuple[str, bool]:
@@ -442,8 +409,8 @@ class Declared:
 
     The replay memo holds one entry per distinct path prefix verified
     against the declaration, kept as long as the declaration lives: for
-    the whole process on :data:`SWEEP_DECLARED`, and bounded by its file
-    for a declaration read from one seed file."""
+    the whole process on the sweep's cached declaration, and bounded by its
+    file for a declaration read from one seed file."""
 
     seeds: tuple[Fact, ...]
     axiom_edges: tuple[tuple[TrackedScheme, TrackedScheme], ...] = ()
@@ -495,27 +462,24 @@ class Declared:
         return cls(tuple(seeds), tuple(axioms))
 
 
-SWEEP_DECLARED = Declared(
-    tuple(Fact(parse_state_label(s, 6), Predicate.ARNOLD_STANDARD, p) for s, p in SWEEP_SEEDS),
-    tuple((parse_state_label(a, 6), parse_state_label(b, 6)) for a, b in SWEEP_AXIOM_EDGES),
-)
-
-
-def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP_DECLARED) -> bool:
-    """Re-run a fact's path with the one step check against ``declared``.
-    The path must start at a seed of the fact's predicate, on its stored
-    forest; each step must start where the last one ended and be a
-    ``"move"`` or an ``"axiom"`` edge; a move must pass :func:`_step`, and a
-    split must start from a type-2 state; an axiom step must be a declared
-    edge from the state reached, and lands on the edge's own target; and the
-    path must end on the fact's typed state (forest, dividing type and side).
-    A pathless fact must be a seed, with its provenance.  A malformed or
-    non-applying path gives False, never an error.
+def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared | None = None) -> bool:
+    """Re-run a fact's path with the one step check against ``declared``,
+    by default the sweep's one cached declaration, so that every default
+    call resumes from the same memo.  The path must start at a seed of the
+    fact's predicate, on its stored forest; each step must start where the
+    last one ended and be a ``"move"`` or an ``"axiom"`` edge; a move must
+    pass :func:`_step`, and a split must start from a type-2 state; an
+    axiom step must be a declared edge from the state reached, and lands on
+    the edge's own target; and the path must end on the fact's typed state
+    (forest, dividing type and side).  A pathless fact must be a seed, with
+    its provenance.  A malformed or non-applying path gives False, never an
+    error.
 
     Replay resumes after the longest prefix of the path that ``declared``
     has already verified under ``rel``.  The declaration keeps the state
     each verified prefix reaches, keyed by the steps' content, and never a
     verdict: the end-state check runs on every call."""
+    declared = declared or _sweep_declared()
     seed_keys, starts, targets = declared._index
     if not fact.path:
         return (fact_key(fact), fact.provenance) in seed_keys
@@ -553,6 +517,33 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared = SWEEP
 
 # ------------------------------------------------------------------- sweep
 
+SWEEP_DEGREE = 6
+PENCIL_SEED = "pencil-perturbation-seed"
+# The minus-side states the sweep's closure never marks.
+EXPECTED_MINUS_EXCEPTIONS = ("<1 u 1<9>>_1", "<1 u 1<8>>_2", "<1<9>>_2", "<1<8>>_2")
+
+
+@cache
+def _sweep_declared() -> Declared:
+    """The sweep's declaration, read from its packaged seed file on first use."""
+    text = resources.files("conjquot.data").joinpath("sextic-seeds.jsonl").read_text("utf-8")
+    return Declared.from_records(text.splitlines(), SWEEP_DEGREE)
+
+
+def _sweep_named_rows() -> list[RealScheme]:
+    """The rows the sweep requires: its seeds, its axiom edges' ends and its exceptions."""
+    d = _sweep_declared()
+    ends = [f.state for f in d.seeds] + [end for edge in d.axiom_edges for end in edge]
+    return [t.scheme for t in ends] + list(map(parse_viro, EXPECTED_MINUS_EXCEPTIONS))
+
+
+def __getattr__(name: str):  # PEP 562: importing the module reads no seed file
+    if name == "SWEEP_DECLARED":
+        return _sweep_declared()
+    if name == "SWEEP_NAMED_ROWS":  # typed codes; the packaged catalog tags them sweep drivers
+        return tuple(dict.fromkeys(map(format_viro, _sweep_named_rows())))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -566,24 +557,24 @@ class SweepReport:
 
 
 def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
-    """Propagate standardness over the whole sextic catalog from
-    :data:`SWEEP_DECLARED`.
+    """Propagate standardness over the whole sextic catalog from the
+    sweep's declaration, the packaged ``data/sextic-seeds.jsonl``.
 
     The closure marks the orientable-side surface standard for every entry
     and the other side for all but four.  A row's words are the double
     covers of S4 branched along the standard forms of its Arnold surface.
     """
-    if {e.degree for e in catalog} != {6}:
-        raise ValueError("the sextic sweep needs a catalog of degree-6 rows only")
+    if {e.degree for e in catalog} != {SWEEP_DEGREE}:
+        raise ValueError(f"the sextic sweep needs a catalog of degree-{SWEEP_DEGREE} rows only")
     index, _ = _universe_index(catalog)
-    for code in SWEEP_NAMED_ROWS:  # the exceptions too, though never marked
-        want = parse_viro(code)
+    for want in _sweep_named_rows():  # the exceptions too, though never marked
         if want.curve_type not in index.get(forest_key(want), ()):
-            raise ValueError(f"catalog is missing the required entry {code}")
-    table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, SUCC, catalog)
+            raise ValueError(f"catalog is missing the required entry {format_viro(want)}")
+    declared = _sweep_declared()
+    table = propagate(declared.seeds, declared.axiom_edges, SUCC, catalog)
 
     # A pencil-perturbation seed's Arnold surface bounds an orientable handlebody.
-    pencil = {typed_key(f.state) for f in SWEEP_DECLARED.seeds if f.provenance == PENCIL_SEED}
+    pencil = {typed_key(f.state) for f in declared.seeds if f.provenance == PENCIL_SEED}
     rows = []
     minus_exc, plus_exc = [], []
     # Type 2 sorts before type 1 of one code, as the packaged catalog lists them.
@@ -591,7 +582,7 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
         catalog, key=lambda e: (e.scheme.oval_count, e.code, e.curve_type is not CurveType.TWO)
     ):
         for outer in (False, True):
-            t = TrackedScheme(e.scheme, 6, outer)
+            t = TrackedScheme(e.scheme, SWEEP_DEGREE, outer)
             fact = table.marked(e.scheme, outer)
             inv = fourman.double_plane_invariants(t)
             forms = fourman.predict_standard_form(

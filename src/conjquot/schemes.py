@@ -119,6 +119,13 @@ class ViroSyntaxError(ValueError):
         self.position = position
 
 
+def plain_digits(text: str) -> bool:
+    """The one rule for an integer typed by hand: ASCII digits only, after a
+    leading ``-`` where a sign is allowed.  ``int`` also reads ``+``, ``_``
+    and spaces, and ``str.isdigit`` other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -135,7 +142,7 @@ class _Parser:
 
     def parse_count(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while plain_digits(self.peek()):
             self.pos += 1
         digits = self.text[start : self.pos]
         if not digits:

@@ -384,6 +384,11 @@ def test_k3_classify(capsys):
         ("S0+-2S1", "multiplicity -2 of S1 must be at least 1"),
         ("1000000S0", "at most 12 components, got 1000000"),
         ("X5", "component 'X5' is not of the form kSg"),
+        # A multiplicity or genus is ASCII digits.
+        ("\uff18S0", "is not of the form kSg"),
+        ("S\uff11", "is not of the form kSg"),
+        ("S0+-S1", "component '-S1' is not of the form kSg"),
+        ("1 0S0", "component '1 0S0' is not of the form kSg"),
     ],
 )
 def test_k3_classify_impossible_real_part_exit(capsys, xr, message):
@@ -436,6 +441,12 @@ def test_construct_u_basepoints_named_twice_exit(capsys):
         (["fibered", "--elliptic-name", "E", "--fiber-genus", "2"], "named elliptic surface has fiber genus 1"),
         (["fibered", "--quotient", "S1xS3"], "total space must be simply connected"),
         (["fibered", "--quotient", "CP2 # "], "bad word token ''"),
+        # A basepoint count is ASCII digits with an optional leading '-', and its path digits only.
+        (["u", "<1>", "--base-degree", "1", "--basepoints", "0:1_0"], "count '1_0' is not a plain integer"),
+        (["u", "<1>", "--base-degree", "1", "--basepoints", "0:+1"], "count '+1' is not a plain integer"),
+        (["u", "<1>", "--base-degree", "1", "--basepoints", "0: 1"], "count ' 1' is not a plain integer"),
+        (["u", "<1>", "--base-degree", "1", "--basepoints", "0:\uff11"], "is not a plain integer"),
+        (["u", "<1>", "--base-degree", "1", "--basepoints", "\uff10:1"], "bad oval path"),
     ],
 )
 def test_construct_impossible_degree_exit(capsys, argv, message):
@@ -606,6 +617,27 @@ def test_symbolic_start_loads_neither_numpy_nor_scipy():
         "from conjquot import GridConfig\n"
         "result = conjquot.trace_scheme(conjquot.tracer.circle(0, 0, 0.5), GridConfig(32, 64))\n"
         "assert result.stable and result.scheme.oval_count == 1\n"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_package_import_reads_no_seed_file_and_parses_no_code():
+    # The sweep's declaration is read on first use; the second half shows
+    # that the probe sees the read and the parse when they happen.
+    code = (
+        "import sys\n"
+        "def calls_in(run):\n"
+        "    names = set()\n"
+        "    sys.setprofile(lambda frame, event, arg: names.add(frame.f_code.co_name))\n"
+        "    run()\n"
+        "    sys.setprofile(None)\n"
+        "    return names & {'_sweep_declared', 'from_records', 'parse_viro'}\n"
+        "at_import = calls_in(lambda: __import__('conjquot'))\n"
+        "assert not at_import, f'import conjquot called {sorted(at_import)}'\n"
+        "from conjquot import propagation\n"
+        "at_use = calls_in(lambda: propagation.SWEEP_DECLARED)\n"
+        "assert len(at_use) == 3, sorted(at_use)\n"
     )
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr

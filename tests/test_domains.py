@@ -12,6 +12,7 @@ from conjquot.domains import (
     components_W,
     curve_euler,
     euler_W,
+    parse_path,
     real_part_X,
     regions,
     side_contains_outer,
@@ -24,6 +25,13 @@ from oracles import pixel_euler_by_side
 
 def tracked(code, outer=False, degree=6):
     return TrackedScheme(parse_viro(code), degree, outer)
+
+
+@pytest.mark.parametrize("text", ["\uff10", "0.\uff11", "+1", "-1", "1_0", " 1", ""])
+def test_parse_path_reads_ascii_digits_only(text):
+    assert parse_path("0.12") == (0, 12)
+    with pytest.raises(ValueError, match="bad oval path"):
+        parse_path(text)
 
 
 def test_regions_conic():

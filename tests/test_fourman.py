@@ -42,6 +42,12 @@ def test_word_serialization_round_trip():
     assert parse_word("S4") == S4
 
 
+def test_word_exponent_is_ascii_digits():
+    # A fullwidth two is no exponent, so the token is one named block.
+    assert parse_word("CP2^2") == word(cp2=2)
+    assert parse_word("CP2^\uff12") == word(named=("CP2^\uff12",))
+
+
 def test_sphere_summands_absorbed():
     assert (S4 + CP2 + S4) == FourManifoldWord(cp2=1)
 

@@ -1,6 +1,7 @@
 import copy
 import random
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -398,6 +399,22 @@ def test_sweep_seeds_file_declares_the_sweep_inputs():
         return seeds, [(typed_key(a), typed_key(b)) for a, b in d.axiom_edges]
 
     assert keys(declared) == keys(SWEEP_DECLARED)
+
+
+def test_the_packaged_sweep_seeds_are_the_golden_seed_file():
+    packaged = resources.files("conjquot.data").joinpath("sextic-seeds.jsonl").read_bytes()
+    assert packaged == (GOLDENS / "sweep-seeds.jsonl").read_bytes()
+
+
+def test_default_replay_shares_the_sweep_declaration(monkeypatch, catalog):
+    # One declaration per process: a default replay resumes from the memo
+    # that earlier default replays filled, so a repeat checks no step.
+    assert propagation.SWEEP_DECLARED is propagation.SWEEP_DECLARED
+    facts = list(sextic_sweep(catalog).table.facts.values())
+    assert all(replay_fact(f) for f in facts)
+    calls = []
+    monkeypatch.setattr(propagation, "_step", lambda *a: calls.append(a))
+    assert all(replay_fact(f) for f in facts) and calls == []
 
 
 def test_replay_fact_rejects_forgeries_against_a_user_declaration():

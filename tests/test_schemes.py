@@ -78,6 +78,9 @@ def test_parse_pseudoline_extension():
         ("<J<1>>", 2),
         ("<1<J>>", 3),
         ("<01>", 1),
+        # A count is ASCII digits: a fullwidth one and a superscript two are not.
+        ("<\uff11>", 1),
+        ("<\u00b2>", 1),
     ],
 )
 def test_parse_errors_with_position(bad, pos):
@@ -256,6 +259,21 @@ def test_make_catalog_reproduces_the_packaged_catalog():
     text = resources.files("conjquot.data").joinpath("sextics.tsv").read_text("utf-8")
     packaged = [ln.split("\t") for ln in text.splitlines() if not ln.startswith("#")]
     assert [[code, str(d), t, tag] for code, d, t, tag in script.rows()] == packaged
+
+
+def test_every_data_file_ships_in_the_package():
+    # A file under data/ that no package-data glob names is left out of a wheel.
+    from fnmatch import fnmatch
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    config = tomllib.loads((root / "pyproject.toml").read_text("utf-8"))
+    globs = config["tool"]["setuptools"]["package-data"]["conjquot"]
+    package = root / "src" / "conjquot"
+    files = [f.relative_to(package).as_posix() for f in package.glob("data/**/*") if f.is_file()]
+    assert "data/sextic-seeds.jsonl" in files
+    assert [f for f in files if not any(fnmatch(f, g) for g in globs)] == []
 
 
 def test_catalog_rejects_bad_rows():
