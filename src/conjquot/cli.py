@@ -285,6 +285,13 @@ def cmd_trace_lcurve(args) -> tuple[list[dict], int]:
     return [result.record()], EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """argparse's ``type`` for integer flags: ``plain_digits`` after an optional ``-``."""
+    if not plain_digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a plain integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="conjquot",
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, degree=True, side=True):
         if degree:
-            p.add_argument("--degree", type=int, default=6)
+            p.add_argument("--degree", type=_integer, default=6)
         if side:
             p.add_argument("--side", choices=("+", "-"), default="+")
 
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target-side", choices=("+", "-"), default=None)
     p.add_argument("--relation", choices=tuple(propagation.RELATIONS), default="succ")
-    p.add_argument("--max-steps", type=int, default=64)
+    p.add_argument("--max-steps", type=_integer, default=64)
     p.set_defaults(func=cmd_search_derive)
 
     facts = sub.add_parser("facts").add_subparsers(dest="sub", required=True)
@@ -361,20 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
     v, u = cons.add_parser("v", parents=[fmt]), cons.add_parser("u", parents=[fmt])
     for p, fn in ((v, cmd_construct_v), (u, cmd_construct_u)):
         p.add_argument("base", help="base curve code, J for the one-sided component")
-        p.add_argument("--base-degree", type=int, required=True)
+        p.add_argument("--base-degree", type=_integer, required=True)
         p.set_defaults(func=fn)
     v.add_argument("--on-pseudoline", action="store_true")
     u.add_argument("--basepoints", help="comma list like 'J:9,0:0' mapping components to counts")
     p = cons.add_parser("fibered", parents=[fmt])
     p.add_argument("--quotient", default="S4")
-    p.add_argument("--fiber-genus", type=int, default=1)
+    p.add_argument("--fiber-genus", type=_integer, default=1)
     p.add_argument("--double-fiber-types", default="1")
-    p.add_argument("--imaginary-pairs", type=int, default=0)
+    p.add_argument("--imaginary-pairs", type=_integer, default=0)
     p.add_argument("--elliptic-name", default=None)
     p.set_defaults(func=cmd_construct_fibered)
     p = cons.add_parser("imaginary", parents=[fmt])
-    p.add_argument("--base-degree", type=int, required=True)
-    p.add_argument("--real-intersections", type=int, required=True)
+    p.add_argument("--base-degree", type=_integer, required=True)
+    p.add_argument("--real-intersections", type=_integer, required=True)
     p.add_argument("--not-simply-connected", action="store_true")
     p.set_defaults(func=cmd_construct_imaginary)
 
@@ -383,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument("--poly", help="inline 'a b c coeff' rows separated by ';'")
     given.add_argument("--file", help="polynomial file")
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--grid-cap", type=int, default=4096)
+    p.add_argument("--grid", type=_integer, default=512)
+    p.add_argument("--grid-cap", type=_integer, default=4096)
     p.set_defaults(func=cmd_trace_poly)
     p = tr.add_parser("lcurve", parents=[fmt])
     p.add_argument("--lines", required=True, help="file of 'a b c' rows")
@@ -392,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     # Read an exponent-form negative such as -7.8e-08 as a value, not an option.
     p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--grid-cap", type=int, default=4096)
+    p.add_argument("--grid", type=_integer, default=512)
+    p.add_argument("--grid-cap", type=_integer, default=4096)
     p.set_defaults(func=cmd_trace_lcurve)
 
     return ap

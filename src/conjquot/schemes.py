@@ -347,19 +347,18 @@ class SchemeCatalogEntry:
 
 
 def load_catalog(lines: Iterable[str]) -> tuple[SchemeCatalogEntry, ...]:
-    """Read ``code<TAB>degree<TAB>type<TAB>provenance`` lines; '#' comments."""
+    """Read ``code<TAB>degree<TAB>type<TAB>provenance`` lines, the degree in
+    plain digits; '#' comments."""
     entries = []
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) != 4:
+        if len(fields) != 4 or not plain_digits(fields[1]):
             raise ValueError(f"bad catalog row: {raw!r}")
         code, degree, curve_type, tag = fields
-        entries.append(
-            SchemeCatalogEntry(code, int(degree), CurveType(curve_type), tag)
-        )
+        entries.append(SchemeCatalogEntry(code, int(degree), CurveType(curve_type), tag))
     return tuple(entries)
 
 

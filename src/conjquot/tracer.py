@@ -10,21 +10,20 @@ Only the upper sheet is evaluated, in cache-sized bands, by Horner's
 rule in w.  Only each band's sign runs are kept, maximal stretches of
 one nonzero sign along a row; no per-cell array of the grid is made.
 
-Sign components are labelled once, by joining runs (after He, Chao &
-Suzuki, IEEE TIP 17(5), 2008), and each stands for two lifts: itself on
-the upper sheet and its turned copy on the lower one.  Rim pairs (the
-ids of the runs holding p and -p) of equal sign stitch lifts into
-sphere components, whose roots are snapshotted, then each component's
-two lifts fold into one projective region, one-sided exactly when one
-sphere component covers it.  Adjacencies across the curve are read off
-runs of opposite signs that touch.
+That numeric front end, ``_trace_once``, labels sign components once,
+by joining runs (after He, Chao & Suzuki, IEEE TIP 17(5), 2008); each
+stands for two lifts, itself on the upper sheet and its turned copy on
+the lower one.  It reads rim pairs (the ids of the runs holding p and
+-p) and adjacencies (runs of opposite signs that touch) as id pairs.
 
-For disjoint embedded circles the region adjacency graph is a tree whose
-edges are the curve components; the root is the unique one-sided region
-(it carries the one-sided core of the plane), and the tree below it is
-exactly the oval nesting forest, children ordered by region id.  A
-region bounded by itself is the one-sided component of an odd-degree
-curve.
+The back end, ``_region_forest``, sees ids only.  Rim pairs of equal
+sign stitch lifts into sphere components, then each component's two
+lifts fold into one projective region, one-sided exactly when one sphere
+component covers it.  For disjoint embedded circles the region graph is
+a tree whose edges are the curve components; the root is the unique
+one-sided region (it carries the one-sided core of the plane), and the
+tree below it is the oval nesting forest, children ordered by region id.
+A region bounded by itself is the one-sided component of an odd curve.
 
 Every result is re-derived at twice the resolution; a trace is reported
 stable only if the two schemes agree, and refinement continues up to a
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from types import SimpleNamespace
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -250,25 +249,6 @@ class TraceResult:
         }
 
 
-class _Dsu:
-    """Union-find over ``0..n-1``; ``union(a, b)`` keeps the root of ``a``."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while x != parent[x]:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass
 class _PixelTopology:
     forest: RealScheme
@@ -391,6 +371,67 @@ def _opposite_runs(start: np.ndarray, end: np.ndarray, sign: np.ndarray, cols: i
     return (a[across], b[across]), (beside, beside + 1)
 
 
+def _region_forest(
+    sign: Sequence[int], rim: Iterable[tuple[int, int]], fold: Iterable[tuple[int, int]],
+    adjacency: Iterable[tuple[int, int]], odd: bool,
+) -> tuple[RealScheme, dict[str, int]]:
+    """The oval forest of a two-sheet region graph of component ids, as in
+    the module docstring, and each region's sign by owner, well defined for
+    an even curve (the antipodal map keeps it) and empty for an ``odd`` one.
+    Component ``c`` has sign ``sign[c]``; rim pairs of opposite signs are
+    adjacent.  Each union keeps the root of its pair's first id."""
+    parent = list(range(len(sign)))
+
+    def find(x: int) -> int:
+        while x != parent[x]:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = list(adjacency)
+    for a, b in rim:
+        if sign[a] == sign[b]:
+            parent[find(b)] = find(a)  # a union that keeps a's root
+        else:
+            edges.append((a, b))
+    sphere = {find(c) for c in range(1, len(sign))}
+    for a, b in fold:
+        parent[find(b)] = find(a)
+    preimages = Counter(find(c) for c in sphere)
+
+    loops, nbrs = set(), {r: set() for r in preimages}
+    for a, b in edges:
+        qa, qb = find(a), find(b)
+        if qa == qb:
+            loops.add(qa)
+        else:
+            nbrs[qa].add(qb)
+            nbrs[qb].add(qa)
+
+    tree = sum(map(len, nbrs.values())) == 2 * (len(nbrs) - 1)
+    if odd and (len(loops) != 1 or not tree):
+        raise TraceError("odd degree curve needs exactly one one-sided component")
+    if not odd and (loops or not tree):
+        raise TraceError("region graph is not a tree")
+    roots = loops if odd else [r for r, k in preimages.items() if k == 1]
+    if len(roots) != 1:
+        raise TraceError("no unique one-sided region")
+    (root,) = roots
+    signs: dict[str, int] = {}
+    seen = {root}  # children go in ascending root id
+
+    def build(region: int, path: Path | None) -> tuple[Oval, ...]:
+        signs[format_path(path)] = sign[region]
+        kids = sorted(nbrs[region] - seen)
+        seen.update(kids)
+        return tuple(Oval(build(c, (path or ()) + (k,))) for k, c in enumerate(kids))
+
+    forest = RealScheme(build(root, OUTER), odd, CurveType.UNKNOWN)
+    if len(seen) != len(nbrs):
+        raise TraceError("region graph is disconnected")
+    return forest, {} if odd else signs
+
+
 # ``_trace_once`` joins runs as ``ndimage.label``, the name of the pixel
 # labelling it replaced, because perfbench times ``tracer.label`` through that
 # name; the shim goes when perfbench hooks ``_label_runs`` itself.
@@ -448,65 +489,15 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     x, y = (_run_ids_at(start, end, ids, c) for c in (cells, n * n - 1 - cells))
     x, y = x[(x > 0) & (y > 0)], y[(x > 0) & (y > 0)]
 
-    # Stitch the sheets along the rim, lower cell p being upper cell -p.
-    # Every union here and in the fold keeps an upper root, so the roots and
-    # sibling order are those of the same unions over a labelled lower sheet.
-    dsu = _Dsu(base)
-    adjacency: list[tuple[int, int]] = []
-    for a, b in pairs(np.concatenate([x, y]), m + np.concatenate([y, x])):
-        if sign[a] == sign[b]:
-            dsu.union(a, b)
-        else:
-            adjacency.append((a, b))
-
-    # Runs of opposite signs with adjacent cells; the lower sheet's are these turned.
-    for a, b in _opposite_runs(start, end, run_sign, n):
-        adjacency += pairs(ids[a], ids[b])
-
-    # Snapshot the sphere components, then fold each lift pair into a region.
-    sphere = {dsu.find(i) for i in range(1, base)}
-    for c in range(1, m + 1):
-        dsu.union(c, m + c)
-    preimages = Counter(dsu.find(c) for c in sphere)
-
-    loops: set[int] = set()
-    nbrs: dict[int, set[int]] = {r: set() for r in preimages}
-    for x, y in adjacency:
-        qa, qb = dsu.find(x), dsu.find(y)
-        if qa == qb:
-            loops.add(qa)
-        else:
-            nbrs[qa].add(qb)
-            nbrs[qb].add(qa)
-
-    n_regions = len(preimages)
-    n_edges = sum(map(len, nbrs.values())) // 2
-    if p.degree % 2 == 0:
-        if loops or n_edges != n_regions - 1:
-            raise TraceError("region graph is not a tree")
-        roots = [r for r, k in preimages.items() if k == 1]
-        if len(roots) != 1:
-            raise TraceError("no unique one-sided region")
-    elif len(loops) != 1 or n_edges != n_regions - 1:
-        raise TraceError("odd degree curve needs exactly one one-sided component")
-    else:
-        roots = list(loops)
-
-    # Children in ascending region id; the sign is well defined for even
-    # degree, where the antipodal map keeps it.
-    signs: dict[str, int] = {}
-    seen = {roots[0]}
-
-    def build(region: int, path: Path | None) -> tuple[Oval, ...]:
-        signs[format_path(path)] = sign[region]
-        kids = sorted(nbrs[region] - seen)
-        seen.update(kids)
-        return tuple(Oval(build(c, (path or ()) + (k,))) for k, c in enumerate(kids))
-
-    forest = RealScheme(build(roots[0], OUTER), p.degree % 2 == 1, CurveType.UNKNOWN)
-    if len(seen) != n_regions:
-        raise TraceError("region graph is disconnected")
-    return _PixelTopology(forest, signs if p.degree % 2 == 0 else {}, 2 * zeros)
+    # The lower id at cell p is m plus the upper id at -p.  Every rim and fold
+    # pair lists an upper id first, so roots are upper ids.  Adjacencies are
+    # read on the upper sheet; the lower sheet's are these turned.
+    rim = pairs(np.concatenate([x, y]), m + np.concatenate([y, x]))
+    opposite = _opposite_runs(start, end, run_sign, n)
+    adjacency = [ab for a, b in opposite for ab in pairs(ids[a], ids[b])]
+    fold = [(c, m + c) for c in range(1, m + 1)]
+    forest, signs = _region_forest(sign, rim, fold, adjacency, p.degree % 2 == 1)
+    return _PixelTopology(forest, signs, 2 * zeros)
 
 
 def trace_scheme(p: PolySpec, grid: GridConfig = GridConfig()) -> TraceResult:

@@ -13,17 +13,23 @@ sheets term by term: one on the whole square grid at once, deduplicating
 antipodal pairs over every disc cell, and the banded two-sheet tracer
 that the one-sheet tracer replaced.  They and the reference for the
 tracer's run labeller label pixels with ``scipy.ndimage.label``; the run
-labeller's ids are painted over pixels to be compared with it.
+labeller's ids are painted over pixels to be compared with it.  Both
+references read their own rim, fold and adjacency pairs, so they check
+the tracer's numeric front end, but they hand those pairs to the
+tracer's own back end, ``_region_forest``.  That back end is checked
+exactly, on id graphs synthesized from every forest of up to seven
+ovals, by ``tests/test_tracer.py::test_region_forest_rebuilds_every_forest``
+and the tests beside it.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 
 import numpy as np
 from scipy import ndimage
 
-from conjquot.domains import OUTER, Path, TrackedScheme, format_path, iter_ovals
+from conjquot.domains import TrackedScheme, iter_ovals
 from conjquot.moves import (
     AddEmpty,
     DeleteEmpty,
@@ -42,14 +48,13 @@ from conjquot.propagation import (
     RelationSpec,
     state_key,
 )
-from conjquot.schemes import CurveType, Oval, RealScheme, canonical_key, forest_key
+from conjquot.schemes import Oval, RealScheme, canonical_key, forest_key
 from conjquot.tracer import (
     PolySpec,
-    TraceError,
     TracerInternalError,
-    _Dsu,
     _label_runs,
     _PixelTopology,
+    _region_forest,
     _sign_runs,
 )
 
@@ -373,52 +378,6 @@ def _rim(inside: np.ndarray) -> np.ndarray:
     return rim
 
 
-def _regions_to_topology(
-    p: PolySpec, sign: list[int], dsu: _Dsu, sphere: set[int],
-    adjacency: list[tuple[int, int]], ambiguous: int,
-) -> _PixelTopology:
-    """The forest of the folded regions, as both two-sheet tracers build it."""
-    preimages = Counter(dsu.find(c) for c in sphere)
-    loops: set[int] = set()
-    nbrs: dict[int, set[int]] = {r: set() for r in preimages}
-    for x, y in adjacency:
-        qa, qb = dsu.find(x), dsu.find(y)
-        if qa == qb:
-            loops.add(qa)
-        else:
-            nbrs[qa].add(qb)
-            nbrs[qb].add(qa)
-
-    n_regions = len(preimages)
-    n_edges = sum(map(len, nbrs.values())) // 2
-    if p.degree % 2 == 0:
-        if loops or n_edges != n_regions - 1:
-            raise TraceError("region graph is not a tree")
-        roots = [r for r, k in preimages.items() if k == 1]
-        if len(roots) != 1:
-            raise TraceError("no unique one-sided region")
-    elif len(loops) != 1 or n_edges != n_regions - 1:
-        raise TraceError("odd degree curve needs exactly one one-sided component")
-    else:
-        roots = list(loops)
-
-    # Children in ascending region id; the sign is well defined for even
-    # degree, where the antipodal map keeps it.
-    signs: dict[str, int] = {}
-    seen = {roots[0]}
-
-    def build(region: int, path: Path | None) -> tuple[Oval, ...]:
-        signs[format_path(path)] = sign[region]
-        kids = sorted(nbrs[region] - seen)
-        seen.update(kids)
-        return tuple(Oval(build(c, (path or ()) + (k,))) for k, c in enumerate(kids))
-
-    forest = RealScheme(build(roots[0], OUTER), p.degree % 2 == 1, CurveType.UNKNOWN)
-    if len(seen) != n_regions:
-        raise TraceError("region graph is disconnected")
-    return _PixelTopology(forest, signs if p.degree % 2 == 0 else {}, ambiguous)
-
-
 def trace_once_full_grid(p: PolySpec, n: int) -> _PixelTopology:
     """Both sheets evaluated on the whole square grid at once, labelled from
     the float values, with antipodal pairs read at every disc cell."""
@@ -440,29 +399,22 @@ def trace_once_full_grid(p: PolySpec, n: int) -> _PixelTopology:
         labels.append(lab)
     base = len(sign)
 
-    # Stitch the two sheets along the rim: same grid point, w of either sign.
-    dsu = _Dsu(base)
-    adjacency: list[tuple[int, int]] = []
+    # Rim pairs: the two sheets at the same grid point, w of either sign.
     both = _rim(inside) & (labels[0] > 0) & (labels[1] > 0)
-    for x, y in _unique_pairs(labels[0][both], labels[1][both], base):
-        if sign[x] == sign[y]:
-            dsu.union(x, y)
-        else:
-            adjacency.append((x, y))
+    rim = _unique_pairs(labels[0][both], labels[1][both], base)
 
     # In-sheet adjacencies across the curve.
+    adjacency: list[tuple[int, int]] = []
     for lab in labels:
         for p1, p2 in ((lab[:-1, :], lab[1:, :]), (lab[:, :-1], lab[:, 1:])):
             across = (p1 > 0) & (p2 > 0) & (p1 != p2)
             adjacency += _unique_pairs(p1[across], p2[across], base)
 
     # Fold by the antipodal involution: (u, v, w) and (-u, -v, -w) agree.
-    sphere = {dsu.find(i) for i in range(1, base)}
     anti = labels[1][::-1, ::-1]
     both = (labels[0] > 0) & (anti > 0)
-    for x, y in _unique_pairs(labels[0][both], anti[both], base):
-        dsu.union(x, y)
-    return _regions_to_topology(p, sign, dsu, sphere, adjacency, ambiguous)
+    fold = _unique_pairs(labels[0][both], anti[both], base)
+    return _PixelTopology(*_region_forest(sign, rim, fold, adjacency, p.degree % 2 == 1), ambiguous)
 
 
 def trace_once_two_sheets(p: PolySpec, n: int) -> _PixelTopology:
@@ -492,14 +444,9 @@ def trace_once_two_sheets(p: PolySpec, n: int) -> _PixelTopology:
         labels.append(lab)
     base = len(sign)
 
-    dsu = _Dsu(base)
-    adjacency: list[tuple[int, int]] = []
     both = _rim(inside) & (signs[0] != 0) & (signs[1] != 0)
-    for x, y in _unique_pairs(labels[0][both], labels[1][both], base):
-        if sign[x] == sign[y]:
-            dsu.union(x, y)
-        else:
-            adjacency.append((x, y))
+    rim = _unique_pairs(labels[0][both], labels[1][both], base)
+    adjacency: list[tuple[int, int]] = []
     for lab, sg in zip(labels, signs):
         for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
             across = sg[a] * sg[b] < 0
@@ -507,19 +454,18 @@ def trace_once_two_sheets(p: PolySpec, n: int) -> _PixelTopology:
 
     # Each distinct antipodal pair fills runs along rows and shows at a
     # run's first cell, so these cells give the full set, in sorted order.
-    sphere = {dsu.find(i) for i in range(1, base)}
     upper, anti = labels[0], labels[1][::-1, ::-1]
     starts = (signs[0] != 0) & (signs[1][::-1, ::-1] != 0)
     starts[:, 1:] &= (upper[:, 1:] != upper[:, :-1]) | (anti[:, 1:] != anti[:, :-1])
+    fold = _unique_pairs(upper[starts], anti[starts], base)
     parity = -1 if p.degree % 2 else 1
-    for x, y in _unique_pairs(upper[starts], anti[starts], base):
+    for x, y in fold:
         if sign[y] != parity * sign[x]:
             raise TracerInternalError(
                 f"antipodal cells of components {x} and {y} break the sign rule"
                 f" f(-u, -v, -w) = (-1)^{p.degree} f(u, v, w)"
             )
-        dsu.union(x, y)
-    return _regions_to_topology(p, sign, dsu, sphere, adjacency, ambiguous)
+    return _PixelTopology(*_region_forest(sign, rim, fold, adjacency, p.degree % 2 == 1), ambiguous)
 
 
 def label_signs_by_runs(sg: np.ndarray) -> tuple[np.ndarray, int, int]:

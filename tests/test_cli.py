@@ -369,6 +369,24 @@ def test_sweep_sextics_non_sextic_catalog_exit(tmp_path, capsys):
     assert captured.err == "error: the sextic sweep needs a catalog of degree-6 rows only\n"
 
 
+@pytest.mark.parametrize("command", ["sweep", "facts"])
+@pytest.mark.parametrize("degree", ["\uff16", "6_0", "+6"])
+def test_catalog_degree_is_plain_digits_exit(tmp_path, capsys, command, degree):
+    # int() reads a fullwidth 6 as 6 and 6_0 as 60; the catalog's degree
+    # field follows the one rule for integers typed by hand.
+    rows = [f"{e.code}\t6\t{e.curve_type.value}\tt" for e in conjquot.default_catalog()]
+    rows[0] = rows[0].replace("\t6\t", f"\t{degree}\t")
+    path = tmp_path / "catalog.tsv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    seeds = str(Path(__file__).parent / "goldens" / "sweep-seeds.jsonl")
+    argv = ["sweep", "sextics"] if command == "sweep" else ["facts", "propagate", seeds]
+    assert main([*argv, "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: bad catalog row: ") and degree in line
+
+
 def test_k3_classify(capsys):
     code, out = run(capsys, "k3", "classify", "--xr", "S10+S0", "--format", "records")
     assert code == 0
@@ -485,6 +503,25 @@ def test_trace_poly_unstable_exit(capsys):
 
 
 CUBIC_POLY = str(Path(__file__).parent / "goldens" / "cubic.poly")
+
+
+@pytest.mark.parametrize("value", ["1_0", "+6", "\uff16"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scheme", "validate", "<12>", "--degree"],
+        ["search", "derive", "<1>", "<2>", "--max-steps"],
+        ["construct", "imaginary", "--real-intersections", "0", "--base-degree"],
+        ["trace", "poly", "--poly", "2 0 0 1.0", "--grid"],
+    ],
+)
+def test_integer_flags_read_plain_digits_only(capsys, argv, value):
+    # As for a bad --side: argparse refuses the value and exits 2.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{argv[-1]}: {value!r} is not a plain integer" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("given", [[], ["--poly", "2 0 0 1.0", "--file", CUBIC_POLY]])

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import conjquot
-from conjquot.domains import format_path, iter_ovals
-from conjquot.schemes import RealScheme, format_viro, forest_key
+from conjquot.domains import OUTER, format_path, iter_ovals
+from conjquot.schemes import CurveType, RealScheme, format_viro, forest_key, iter_forests, parse_viro
 from conjquot.tracer import (
     MAX_RESOLUTION,
     GridConfig,
@@ -23,6 +23,7 @@ from conjquot.tracer import (
     _disc_span,
     _label_runs,
     _opposite_runs,
+    _region_forest,
     _run_ids_at,
     _sign_runs,
     _trace_once,
@@ -440,6 +441,95 @@ def test_fold_checks_antipodal_signs(monkeypatch):
     monkeypatch.setattr(oracles, "disc_grid", old_disc_grid)
     with pytest.raises(TracerInternalError, match="sign rule"):
         trace_once_two_sheets(xy, 1023)
+
+
+def region_graph(roots, odd=False, split=False):
+    """The two-sheet id graph of a forest's regions, as ``_region_forest``'s
+    arguments, and each region's sign by owner.
+
+    Regions get upper ids 1, 2, ... in preorder, the outer region first,
+    with sign (-1)^depth; the lower lift of id c is m + c, its sign turned
+    for an ``odd`` curve.  The outer region meets its own lower lift across
+    the rim: an even curve stitches them into one sphere component, and an
+    odd one is the line at infinity, bounding the outer region by itself.
+    Each oval's region touches its parent's on the upper sheet.  With
+    ``split``, each oval's region has a second upper piece after the first
+    pieces, the two stitched crosswise across the rim, and the region
+    touches its parent's only across the rim.
+    """
+    owners = [OUTER] + [path for path, _ in iter_ovals(RealScheme(roots))]
+    ids = {path: i for i, path in enumerate(owners, 1)}
+    upper = [(-1) ** len(path or ()) for path in owners]
+    second = {path: len(upper) + i for i, path in enumerate(owners[1:], 1)} if split else {}
+    upper += [upper[ids[path] - 1] for path in second]
+    m = len(upper)
+    sign = [0] + upper + [-s if odd else s for s in upper]
+    rim, adjacency = [(1, m + 1)], []
+    for path in owners[1:]:
+        a, up = ids[path], ids.get(path[:-1], 1)
+        if split:
+            b = second[path]
+            rim += [(a, m + b), (b, m + a), (up, m + b)]
+        else:
+            adjacency.append((up, a))
+    fold = [(c, m + c) for c in range(1, m + 1)]
+    signs = {format_path(path): s for path, s in zip(owners, upper)}
+    return [sign, rim, fold, adjacency, odd], signs
+
+
+def test_region_forest_rebuilds_every_forest():
+    # The back end alone, on id graphs whose forest is known: it returns the
+    # forest as given, children in id order, and the signs by depth parity;
+    # under a pseudoline, the region bounded by itself is the root.
+    for roots in iter_forests(7):
+        args, signs = region_graph(roots)
+        forest, got = _region_forest(*args)
+        assert repr(forest) == repr(RealScheme(roots, False, CurveType.UNKNOWN))
+        assert got == signs, format_viro(forest)
+        forest, got = _region_forest(*region_graph(roots, odd=True)[0])
+        assert repr(forest) == repr(RealScheme(roots, True, CurveType.UNKNOWN))
+        assert got == {}
+
+
+def test_region_forest_stitches_regions_split_across_the_rim():
+    # Each oval's region in two pieces on the upper sheet, met by its parent
+    # only across the rim: still one two-sided region per oval, and the
+    # outer region, stitched to itself, is the one-sided root.
+    for roots in iter_forests(7):
+        args, signs = region_graph(roots, split=True)
+        forest, got = _region_forest(*args)
+        assert forest_key(forest) == forest_key(RealScheme(roots)) and not forest.pseudoline
+        assert got == signs, format_viro(forest)
+
+
+def cycle(args):
+    args[3].append((1, 4))  # the chain 1-2-3-4 of upper ids closes up
+
+
+def disconnected(args):
+    args[3][-1] = (1, 4)  # the chain 1-2-3-4-5 closes at 4 and leaves 5 alone
+
+
+def two_one_sided(args):
+    args[1].append((2, len(args[0]) // 2 + 2))  # the oval's region stitched to itself
+
+
+def odd_no_loop(args):
+    args[1].clear()  # no line at infinity
+
+
+@pytest.mark.parametrize("code, odd, spoil, message", [
+    ("<1<1<1>>>", False, cycle, "region graph is not a tree"),
+    ("<1>", False, two_one_sided, "no unique one-sided region"),
+    ("<1<1<1<1>>>>", False, disconnected, "region graph is disconnected"),
+    ("<1>", True, odd_no_loop, "odd degree curve needs exactly one one-sided component"),
+])
+def test_region_forest_rejects_graphs_that_are_not_oval_forests(code, odd, spoil, message):
+    args, _ = region_graph(parse_viro(code).roots, odd=odd)
+    _region_forest(*args)  # the unspoilt graph is a forest
+    spoil(args)
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        _region_forest(*args)
 
 
 def assert_labels_match(sg):
