@@ -6,9 +6,10 @@ projective point (u : v : w), w = sqrt(1 - u^2 - v^2), with antipodal
 points of the rim glued.  The grid's coordinates are odd multiples of
 1/n, so it is exactly symmetric under (u, v) -> (-u, -v), and the lower
 sheet, w < 0, is the upper one turned times (-1)^degree, bit for bit.
-Only the upper sheet is evaluated, in cache-sized bands, by Horner's
-rule in w.  Only each band's sign runs are kept, maximal stretches of
-one nonzero sign along a row; no per-cell array of the grid is made.
+Only the upper sheet is evaluated, in cache-sized bands, as P(u, v) +
+w Q(u, v), since w^2 = 1 - u^2 - v^2 there: two matrix products each.
+Only each band's sign runs are kept, maximal stretches of one nonzero
+sign along a row; no per-cell array of the grid is made.
 
 That numeric front end, ``_trace_once``, labels sign components once,
 by joining runs (after He, Chao & Suzuki, IEEE TIP 17(5), 2008); each
@@ -50,6 +51,7 @@ from .schemes import (
     canonical_key,
     format_viro,
     l_curve_bound,
+    plain_digits,
 )
 
 
@@ -96,15 +98,16 @@ class PolySpec:
 
     @classmethod
     def from_text(cls, text: str) -> "PolySpec":
-        """Lines of ``a b c coefficient``; '#' comments."""
+        """Lines of ``a b c coefficient``, exponents in plain digits; '#' comments."""
         coeffs: dict[tuple[int, int, int], float] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            a, b, c, value = line.split()
-            key = (int(a), int(b), int(c))
-            coeffs[key] = coeffs.get(key, 0.0) + float(value)
+        for row, raw in enumerate(text.splitlines(), 1):
+            if fields := raw.split("#", 1)[0].split():
+                *exponents, value = fields
+                if len(exponents) != 3 or not all(map(plain_digits, exponents)):
+                    raise TraceError(f"poly row {row}: {' '.join(fields)!r} is not"
+                                     " 'a b c coefficient' with plain-digit exponents")
+                key = tuple(map(int, exponents))
+                coeffs[key] = coeffs.get(key, 0.0) + float(value)
         if not coeffs:
             raise TraceError("no monomials given")
         degree = max(sum(k) for k in coeffs)
@@ -128,47 +131,71 @@ class PolySpec:
         return out
 
     @cached_property
-    def _horner(self) -> tuple[np.ndarray, float]:
-        """Coefficients ``[c, a]`` of u^a v^(d-c-a) w^c, and ``evaluate``'s slack."""
+    def _pq(self) -> tuple[np.ndarray, float]:
+        """``[P, Q]``: the coefficient of u^i v^j in P at ``[0, i, j]`` and in Q
+        at ``[1, i, j]``, each the exact sum rounded once; and ``evaluate``'s slack."""
         d, terms = self.degree, len(self.coeffs)
-        table = np.zeros((d + 1, d + 1))
-        for (a, _, c), coef in self.coeffs:
-            table[c, a] += coef
+        ratios = [coef.as_integer_ratio() for _, coef in self.coeffs]
+        scale = max(den for _, den in ratios)  # every denominator is a power of two
+        exact: Counter[tuple[int, int, int]] = Counter()
+        for ((a, b, c), _), (num, den) in zip(self.coeffs, ratios):
+            # w^c = s^k w^odd, s^k = sum of k!/(q! r! (k-q-r)!) (-u^2)^q (-v^2)^r
+            k, odd = divmod(c, 2)
+            for q in range(k + 1):
+                for r in range(k + 1 - q):
+                    m = math.comb(k, q) * math.comb(k - q, r) * num * (scale // den)
+                    exact[odd, a + 2 * q, b + 2 * r] += -m if (q + r) % 2 else m
+        table = np.zeros((2, d + 1, d + 1))
+        try:
+            for key, num in exact.items():
+                table[key] = num / scale  # int division rounds once, correctly
+            norm = sum(map(abs, exact.values())) / scale
+        except OverflowError:
+            norm = math.inf
         total = math.fsum(abs(coef) for _, coef in self.coeffs)
-        k = 2 * d + terms + 3
-        gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
-        return table, 2 * gamma * total + math.ldexp((d + 1) * (terms + 1), -1073) * (1 + total)
+        unit = 2.0**-53 / (1 - (3 * d + terms + 5) * 2.0**-53)  # gamma(k) <= k unit, k <= 3d+T+5
+        slack = unit * ((3 * d + 5) * norm + (3.6 * d + terms) * total)
+        slack += math.ldexp(5 * (d + 2) ** 2 * (terms + 1), -1075) * (1 + total + norm)
+        if not math.isfinite(2 * norm + slack):
+            return np.zeros_like(table), math.inf  # every value is refit
+        return table, slack
 
     def evaluate(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """f(u, v, w) at an ``(r, 1)`` column ``u`` by a ``(1, c)`` row ``v``,
-        ``w`` of shape ``(r, c)``, by Horner's rule in w with each G_c(u, v)
-        one matrix product, and the sign of ``evaluate_terms``, on any BLAS.
+        ``w`` of shape ``(r, c)`` as ``_disc_cells`` gives it, as P(u, v) +
+        w Q(u, v), and the sign of ``evaluate_terms`` at every cell of the
+        disc, on any BLAS; off the disc the values are unspecified.  On the
+        sphere w^2 = s = 1 - u^2 - v^2, so f = sum G_c(u, v) w^c is P + w Q
+        with P = sum G_2k s^k and Q = sum G_(2k+1) s^k, as ``_pq`` expands them.
 
         Why (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
         Lemma 3.1): let F be the exact value at the float coordinates, S =
-        sum |coef|, T the number of terms, gamma(k) = k eps / (1 - k eps),
-        eps = 2^-53; no monomial exceeds 1 on the disc.  ``evaluate_terms``
-        rounds a term at most d times and its running sum T - 1 times: it
-        is within gamma(d + T - 1) S of F.  A monomial of G_c meets at most
-        2(d - c) roundings in powers, coefficient and an inner product in any
-        order, fused or not (Higham (3.5)), then 2c + 2 in Horner's steps: f
-        is within gamma(2d + 2) S of F.  Underflow adds at most 2^-1075 to a
-        product (Higham (2.8)), in fewer than 4(d + 1)(T + 1) products for
-        both, each scaled later by at most 1 + S in all.  So, with k = 2d + T
-        + 3 to spare, f keeps the nonzero sign of ``evaluate_terms`` where |f|
-        > 2 gamma(k) S + 4(d + 1)(T + 1)(1 + S) 2^-1075, and takes its value elsewhere.
+        sum |coef|, N = sum |exact P and Q coefficients|, T the number of
+        terms, gamma(k) = k eps / (1 - k eps), eps = 2^-53; on the disc no
+        monomial exceeds 1.  ``evaluate_terms`` rounds a term at most d times
+        and its running sum T - 1 times: it is within gamma(d + T - 1) S of F.
+        At a disc cell |w^2 - s| <= 5 eps (u^2, v^2, their sum, 1 minus it,
+        exact above 1/2, and the root round once each), so w^c -> s^k w^(c -
+        2k) moves F by at most 2.6 d eps S.  A term u^i v^j rounds once as a
+        coefficient, at most i + j <= d times in powers (d - 1 in Q), d + 1 in
+        each inner product in any order, fused or not (Higham (3.5)), then in
+        w Q (Q only) and the sum: within gamma(3d + 4) N.  Underflow adds at
+        most 2^-1075 to a product or a rounded coefficient (Higham (2.8)),
+        fewer than 5(d + 2)^2 (T + 1) times for both, each scaled by <= 1 + S + N.
+        So, with a unit to spare for the slack's own roundings, f keeps the
+        nonzero sign of ``evaluate_terms`` where |f| > gamma(3d + 5) N + (2.6
+        d eps + gamma(d + T - 1)) S + 5(d + 2)^2 (T + 1)(1 + S + N) 2^-1075,
+        and takes its value elsewhere.  Partial sums stay below 2N: where 2N
+        plus that slack overflows, the slack is infinite and every value is refit.
         """
         d = self.degree
-        table, slack = self._horner
-        pu, pv = np.ones((d + 1, u.size)), np.ones((d + 1, v.size))
+        table, slack = self._pq
+        x = np.concatenate((u.ravel(), v.ravel()))  # one power table for rows and columns
+        pw = np.ones((d + 1, x.size))
         for e in range(d):
-            pu[e + 1] = pu[e] * u.ravel()
-            pv[d - e - 1] = pv[d - e] * v.ravel()  # pv[d - e] = v^e: G_c takes rows c..d
-        f, g = np.full(w.shape, table[d, 0]), np.empty(w.shape)
-        for c in range(d - 1, -1, -1):
-            np.matmul(pu[: d - c + 1].T * table[c, : d - c + 1], pv[c:], out=g)
-            f *= w
-            f += g
+            np.multiply(pw[e], x, out=pw[e + 1])
+        f, g = (y @ pw[:, u.size :] for y in pw[:, : u.size].T @ table)  # P, Q: by u, then v
+        f += np.multiply(g, w, out=g)
         near = np.abs(f) <= slack
         if near.any():
             f[near] = self.evaluate_terms(*(np.broadcast_to(x, f.shape)[near] for x in (u, v, w)))
@@ -432,6 +459,14 @@ def _region_forest(
     return forest, {} if odd else signs
 
 
+def _id_pairs(xs: np.ndarray, ys: np.ndarray, base: int) -> list[tuple[int, int]]:
+    """Distinct ``(lo, hi)`` id pairs, ascending as keys ``lo * base + hi``, by a sort:
+    the first ``np.unique`` in a process imports ``numpy.ma``."""
+    xs, ys = xs.astype(np.int64), ys.astype(np.int64)
+    keys = np.sort(np.minimum(xs, ys) * base + np.maximum(xs, ys))  # ids, so keys, are >= 0
+    return [divmod(k, base) for k in keys[np.diff(keys, prepend=-1) != 0].tolist()]
+
+
 # ``_trace_once`` joins runs as ``ndimage.label``, the name of the pixel
 # labelling it replaced, because perfbench times ``tracer.label`` through that
 # name; the shim goes when perfbench hooks ``_label_runs`` itself.
@@ -473,12 +508,6 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     sign += [-s if p.degree % 2 else s for s in sign[1:]]
     base = len(sign)
 
-    def pairs(xs: np.ndarray, ys: np.ndarray) -> list[tuple[int, int]]:
-        """Distinct ``(lo, hi)`` id pairs, ascending, as keys ``lo * base + hi``."""
-        xs, ys = xs.astype(np.int64), ys.astype(np.int64)
-        keys = np.unique(np.minimum(xs, ys) * base + np.maximum(xs, ys))
-        return [divmod(k, base) for k in keys.tolist()]
-
     # Rim cells have a 4-neighbour off the disc or grid.  Row i's disc cells
     # are centred and end at hi[i], so its right-hand rim runs on from the
     # interior it shares with both neighbour rows; the left-hand rim is it turned.
@@ -492,9 +521,9 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     # The lower id at cell p is m plus the upper id at -p.  Every rim and fold
     # pair lists an upper id first, so roots are upper ids.  Adjacencies are
     # read on the upper sheet; the lower sheet's are these turned.
-    rim = pairs(np.concatenate([x, y]), m + np.concatenate([y, x]))
+    rim = _id_pairs(np.concatenate([x, y]), m + np.concatenate([y, x]), base)
     opposite = _opposite_runs(start, end, run_sign, n)
-    adjacency = [ab for a, b in opposite for ab in pairs(ids[a], ids[b])]
+    adjacency = [ab for a, b in opposite for ab in _id_pairs(ids[a], ids[b], base)]
     fold = [(c, m + c) for c in range(1, m + 1)]
     forest, signs = _region_forest(sign, rim, fold, adjacency, p.degree % 2 == 1)
     return _PixelTopology(forest, signs, 2 * zeros)

@@ -563,6 +563,21 @@ def test_trace_poly_non_finite_form_exit(capsys, poly, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "row", ["0 0 +2 -0.25", "0 0 \uff12 -0.25", "0 0 2_0 -0.25", "0 0 1.5 -0.25", "0 0 2 -0.25 1"]
+)
+def test_trace_poly_exponents_are_plain_digits_exit(capsys, row):
+    # int() reads +2 and a fullwidth 2 as 2 and 2_0 as 20; a poly row's
+    # exponents follow the one rule for integers typed by hand, and a row
+    # of five fields is named, not unpacked
+    assert main(["trace", "poly", "--poly", f"2 0 0 1;0 2 0 1;{row}", "--grid", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: poly row 3: {row!r} is not 'a b c coefficient' with plain-digit exponents\n"
+    )
+
+
 def test_record_output_is_stable(capsys):
     _, out1 = run(capsys, "sweep", "sextics", "--format", "records")
     _, out2 = run(capsys, "sweep", "sextics", "--format", "records")

@@ -1,8 +1,11 @@
+import math
 import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +164,19 @@ def test_trace_leaves_scipy_sparse_unimported():
     assert done.returncode == 0, done.stderr
 
 
+def test_first_trace_leaves_numpy_ma_unimported():
+    # the first np.unique in a process imports numpy.ma, 13-17 ms and about
+    # 1 MB; the tracer dedupes its id pairs by a sort instead
+    src = str(Path(conjquot.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from conjquot import tracer\n"
+        "tracer._trace_once(tracer.poly_mul(tracer.circle(0, 0, 0.5), tracer.circle(0, 0, 0.2)), 64)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_empty_real_locus_is_the_empty_scheme():
     result = trace_scheme(definite(2), FAST)
     assert result.stable
@@ -260,15 +276,27 @@ def test_evaluate_on_a_band_equals_that_slice_of_the_grid():
         assert np.array_equal(np.sign(p.evaluate(u, v, w))[rows, cols], signs), name
 
 
+def assert_certified(p, u, v, w, inside):
+    """``evaluate`` is within its slack of ``evaluate_terms`` on the disc,
+    with the same int8 signs and the same exact zeros there."""
+    got, want = p.evaluate(u, v, w)[inside], p.evaluate_terms(u, v, w)[inside]
+    assert np.all(np.abs(got - want) <= p._pq[1]), p
+    got_sg = np.subtract(got > 0, got < 0, dtype=np.int8)
+    want_sg = np.subtract(want > 0, want < 0, dtype=np.int8)
+    assert got_sg.tobytes() == want_sg.tobytes(), p
+    assert np.count_nonzero(got == 0) == np.count_nonzero(want == 0), p
+
+
 def test_certified_evaluation_keeps_every_sign_and_zero():
-    # f is within the slack of the term-order sum everywhere, and where it
+    # On the disc f is within the slack of the term-order sum, and where it
     # is not clear of zero it is replaced by that sum: the int8 signs and
     # the exact zeros agree, from coefficients near the smallest normal
     # double to an absolute sum near the largest.  Multiples of x - y are
     # zero up to rounding on the diagonal, where the two orders of
-    # evaluation round to different signs.
+    # evaluation round to different signs.  Off the disc values are
+    # unspecified.
     rng = random.Random(16)
-    u, v, w, _ = disc_grid(97)
+    u, v, w, inside = disc_grid(97)
     for degree in range(1, 13):
         terms = (degree + 1) * (degree + 2) // 2
         for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e150, 1e307 / terms):
@@ -276,12 +304,59 @@ def test_certified_evaluation_keeps_every_sign_and_zero():
             if degree > 1:
                 forms.append(poly_mul(line(1.0, -1.0, 0.0), dense_form(rng, degree - 1, scale)))
             for p in forms:
-                got, want = p.evaluate(u, v, w), p.evaluate_terms(u, v, w)
-                assert np.all(np.abs(got - want) <= p._horner[1]), (p, scale)
-                got_sg = np.subtract(got > 0, got < 0, dtype=np.int8)
-                want_sg = np.subtract(want > 0, want < 0, dtype=np.int8)
-                assert got_sg.tobytes() == want_sg.tobytes(), (p, scale)
-                assert np.count_nonzero(got == 0) == np.count_nonzero(want == 0), (p, scale)
+                assert_certified(p, u, v, w, inside)
+
+
+def busiest_circle(n):
+    """The radius^2 shared by the most pixel centres inside the disc of the n-grid."""
+    ks = range(1 - n, n, 2)
+    sums = Counter(a * a + b * b for a in ks for b in ks if a * a + b * b < n * n)
+    return sums.most_common(1)[0][0] / (n * n)
+
+
+def sphere_power(t):
+    """z^12 - t (x^2 + y^2 + z^2)^6, zero on the sphere where w^12 = t."""
+    sphere = PolySpec.from_dict(2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
+    return poly_add(PolySpec.from_dict(12, {(0, 0, 12): 1.0}), reduce(poly_mul, [sphere] * 6), -t)
+
+
+@pytest.mark.parametrize("n", [97, 256])
+def test_certified_evaluation_on_the_substitution_worst_cases(n):
+    # P + wQ replaces w^2 by 1 - u^2 - v^2: its zero set differs from the
+    # term-order sum's by rounding, so the worst cases are forms that vanish
+    # at pixel centres.  z^12 - t (x^2 + y^2 + z^2)^6 is zero on a circle
+    # through the most centres, (x - y) z^11 on the diagonal, and dense
+    # degree-20 forms have the longest expansions; signs and zeros must
+    # still be the term-order sum's on the disc.
+    rng = random.Random(34)
+    u, v, w, inside = disc_grid(n)
+    forms = [sphere_power((1 - busiest_circle(n)) ** 6)]
+    forms.append(PolySpec.from_dict(12, {(1, 0, 11): 1.0, (0, 1, 11): -1.0}))
+    forms += [dense_form(rng, 20, scale) for scale in (1e-290, 1.0, 1e300)]
+    for p in forms:
+        assert_certified(p, u, v, w, inside)
+    zeros = np.count_nonzero(forms[1].evaluate(u, v, w)[inside] == 0)
+    assert zeros == np.count_nonzero(inside[np.arange(n), np.arange(n)])
+
+
+def test_evaluation_with_tables_that_overflow_refits_every_cell(monkeypatch):
+    # The coefficients sum to a finite value, but 1e307 s^6 expands to
+    # coefficients up to 90e307: no table is finite, so every cell is refit
+    refits = []
+    evaluate_terms = PolySpec.evaluate_terms
+
+    def counted(self, u, v, w):
+        refits.append(u.size)
+        return evaluate_terms(self, u, v, w)
+
+    p = PolySpec.from_dict(12, {k: 1e307 * c for k, c in sphere_power(0.01).coeffs})
+    assert math.isfinite(math.fsum(abs(c) for _, c in p.coeffs)) and p._pq[1] == math.inf
+    u, v, w, inside = disc_grid(97)
+    monkeypatch.setattr(PolySpec, "evaluate_terms", counted)
+    p.evaluate(u, v, w)
+    assert refits == [w.size]
+    monkeypatch.undo()
+    assert_certified(p, u, v, w, inside)
 
 
 def test_certified_evaluation_refits_exact_zeros(monkeypatch):
