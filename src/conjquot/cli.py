@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import constructions, domains, fourman, moves, propagation, schemes
 from .domains import Side, TrackedScheme
-from .schemes import CurveType, parse_viro, plain_digits
+from .schemes import CurveType, parse_viro, plain_digits, plain_real
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -267,13 +267,8 @@ def cmd_trace_poly(args) -> tuple[list[dict], int]:
 def cmd_trace_lcurve(args) -> tuple[list[dict], int]:
     from . import tracer
 
-    lines = []
     with open(args.lines, encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.split("#", 1)[0].strip()
-            if ln:
-                a, b, c = ln.split()
-                lines.append((float(a), float(b), float(c)))
+        lines = tracer._lines_from_text(fh.read())
     with open(args.g, encoding="utf-8") as fh:
         g = tracer.PolySpec.from_text(fh.read())
     try:
@@ -292,6 +287,13 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _real(text: str) -> float:
+    """argparse's ``type`` for real flags: ``plain_real``."""
+    if not plain_real(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a plain real number")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="conjquot",
@@ -301,9 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("table", "records"), default="table")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, degree=True, side=True):
-        if degree:
-            p.add_argument("--degree", type=_integer, default=6)
+    def common(p, side=True):
+        p.add_argument("--degree", type=_integer, default=6)
         if side:
             p.add_argument("--side", choices=("+", "-"), default="+")
 
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = tr.add_parser("lcurve", parents=[fmt])
     p.add_argument("--lines", required=True, help="file of 'a b c' rows")
     p.add_argument("--g", required=True, help="perturbation polynomial file")
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_real, default=None)
     # Read an exponent-form negative such as -7.8e-08 as a value, not an option.
     p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p.add_argument("--grid", type=_integer, default=512)

@@ -215,7 +215,6 @@ class StandardSurfaceForm:
     tori: int = 0
     rp2: int = 0
     rp2bar: int = 0
-    components: int = 1
     note: str = ""
 
     def __post_init__(self):
@@ -266,24 +265,14 @@ def predict_standard_form(
     return tuple(candidates)
 
 
-def branch_cover_word(
-    form: StandardSurfaceForm, ambient: FourManifoldWord
-) -> FourManifoldWord:
+def branch_cover_word(form: StandardSurfaceForm, ambient: FourManifoldWord) -> FourManifoldWord:
     """Double cover of an ambient word branched along a standard surface.
 
     Each standard torus lifts to S2xS2, each projective plane of normal
     number +2 to CP2 and of normal number -2 to CP2bar; ambient summands
-    away from the branch set double; extra components add 1-handles.
+    away from the branch set double.
     """
-    if form.components < 1:
-        raise WordError("branch surface needs at least one component")
-    lifted = word(
-        cp2=form.rp2,
-        cp2bar=form.rp2bar,
-        s2xs2=form.tori,
-        s1xs3=form.components - 1,
-    )
-    return ambient.doubled() + lifted
+    return ambient.doubled() + word(cp2=form.rp2, cp2bar=form.rp2bar, s2xs2=form.tori)
 
 
 def k3_classify(

@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from importlib import resources
 from typing import Iterable, Iterator
 
@@ -124,6 +125,15 @@ def plain_digits(text: str) -> bool:
     leading ``-`` where a sign is allowed.  ``int`` also reads ``+``, ``_``
     and spaces, and ``str.isdigit`` other scripts' digits."""
     return text.isascii() and text.isdigit()
+
+
+def plain_real(text: str) -> bool:
+    """The one rule for a real typed by hand: ``float``'s, in ASCII without ``_``."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
 
 
 class _Parser:
@@ -266,8 +276,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    code: str
-    degree: int
     violations: tuple[Violation, ...]
 
     @property
@@ -304,7 +312,7 @@ def validate(s: RealScheme, degree: int) -> ValidationReport:
                 f"{2 * s.depth} > {degree} points",
             )
         )
-    return ValidationReport(format_viro(s), degree, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def l_curve_bound(s: RealScheme, degree: int) -> bool:
@@ -372,14 +380,11 @@ def iter_forests(max_ovals: int) -> Iterator[tuple[Oval, ...]]:
     """All unordered forests with at most ``max_ovals`` ovals, one per
     isomorphism class."""
 
+    @cache
     def trees(n: int) -> list[Oval]:
-        if n == 1:
-            return [Oval()]
-        out = []
-        for forest in forests(n - 1):
-            out.append(Oval(forest))
-        return out
+        return [Oval(forest) for forest in forests(n - 1)] if n > 1 else [Oval()]
 
+    @cache
     def forests(n: int) -> list[tuple[Oval, ...]]:
         # Multisets of trees with n total ovals.  Each forest lists a tree
         # of least key first, so a multiset arises once, from its least tree.
@@ -395,5 +400,4 @@ def iter_forests(max_ovals: int) -> Iterator[tuple[Oval, ...]]:
         return out
 
     for n in range(0, max_ovals + 1):
-        for f in forests(n):
-            yield f
+        yield from forests(n)

@@ -4,12 +4,12 @@ A homogeneous polynomial is sampled on the unit-disc model of the
 projective plane: the point (u, v) with u^2 + v^2 <= 1 stands for the
 projective point (u : v : w), w = sqrt(1 - u^2 - v^2), with antipodal
 points of the rim glued.  The grid's coordinates are odd multiples of
-1/n, so it is exactly symmetric under (u, v) -> (-u, -v), and the lower
-sheet, w < 0, is the upper one turned times (-1)^degree, bit for bit.
-Only the upper sheet is evaluated, in cache-sized bands, as P(u, v) +
-w Q(u, v), since w^2 = 1 - u^2 - v^2 there: two matrix products each.
-Only each band's sign runs are kept, maximal stretches of one nonzero
-sign along a row; no per-cell array of the grid is made.
+1/n, so its disc cells are decided in integers and it is exactly
+symmetric under (u, v) -> (-u, -v): the lower sheet, w < 0, is the upper
+one turned times (-1)^degree, bit for bit.  Only the upper sheet is
+evaluated, in cache-sized bands, as P(u, v) + w Q(u, v), since w^2 = 1 -
+u^2 - v^2 there: two matrix products each.  A band keeps only its sign
+runs, maximal stretches of one nonzero sign in a row, never a grid array.
 
 That numeric front end, ``_trace_once``, labels sign components once,
 by joining runs (after He, Chao & Suzuki, IEEE TIP 17(5), 2008); each
@@ -52,6 +52,7 @@ from .schemes import (
     format_viro,
     l_curve_bound,
     plain_digits,
+    plain_real,
 )
 
 
@@ -103,9 +104,9 @@ class PolySpec:
         for row, raw in enumerate(text.splitlines(), 1):
             if fields := raw.split("#", 1)[0].split():
                 *exponents, value = fields
-                if len(exponents) != 3 or not all(map(plain_digits, exponents)):
-                    raise TraceError(f"poly row {row}: {' '.join(fields)!r} is not"
-                                     " 'a b c coefficient' with plain-digit exponents")
+                if len(fields) != 4 or not all(map(plain_digits, exponents)) or not plain_real(value):
+                    raise TraceError(f"poly row {row}: {' '.join(fields)!r} is not 'a b c"
+                                     " coefficient' with plain-digit exponents and a plain real")
                 key = tuple(map(int, exponents))
                 coeffs[key] = coeffs.get(key, 0.0) + float(value)
         if not coeffs:
@@ -160,12 +161,12 @@ class PolySpec:
             return np.zeros_like(table), math.inf  # every value is refit
         return table, slack
 
-    def evaluate(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def evaluate(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """f(u, v, w) at an ``(r, 1)`` column ``u`` by a ``(1, c)`` row ``v``,
-        ``w`` of shape ``(r, c)`` as ``_disc_cells`` gives it, as P(u, v) +
-        w Q(u, v), and the sign of ``evaluate_terms`` at every cell of the
-        disc, on any BLAS; off the disc the values are unspecified.  On the
-        sphere w^2 = s = 1 - u^2 - v^2, so f = sum G_c(u, v) w^c is P + w Q
+        w the upper sheet's as ``_upper_w`` computes it here, as P(u, v) +
+        w Q(u, v), and the sign of ``evaluate_terms`` at that w at every point
+        of the disc, on any BLAS; off the disc the values are unspecified.  On
+        the sphere w^2 = s = 1 - u^2 - v^2, so f = sum G_c(u, v) w^c is P + w Q
         with P = sum G_2k s^k and Q = sum G_(2k+1) s^k, as ``_pq`` expands them.
 
         Why (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
@@ -174,11 +175,11 @@ class PolySpec:
         terms, gamma(k) = k eps / (1 - k eps), eps = 2^-53; on the disc no
         monomial exceeds 1.  ``evaluate_terms`` rounds a term at most d times
         and its running sum T - 1 times: it is within gamma(d + T - 1) S of F.
-        At a disc cell |w^2 - s| <= 5 eps (u^2, v^2, their sum, 1 minus it,
-        exact above 1/2, and the root round once each), so w^c -> s^k w^(c -
-        2k) moves F by at most 2.6 d eps S.  A term u^i v^j rounds once as a
-        coefficient, at most i + j <= d times in powers (d - 1 in Q), d + 1 in
-        each inner product in any order, fused or not (Higham (3.5)), then in
+        At a disc point this w has |w^2 - s| <= 5 eps (u^2, v^2, their sum, 1
+        minus it, exact above 1/2, and the root round once each), so w^c -> s^k
+        w^(c - 2k) moves F by at most 2.6 d eps S.  A term u^i v^j rounds once
+        as a coefficient, at most i + j <= d times in powers (d - 1 in Q), d + 1
+        in each inner product in any order, fused or not (Higham (3.5)), then in
         w Q (Q only) and the sum: within gamma(3d + 4) N.  Underflow adds at
         most 2^-1075 to a product or a rounded coefficient (Higham (2.8)),
         fewer than 5(d + 2)^2 (T + 1) times for both, each scaled by <= 1 + S + N.
@@ -188,7 +189,7 @@ class PolySpec:
         and takes its value elsewhere.  Partial sums stay below 2N: where 2N
         plus that slack overflows, the slack is infinite and every value is refit.
         """
-        d = self.degree
+        d, w = self.degree, _upper_w(u, v)
         table, slack = self._pq
         x = np.concatenate((u.ravel(), v.ravel()))  # one power table for rows and columns
         pw = np.ones((d + 1, x.size))
@@ -200,6 +201,15 @@ class PolySpec:
         if near.any():
             f[near] = self.evaluate_terms(*(np.broadcast_to(x, f.shape)[near] for x in (u, v, w)))
         return f
+
+
+def _lines_from_text(text: str) -> list[tuple[float, float, float]]:
+    """Lines ax + by + cz = 0 from rows of ``a b c`` in plain reals; '#' comments."""
+    rows = [(row, raw.split("#", 1)[0].split()) for row, raw in enumerate(text.splitlines(), 1)]
+    for row, fields in rows:
+        if fields and (len(fields) != 3 or not all(map(plain_real, fields))):
+            raise TraceError(f"lines row {row}: {' '.join(fields)!r} is not 'a b c' in plain reals")
+    return [tuple(map(float, fields)) for _, fields in rows if fields]
 
 
 def poly_mul(p: PolySpec, q: PolySpec) -> PolySpec:
@@ -291,18 +301,25 @@ def _disc_axis(n: int) -> np.ndarray:
     return np.arange(1 - n, n, 2) / n
 
 
-def _disc_cells(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-sheet ``w`` and the in-disc mask at column ``u`` by row ``v``."""
-    rr = u * u + v * v
-    return np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
+def _upper_w(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The upper sheet's w at column ``u`` by row ``v``: sqrt(1 - (u^2 + v^2)), 0 off the disc."""
+    w = u * u + v * v  # one band-sized array, updated in place
+    return np.sqrt(np.maximum(np.subtract(1.0, w, out=w), 0.0, out=w), out=w)
 
 
-def _disc_span(n: int, a: int) -> tuple[int, int]:
-    """First column and width of the cells v = b/n with a² + b² <= n² in row u = a/n.  a and b
-    have the parity of n + 1, so a² + b² never equals n²: the float test agrees."""
-    s = math.isqrt(n * n - a * a)
-    s -= (s + n + 1) % 2  # the largest |b| of the right parity
-    return (n - 1 - s) // 2, s + 1
+def _disc_reach(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """|a| and the largest |b| of each row: row u = a/n holds the cells v = b/n with
+    a² + b² <= n².  The grid is square, so |a| is also each column's offset |b|."""
+    a = np.abs(np.arange(1 - n, n, 2, dtype=np.int32))  # int32: int64 masks cost twice
+    s = np.sqrt(n * n - a * a).astype(np.int32)
+    s -= s * s > n * n - a * a  # a correctly rounded root is at most one above isqrt
+    return a, s - (s + n + 1) % 2  # b has the parity of a and n + 1, so a² + b² != n²
+
+
+def _disc_band(offset: np.ndarray, reach: np.ndarray) -> tuple[int, np.ndarray]:
+    """First column c0 and in-disc mask of rows of these reaches, cut to columns c0 .. n-1-c0."""
+    c0 = (len(offset) - 1 - int(reach.max())) // 2
+    return c0, offset[c0 : len(offset) - c0] <= reach[:, None]
 
 
 def _sign_runs(sg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,29 +491,23 @@ ndimage = SimpleNamespace(label=_label_runs)
 
 
 def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
-    # Upper-sheet signs by bands of rows of about _BAND_CELLS cells, cut to
-    # the columns where the band's row nearest the centre meets the disc, so
-    # that float values stay in cache.  Cells outside the disc get sign 0.
-    # Only each band's sign runs are kept, as flat cells of the n-by-n grid;
-    # no array of the whole grid is made.
-    axis = _disc_axis(n)
+    # Upper-sheet signs by bands of rows of about _BAND_CELLS cells, cut to the
+    # columns of the band's widest row, so that float values stay in cache.
+    # Cells outside the disc get sign 0.  Only each band's sign runs are kept,
+    # as flat cells of the n-by-n grid; no array of the whole grid is made.
+    axis, (offset, reach) = _disc_axis(n), _disc_reach(n)
+    hi = (n - 1 + reach) // 2  # last disc column of each row
     runs = []
-    hi = np.empty(n, dtype=np.int64)  # last disc column of each row
     zeros = 0  # exact zeros; the lower sheet's are these turned
     step = max(1, _BAND_CELLS // n)
     for r0 in range(0, n, step):
-        u = axis[r0 : r0 + step, None]
-        centre = min(max((n - 1) // 2, r0), min(r0 + step, n) - 1)  # the band's widest row
-        c0, width = _disc_span(n, 2 * centre + 1 - n)
-        v = axis[None, c0 : c0 + width]
-        w, band = _disc_cells(u, v)
-        f = p.evaluate(u, v, w)
+        c0, band = _disc_band(offset, reach[r0 : r0 + step])
+        f = p.evaluate(axis[r0 : r0 + step, None], axis[None, c0 : n - c0])
         sg = np.zeros(f.shape, dtype=np.int8)
         np.subtract(f > 0, f < 0, dtype=np.int8, out=sg, where=band)
         zeros += int(np.count_nonzero(band & (f == 0.0)))
-        hi[r0 : r0 + step] = (n - 2 + np.count_nonzero(band, axis=1)) // 2  # centred intervals
         first, last, s = _sign_runs(sg)
-        shift = first // width * (n - width) + (r0 * n + c0)  # band cell to grid cell
+        shift = first // band.shape[1] * 2 * c0 + (r0 * n + c0)  # band cell to grid cell
         runs.append((first + shift, last + shift, s))
     start, end, run_sign = (np.concatenate(x) for x in zip(*runs))
 
@@ -590,10 +601,9 @@ def _check_arrangement(lines: Sequence[tuple[float, float, float]]) -> None:
 def l_curve_epsilon(lines: Sequence[tuple[float, float, float]]) -> float:
     """The default epsilon of :func:`l_curve_sample`: 1e-2 of the 10% quantile
     of the nonzero |line product| on a coarse disc sample, below face values."""
-    axis = _disc_axis(64)
-    w, inside = _disc_cells(axis[:, None], axis)
-    prod = reduce(poly_mul, (line(*c) for c in lines))
-    samples = np.abs(prod.evaluate_terms(axis[:, None], axis, w)[inside])
+    u, v = _disc_axis(64)[:, None], _disc_axis(64)
+    f = reduce(poly_mul, (line(*c) for c in lines)).evaluate_terms(u, v, _upper_w(u, v))
+    samples = np.abs(f[_disc_band(*_disc_reach(64))[1]])
     return 1e-2 * float(np.quantile(samples[samples > 0], 0.1))
 
 

@@ -1,5 +1,5 @@
 """Acceptance criteria, one test per criterion, each printing a summary
-line (visible with ``pytest -s`` or through scripts/run_acceptance.py).
+line (visible with ``pytest tests/test_acceptance.py -s``).
 
 All checks are exact; the timed ones assert their budget.
 """

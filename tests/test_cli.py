@@ -524,6 +524,17 @@ def test_integer_flags_read_plain_digits_only(capsys, argv, value):
     assert f"{argv[-1]}: {value!r} is not a plain integer" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1_0e-3", "\uff11e-3", "1e-3x"])
+def test_epsilon_reads_a_plain_real(capsys, value):
+    # float() reads 1_0e-3 as 0.01 and a fullwidth 1 as 1; --epsilon follows
+    # the one rule for reals typed by hand
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "lcurve", "--lines", "l.txt", "--g", "g.poly", "--epsilon", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--epsilon: {value!r} is not a plain real number" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("given", [[], ["--poly", "2 0 0 1.0", "--file", CUBIC_POLY]])
 def test_trace_poly_needs_exactly_one_polynomial(capsys, given):
     with pytest.raises(SystemExit) as exc:
@@ -564,17 +575,23 @@ def test_trace_poly_non_finite_form_exit(capsys, poly, message):
 
 
 @pytest.mark.parametrize(
-    "row", ["0 0 +2 -0.25", "0 0 \uff12 -0.25", "0 0 2_0 -0.25", "0 0 1.5 -0.25", "0 0 2 -0.25 1"]
+    "row",
+    [
+        "0 0 +2 -0.25", "0 0 \uff12 -0.25", "0 0 2_0 -0.25", "0 0 1.5 -0.25", "0 0 2 -0.25 1",
+        "0 0 2 1_0", "0 0 2 \uff11",
+    ],
 )
 def test_trace_poly_exponents_are_plain_digits_exit(capsys, row):
-    # int() reads +2 and a fullwidth 2 as 2 and 2_0 as 20; a poly row's
-    # exponents follow the one rule for integers typed by hand, and a row
-    # of five fields is named, not unpacked
+    # int() reads +2 and a fullwidth 2 as 2 and 2_0 as 20, and float() 1_0
+    # as 10 and a fullwidth 1 as 1; a poly row's exponents follow the one
+    # rule for integers typed by hand, its coefficient the one for reals,
+    # and a row of five fields is named, not unpacked
     assert main(["trace", "poly", "--poly", f"2 0 0 1;0 2 0 1;{row}", "--grid", "16"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: poly row 3: {row!r} is not 'a b c coefficient' with plain-digit exponents\n"
+        f"error: poly row 3: {row!r} is not 'a b c coefficient' with plain-digit exponents"
+        " and a plain real\n"
     )
 
 
@@ -607,6 +624,21 @@ def lcurve_args(tmp_path, lines, g):
     [
         ("1 0 0\n1 0 0\n", "2 0 0 1.0\n", "error: lines 0 and 1 coincide"),
         ("1 0 0\n0 1 0\n", "4 0 0 1.0\n", "error: perturbation must have degree 2, got 4"),
+        # a row of other than three fields is named, not unpacked, and
+        # float() would read 1_0 as 10 and a fullwidth 1 as 1
+        ("1 0\n0 1 0\n", "2 0 0 1.0\n", "error: lines row 1: '1 0' is not 'a b c' in plain reals"),
+        (
+            "1 0 0\n0 1 0 1\n", "2 0 0 1.0\n",
+            "error: lines row 2: '0 1 0 1' is not 'a b c' in plain reals",
+        ),
+        (
+            "1_0 0 0\n0 1 0\n", "2 0 0 1.0\n",
+            "error: lines row 1: '1_0 0 0' is not 'a b c' in plain reals",
+        ),
+        (
+            "1 0 0\n# y\n0 \uff11 0\n", "2 0 0 1.0\n",
+            "error: lines row 3: '0 \uff11 0' is not 'a b c' in plain reals",
+        ),
     ],
 )
 def test_trace_lcurve_invalid_input_exit(tmp_path, capsys, lines, g, message):

@@ -170,9 +170,6 @@ def test_branch_cover_dictionary():
     ) == S4  # an unknotted sphere covers to the sphere
     rp2bar = predict_standard_form(1, 0, 1)[0]
     assert branch_cover_word(rp2bar, S4) == word(cp2bar=1)
-    two_comp = predict_standard_form(1, 1, 0)[0]
-    form = type(two_comp)(False, rp2=1, components=2)
-    assert branch_cover_word(form, S4).s1xs3 == 1
 
 
 def test_branch_cover_doubles_ambient():

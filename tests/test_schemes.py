@@ -189,12 +189,12 @@ def test_key_equality_matches_brute_force_isomorphism():
 
 def test_keys_distinct_on_all_small_forests():
     seen = {}
-    for f in iter_forests(6):
+    for f in iter_forests(11):
         key = forest_key(RealScheme(f))
         assert key not in seen, f
         seen[key] = f
-    # forests on 0..6 ovals: 1, 1, 2, 4, 9, 20, 48
-    assert len(seen) == 85
+    # forests on 0..11 ovals: 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766
+    assert len(seen) == 7813
 
 
 def test_validate_harnack():

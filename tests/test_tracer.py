@@ -15,6 +15,7 @@ import conjquot
 from conjquot.domains import OUTER, format_path, iter_ovals
 from conjquot.schemes import CurveType, RealScheme, format_viro, forest_key, iter_forests, parse_viro
 from conjquot.tracer import (
+    _BAND_CELLS,
     MAX_RESOLUTION,
     GridConfig,
     PolySpec,
@@ -22,14 +23,15 @@ from conjquot.tracer import (
     TraceResult,
     TracerInternalError,
     _disc_axis,
-    _disc_cells,
-    _disc_span,
+    _disc_band,
+    _disc_reach,
     _label_runs,
     _opposite_runs,
     _region_forest,
     _run_ids_at,
     _sign_runs,
     _trace_once,
+    _upper_w,
     circle,
     l_curve_sample,
     line,
@@ -272,14 +274,14 @@ def test_evaluate_on_a_band_equals_that_slice_of_the_grid():
         full = p.evaluate_terms(u, v, w)
         band = p.evaluate_terms(u[rows], v[:, cols], w[rows, cols])
         assert full[rows, cols].tobytes() == band.tobytes(), name
-        signs = np.sign(p.evaluate(u[rows], v[:, cols], w[rows, cols]))
-        assert np.array_equal(np.sign(p.evaluate(u, v, w))[rows, cols], signs), name
+        signs = np.sign(p.evaluate(u[rows], v[:, cols]))
+        assert np.array_equal(np.sign(p.evaluate(u, v))[rows, cols], signs), name
 
 
 def assert_certified(p, u, v, w, inside):
     """``evaluate`` is within its slack of ``evaluate_terms`` on the disc,
     with the same int8 signs and the same exact zeros there."""
-    got, want = p.evaluate(u, v, w)[inside], p.evaluate_terms(u, v, w)[inside]
+    got, want = p.evaluate(u, v)[inside], p.evaluate_terms(u, v, w)[inside]
     assert np.all(np.abs(got - want) <= p._pq[1]), p
     got_sg = np.subtract(got > 0, got < 0, dtype=np.int8)
     want_sg = np.subtract(want > 0, want < 0, dtype=np.int8)
@@ -305,6 +307,30 @@ def test_certified_evaluation_keeps_every_sign_and_zero():
                 forms.append(poly_mul(line(1.0, -1.0, 0.0), dense_form(rng, degree - 1, scale)))
             for p in forms:
                 assert_certified(p, u, v, w, inside)
+
+
+def test_certified_evaluation_off_the_grid():
+    # evaluate computes the upper sheet's w itself, so it can be called at
+    # any points of the disc, such as block centres: at seeded points up to
+    # 1 - 1e-12 from the centre, rows and columns repeated so that x - y and
+    # xy vanish exactly at some, its signs and exact zeros are
+    # evaluate_terms' at _upper_w's w.
+    rng = random.Random(35)
+    radius = [1 - 1e-12] + [1 - 10.0 ** -rng.uniform(0, 12) for _ in range(47)]
+    angle = [rng.uniform(0, 2 * math.pi) for _ in radius]
+    u = np.array([r * math.cos(t) for r, t in zip(radius, angle)] + [0.0])[:, None]
+    v = np.concatenate([[r * math.sin(t) for r, t in zip(radius, angle)], u[:16, 0], [0.0]])[None]
+    w, inside = _upper_w(u, v), u * u + v * v <= 1.0
+    assert inside.sum() > 1000 and inside[np.arange(48), np.arange(48)].all()
+    for degree in range(1, 13):
+        forms = [dense_form(rng, degree, 1.0)]
+        if degree > 1:
+            forms.append(poly_mul(line(1.0, -1.0, 0.0), dense_form(rng, degree - 1, 1.0)))
+        for p in forms:
+            assert_certified(p, u, v, w, inside)
+    for p in (line(1.0, -1.0, 0.0), PolySpec.from_dict(2, {(1, 1, 0): 1.0})):
+        assert np.count_nonzero(p.evaluate(u, v)[inside] == 0) > 0, p
+        assert_certified(p, u, v, w, inside)
 
 
 def busiest_circle(n):
@@ -335,7 +361,7 @@ def test_certified_evaluation_on_the_substitution_worst_cases(n):
     forms += [dense_form(rng, 20, scale) for scale in (1e-290, 1.0, 1e300)]
     for p in forms:
         assert_certified(p, u, v, w, inside)
-    zeros = np.count_nonzero(forms[1].evaluate(u, v, w)[inside] == 0)
+    zeros = np.count_nonzero(forms[1].evaluate(u, v)[inside] == 0)
     assert zeros == np.count_nonzero(inside[np.arange(n), np.arange(n)])
 
 
@@ -353,7 +379,7 @@ def test_evaluation_with_tables_that_overflow_refits_every_cell(monkeypatch):
     assert math.isfinite(math.fsum(abs(c) for _, c in p.coeffs)) and p._pq[1] == math.inf
     u, v, w, inside = disc_grid(97)
     monkeypatch.setattr(PolySpec, "evaluate_terms", counted)
-    p.evaluate(u, v, w)
+    p.evaluate(u, v)
     assert refits == [w.size]
     monkeypatch.undo()
     assert_certified(p, u, v, w, inside)
@@ -361,8 +387,8 @@ def test_evaluation_with_tables_that_overflow_refits_every_cell(monkeypatch):
 
 def test_certified_evaluation_refits_exact_zeros(monkeypatch):
     # x - y vanishes exactly at the diagonal centres, and xy at the middle
-    # row and column of an odd grid: Horner's rule cannot vouch for those
-    # signs, so evaluate_terms supplies them
+    # row and column of an odd grid: P + wQ's rounding bound cannot vouch
+    # for those signs, so evaluate_terms supplies them
     refits = []
     evaluate_terms = PolySpec.evaluate_terms
 
@@ -374,7 +400,7 @@ def test_certified_evaluation_refits_exact_zeros(monkeypatch):
     u, v, w, inside = disc_grid(63)
     for p in (line(1.0, -1.0, 0.0), PolySpec.from_dict(2, {(1, 1, 0): 1.0})):
         refits.clear()
-        f = p.evaluate(u, v, w)
+        f = p.evaluate(u, v)
         zeros = np.count_nonzero(evaluate_terms(p, u, v, w)[inside] == 0)
         assert zeros > 0 and np.count_nonzero(f[inside] == 0) == zeros
         assert len(refits) == 1 and refits[0] >= zeros
@@ -473,36 +499,48 @@ def old_disc_grid(n):
     return half[:, None], half[None, :], np.sqrt(np.maximum(1.0 - rr, 0.0)), rr <= 1.0
 
 
+def float_disc(u, v):
+    """The float in-disc test, the reference for the tracer's integer rule."""
+    return u * u + v * v <= 1.0
+
+
 def test_disc_grid_is_antipodally_symmetric():
     for n in [*range(1, 300), 511, 512, 1000, 1023, 1024, 2047, 2999]:
         axis = _disc_axis(n)
-        w, inside = _disc_cells(axis[:, None], axis)
-        assert np.array_equal(axis[::-1], -axis), n
+        w = _upper_w(axis[:, None], axis)
+        c0, inside = _disc_band(*_disc_reach(n))  # every row: the widest spans the grid
+        assert c0 == 0 and np.array_equal(axis[::-1], -axis), n
         assert np.array_equal(w[::-1, ::-1], w) and np.array_equal(inside[::-1, ::-1], inside), n
         want = disc_grid(n)
         assert np.array_equal(want[0].ravel(), axis) and np.array_equal(want[2], w), n
-        assert np.array_equal(want[3], inside), n
+        assert np.array_equal(float_disc(axis[:, None], axis), inside), n
 
 
 def test_disc_span_is_the_float_disc_test():
-    # The closed-form column cut of each row equals the in-disc cells of
-    # _disc_cells: every row at n = 1..400, and the cells either side of
-    # each row's cut at larger sizes, where a row's in-disc cells are one
-    # stretch because u*u + v*v grows with |v| in floating point too.
+    # The integer rule, each row's reach, gives the in-disc cells of the
+    # float test: every row at n = 1..400, with every band the tracer cuts
+    # and bands of 7 rows, and the cells either side of each row's cut at
+    # larger sizes, where a row's in-disc cells are one stretch because
+    # u*u + v*v grows with |v| in floating point too.
     for n in range(1, 401):
         axis = _disc_axis(n)
-        inside = _disc_cells(axis[:, None], axis)[1]
-        spans = np.array([_disc_span(n, 2 * r + 1 - n) for r in range(n)])
-        assert np.array_equal(spans[:, 0], inside.argmax(axis=1)), n
-        assert np.array_equal(spans[:, 1], inside.sum(axis=1)), n
+        inside, (offset, reach) = float_disc(axis[:, None], axis), _disc_reach(n)
+        assert np.array_equal((n - 1 - reach) // 2, inside.argmax(axis=1)), n
+        assert np.array_equal(reach + 1, inside.sum(axis=1)), n
+        for step in (max(1, _BAND_CELLS // n), 7):
+            for r0 in range(0, n, step):
+                c0, band = _disc_band(offset, reach[r0 : r0 + step])
+                rows = inside[r0 : r0 + step]
+                assert np.array_equal(rows[:, c0 : n - c0], band), (n, r0)
+                assert rows.sum() == band.sum(), (n, r0)
     for n in (511, 1000, 1023, 1024, 2047, 2048, 2999, 4096, 5000, 8192):
         axis = _disc_axis(n)
-        c0, width = np.array([_disc_span(n, 2 * r + 1 - n) for r in range(n)]).T
-        u = axis[:, None]
-        cols = np.stack([c0 - 1, c0, c0 + width - 1, c0 + width], axis=1)
-        inside = _disc_cells(u, axis[np.clip(cols, 0, n - 1)])[1]
+        reach = _disc_reach(n)[1]
+        c0, last = (n - 1 - reach) // 2, (n - 1 + reach) // 2
+        cols = np.stack([c0 - 1, c0, last, last + 1], axis=1)
+        inside = float_disc(axis[:, None], axis[np.clip(cols, 0, n - 1)])
         assert inside[:, 1:3].all(), n
-        assert not inside[c0 > 0, 0].any() and not inside[c0 + width < n, 3].any(), n
+        assert not inside[c0 > 0, 0].any() and not inside[last < n - 1, 3].any(), n
 
 
 def test_fold_checks_antipodal_signs(monkeypatch):
@@ -730,7 +768,7 @@ def test_label_signs_matches_pixel_labelling_on_trace_signs():
     cases = [(six_circle_product(), 256), (six_circle_product(), 1024), (definite(6), 64)]
     for p, n in cases + [(cubic, 255)]:
         u, v, w, inside = disc_grid(n)
-        f = p.evaluate(u, v, w)
+        f = p.evaluate(u, v)
         sg = np.zeros((n, n), dtype=np.int8)
         np.subtract(f > 0, f < 0, dtype=np.int8, out=sg, where=inside)
         assert_labels_match(sg)
@@ -780,8 +818,8 @@ def test_trace_once_evaluates_only_bands_meeting_the_disc(monkeypatch):
     cells = []
     evaluate = PolySpec.evaluate
 
-    def counted(self, u, v, w):
-        values = evaluate(self, u, v, w)
+    def counted(self, u, v):
+        values = evaluate(self, u, v)
         cells.append(values.size)
         return values
 
