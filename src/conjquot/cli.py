@@ -108,19 +108,24 @@ def cmd_moves_enumerate(args) -> tuple[list[dict], int]:
 
 
 def _run_moves(args) -> tuple[list[TrackedScheme], list[moves.MoveRecord]]:
-    """Decode the move file and apply it from the start state; returns the
-    states visited (start first) and the moves made."""
-    with open(args.moves, encoding="utf-8") as fh:
-        recs = [json.loads(ln) for ln in fh if ln.strip()]
+    """Apply the move file from the start state, a bad line raising ValueError
+    that names it; returns the states visited (start first) and the moves made."""
     states = [_start(args.code, args.degree, args.side)]
     made = []
-    for rec in recs:
-        if isinstance(rec, dict) and "rewrite" in rec:  # a full move record
-            rec = rec["rewrite"]
-        made.append(moves.make_move(states[-1], moves.rewrite_from_record(rec)))
-        states.append(made[-1].successor)
-        if states[-1].scheme.depth > schemes.MAX_DEPTH:
-            raise ValueError(f"move {len(made)} nests deeper than {schemes.MAX_DEPTH}")
+    with open(args.moves, encoding="utf-8") as fh:
+        for num, ln in enumerate(fh, 1):
+            if not ln.strip():
+                continue
+            try:
+                rec = json.loads(ln)
+                if isinstance(rec, dict) and "rewrite" in rec:  # a full move record
+                    rec = rec["rewrite"]
+                made.append(moves.make_move(states[-1], moves.rewrite_from_record(rec)))
+                if made[-1].successor.scheme.depth > schemes.MAX_DEPTH:
+                    raise ValueError(f"move {len(made)} nests deeper than {schemes.MAX_DEPTH}")
+            except ValueError as err:
+                raise ValueError(f"moves line {num}: {err}") from None
+            states.append(made[-1].successor)
     return states, made
 
 
@@ -152,9 +157,10 @@ def cmd_search_derive(args) -> tuple[list[dict], int]:
 
 def cmd_facts_propagate(args) -> tuple[list[dict], int]:
     catalog = _load_catalog(args.catalog)
+    _, degree = propagation._universe_index(catalog)  # the catalog's one degree
     rel = propagation.RELATIONS[args.relation]
     with open(args.seeds, encoding="utf-8") as fh:
-        declared = propagation.Declared.from_records(fh, args.degree)
+        declared = propagation.Declared.from_records(fh, degree)
     table = propagation.propagate(declared.seeds, declared.axiom_edges, rel, catalog)
     return table.records(), EXIT_OK
 
@@ -349,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     facts = sub.add_parser("facts").add_subparsers(dest="sub", required=True)
     p = facts.add_parser("propagate", parents=[fmt])
     p.add_argument("seeds", help="JSON-lines of seed facts and axiom edges")
-    common(p, side=False)
     p.add_argument("--relation", choices=tuple(propagation.RELATIONS), default="succ")
     p.add_argument("--catalog", default=None)
     p.set_defaults(func=cmd_facts_propagate)

@@ -11,11 +11,13 @@ evaluated, in cache-sized bands, as P(u, v) + w Q(u, v), since w^2 = 1 -
 u^2 - v^2 there: two matrix products each.  A band keeps only its sign
 runs, maximal stretches of one nonzero sign in a row, never a grid array.
 
-That numeric front end, ``_trace_once``, labels sign components once,
-by joining runs (after He, Chao & Suzuki, IEEE TIP 17(5), 2008); each
-stands for two lifts, itself on the upper sheet and its turned copy on
-the lower one.  It reads rim pairs (the ids of the runs holding p and
--p) and adjacencies (runs of opposite signs that touch) as id pairs.
+That numeric front end, ``_trace_once``, scans once for runs that touch:
+pairs of one sign join runs into components (after He, Chao & Suzuki,
+IEEE TIP 17(5), 2008), pairs of opposite signs meet across the curve,
+two halves of one contact table (Kong & Rosenfeld, CVGIP 48(3), 1989).
+Each component stands for two lifts, itself on the upper sheet and its
+turned copy on the lower one.  Rim pairs (the ids of the runs holding p
+and -p) and adjacencies (the ids of the contacts across) are id pairs.
 
 The back end, ``_region_forest``, sees ids only.  Rim pairs of equal
 sign stitch lifts into sphere components, then each component's two
@@ -204,11 +206,13 @@ class PolySpec:
 
 
 def _lines_from_text(text: str) -> list[tuple[float, float, float]]:
-    """Lines ax + by + cz = 0 from rows of ``a b c`` in plain reals; '#' comments."""
+    """Lines ax + by + cz = 0 from rows of ``a b c`` in finite plain reals; '#' comments."""
     rows = [(row, raw.split("#", 1)[0].split()) for row, raw in enumerate(text.splitlines(), 1)]
     for row, fields in rows:
         if fields and (len(fields) != 3 or not all(map(plain_real, fields))):
             raise TraceError(f"lines row {row}: {' '.join(fields)!r} is not 'a b c' in plain reals")
+        if not all(math.isfinite(float(x)) for x in fields):
+            raise TraceError(f"lines row {row}: {' '.join(fields)!r} has a non-finite entry")
     return [tuple(map(float, fields)) for _, fields in rows if fields]
 
 
@@ -249,9 +253,9 @@ def circle(cx: float, cy: float, radius: float) -> PolySpec:
 
 
 # The finest grid a trace may ask for.  A trace keeps sign runs, not pixels: the
-# degree-12 six-circle product peaks at 4.6 MB of allocations there.  Joining
-# runs and scanning their adjacencies peak at about 70 bytes a run, so signs
-# that alternate cell by cell (a checkerboard) would still take gigabytes.
+# degree-12 six-circle product peaks at 4.6 MB of allocations there.  The contact
+# scan and the joins peak at 67-92 bytes a run (random signs, a checkerboard), so
+# signs that alternate cell by cell (a checkerboard) would still take gigabytes.
 MAX_RESOLUTION = 8192
 
 
@@ -339,39 +343,37 @@ def _sign_runs(sg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, edges[1:][on] - 1, flat[first]
 
 
-def _runs_below(start: np.ndarray, end: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(a, b)`` of runs, ``b`` one row below ``a`` with a
-    column in common, for runs of rows ``cols`` cells wide."""
+def _run_contacts(start: np.ndarray, end: np.ndarray, sign: np.ndarray, cols: int):
+    """Index pairs ``(a, b)`` of runs with 4-adjacent cells, ``b`` one row
+    below ``a`` or right after it in one row, for runs of rows ``cols`` cells
+    wide: the joins, of one sign, then the contacts across, of opposite signs."""
     # Runs are disjoint and sorted, so the runs one row down that share a
     # column with run a, those ending at or after a's start and starting at
-    # or before a's end shifted by one row, are one stretch lo..hi-1 of them.
+    # or before a's end shifted by one row, are the k runs from lo on.
     lo = np.searchsorted(end, start + cols)
-    hi = np.searchsorted(start, end + cols, side="right")
-    k = hi - lo
-    a = np.repeat(np.arange(len(start)), k)
-    return a, np.repeat(lo - (np.cumsum(k) - k), k) + np.arange(len(a))
-
-
-def _label_runs(
-    start: np.ndarray, end: np.ndarray, sign: np.ndarray, cols: int
-) -> tuple[np.ndarray, int, int]:
-    """4-connected components of the runs of a sign array, ``_sign_runs``'
-    output for rows ``cols`` cells wide.
-
-    Runs of one sign in adjacent rows that share a column are joined.  Ids
-    ``1, 2, ...`` go to the positive components in raster order of their
-    first cell, then to the negative ones in the same order.
-    Returns the int32 id of each run and the numbers of positive and
-    negative components.  After He, Chao & Suzuki, "A run-based two-scan
-    labeling algorithm", IEEE TIP 17(5), 2008.
-    """
-    a, b = _runs_below(start, end, cols)
+    k = np.searchsorted(start, end + cols, side="right") - lo
+    # Runs that touch in a row have opposite signs; a run that starts a row
+    # touches the previous row's last run only in flat order.
+    beside = np.flatnonzero((end[:-1] + 1 == start[1:]) & (start[1:] % cols != 0))
+    a = np.concatenate([np.repeat(np.arange(len(start)), k), beside])
+    b = np.concatenate([np.repeat(lo - (np.cumsum(k) - k), k) + np.arange(k.sum()), beside + 1])
     same = sign[a] == sign[b]
-    a, b = a[same], b[same]
+    return (a[same], b[same]), (a[~same], b[~same])
+
+
+def _label_runs(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Components of the runs of signs ``sign`` under the joins ``(a, b)``
+    of ``_run_contacts``: the 4-connected components of a sign array.
+
+    Ids ``1, 2, ...`` go to the positive components in raster order of their first
+    cell, then to the negative ones in the same order.  Returns the int32 id of each
+    run and the numbers of positive and negative components.  After He, Chao &
+    Suzuki, "A run-based two-scan labeling algorithm", IEEE TIP 17(5), 2008.
+    """
     # Hook the larger root of every edge under the smaller, then jump
     # pointers to the roots, until no edge joins two trees.  A root is never
     # hooked under a larger index, so each component's root is its first run.
-    parent = np.arange(len(start))
+    parent = np.arange(len(sign))
     while True:
         pa, pb = parent[a], parent[b]
         apart = pa != pb
@@ -384,10 +386,10 @@ def _label_runs(
             if np.array_equal(up, parent):
                 break
             parent = up
-    roots = np.flatnonzero(parent == np.arange(len(start)))
+    roots = np.flatnonzero(parent == np.arange(len(sign)))
     pos = sign[roots] > 0
     positive = int(np.count_nonzero(pos))
-    rank = np.empty(len(start), dtype=np.int32)
+    rank = np.empty(len(sign), dtype=np.int32)
     rank[roots[pos]] = np.arange(1, 1 + positive)
     rank[roots[~pos]] = np.arange(1 + positive, 1 + len(roots))
     return rank[parent], positive, len(roots) - positive
@@ -401,18 +403,6 @@ def _run_ids_at(start: np.ndarray, end: np.ndarray, ids: np.ndarray, cells: np.n
     out = np.zeros(len(cells), dtype=np.int32)
     out[held] = ids[k[held]]
     return out
-
-
-def _opposite_runs(start: np.ndarray, end: np.ndarray, sign: np.ndarray, cols: int):
-    """Index pairs ``(a, b)`` of runs of opposite signs with 4-adjacent
-    cells: ``b`` one row below ``a`` with a column in common, then ``b``
-    right after ``a`` in one row."""
-    a, b = _runs_below(start, end, cols)
-    across = sign[a] != sign[b]
-    # Runs that touch in a row have opposite signs; a run that starts a row
-    # touches the previous row's last run only in flat order.
-    beside = np.flatnonzero((end[:-1] + 1 == start[1:]) & (start[1:] % cols != 0))
-    return (a[across], b[across]), (beside, beside + 1)
 
 
 def _region_forest(
@@ -484,9 +474,8 @@ def _id_pairs(xs: np.ndarray, ys: np.ndarray, base: int) -> list[tuple[int, int]
     return [divmod(k, base) for k in keys[np.diff(keys, prepend=-1) != 0].tolist()]
 
 
-# ``_trace_once`` joins runs as ``ndimage.label``, the name of the pixel
-# labelling it replaced, because perfbench times ``tracer.label`` through that
-# name; the shim goes when perfbench hooks ``_label_runs`` itself.
+# perfbench times ``tracer.label``, the union-find alone, through this name of the
+# pixel labelling it replaced; the shim goes when perfbench hooks ``_label_runs``.
 ndimage = SimpleNamespace(label=_label_runs)
 
 
@@ -511,9 +500,10 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
         runs.append((first + shift, last + shift, s))
     start, end, run_sign = (np.concatenate(x) for x in zip(*runs))
 
-    # One labelling serves both sheets: upper component c has id c, and its
-    # turned copy id m + c, sign times (-1)^degree; 0 is curve and outside.
-    ids, positive, negative = ndimage.label(start, end, run_sign, n)
+    # One contact scan serves both sheets.  Upper component c has id c, and
+    # its turned copy id m + c, sign times (-1)^degree; 0 is curve and outside.
+    joins, across = _run_contacts(start, end, run_sign, n)
+    ids, positive, negative = ndimage.label(run_sign, *joins)
     m = positive + negative
     sign = [0] + [1] * positive + [-1] * negative
     sign += [-s if p.degree % 2 else s for s in sign[1:]]
@@ -533,8 +523,7 @@ def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
     # pair lists an upper id first, so roots are upper ids.  Adjacencies are
     # read on the upper sheet; the lower sheet's are these turned.
     rim = _id_pairs(np.concatenate([x, y]), m + np.concatenate([y, x]), base)
-    opposite = _opposite_runs(start, end, run_sign, n)
-    adjacency = [ab for a, b in opposite for ab in _id_pairs(ids[a], ids[b], base)]
+    adjacency = _id_pairs(ids[across[0]], ids[across[1]], base)
     fold = [(c, m + c) for c in range(1, m + 1)]
     forest, signs = _region_forest(sign, rim, fold, adjacency, p.degree % 2 == 1)
     return _PixelTopology(forest, signs, 2 * zeros)
@@ -586,6 +575,10 @@ class LCurveResult:
 
 def _check_arrangement(lines: Sequence[tuple[float, float, float]]) -> None:
     arr = np.asarray(lines, dtype=float)
+    if not np.isfinite(arr).all():
+        raise TraceError(f"line {np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]} is not finite")
+    # Exact power-of-two scaling to a largest |entry| in [1/2, 1): no norm overflows or underflows.
+    arr = np.ldexp(arr, -np.frexp(np.abs(arr).max(axis=1))[1][:, None])
     norms = np.linalg.norm(arr, axis=1)
     if np.any(norms == 0):
         raise TraceError("zero line")

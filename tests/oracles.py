@@ -55,6 +55,7 @@ from conjquot.tracer import (
     _label_runs,
     _PixelTopology,
     _region_forest,
+    _run_contacts,
     _sign_runs,
 )
 
@@ -473,7 +474,7 @@ def label_signs_by_runs(sg: np.ndarray) -> tuple[np.ndarray, int, int]:
     id over its cells, 0 where the sign is 0, and the numbers of positive and
     negative components."""
     start, end, sign = _sign_runs(sg)
-    ids, positive, negative = _label_runs(start, end, sign, sg.shape[1])
+    ids, positive, negative = _label_runs(sign, *_run_contacts(start, end, sign, sg.shape[1])[0])
     lab = np.zeros(sg.shape, dtype=np.int32)
     lab[sg != 0] = np.repeat(ids, end - start + 1)  # runs tile the nonzero cells in raster order
     return lab, positive, negative

@@ -128,6 +128,25 @@ def test_moves_apply_bad_lines_exit(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["apply", "trace"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("[1]", "bad rewrite record [1]: "),
+        ('{"kind": "delete_empty", "oval": "0.0"}', "no oval at path 0.0"),
+    ],
+)
+def test_moves_bad_line_names_its_line_exit(tmp_path, capsys, command, line, message):
+    # the blank second line counts, so the bad line is line 3 of the file
+    seq = tmp_path / "moves.jsonl"
+    seq.write_text('{"kind": "delete_empty", "oval": "0.0"}\n\n' + line + "\n")
+    assert main(["moves", command, "<1<1>>", str(seq)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: moves line 3: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "rewrite",
     [
@@ -287,20 +306,25 @@ def test_facts_propagate_bad_seed_line_exit(tmp_path, capsys, line):
     assert err.startswith("error: seed line 2:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        {"scheme": "<10>_2", "side": "+"},
-        {"edge": "axiom", "from": "<9>_2+", "to": "<1<8>>_1-"},
-    ],
-)
-def test_facts_propagate_degree_other_than_the_catalog_exit(tmp_path, capsys, line):
+def test_facts_propagate_decodes_seeds_at_the_catalog_degree(tmp_path, capsys):
+    catalog = tmp_path / "quartics.tsv"
+    catalog.write_text("".join(f"{code}\t4\t2\tt\n" for code in ("<1>", "<2>", "<1<1>>")))
     seeds = tmp_path / "seeds.jsonl"
-    seeds.write_text(json.dumps(line) + "\n")
-    assert main(["facts", "propagate", str(seeds), "--degree", "8"]) == 2
+    seeds.write_text(json.dumps({"scheme": "<1>_2", "side": "+"}) + "\n")
+    argv = ["facts", "propagate", str(seeds), "--catalog", str(catalog), "--format", "records"]
+    code, out = run(capsys, *argv)
+    assert code == 0, capsys.readouterr().err
+    assert ("<1>_2", "+") in {(r["scheme"], r["side"]) for r in records(out)}
+
+
+@pytest.mark.parametrize("rows", ["", "<1>\t4\t2\tt\n<1>\t6\t2\tt\n"])
+def test_facts_propagate_catalog_without_one_degree_exit(tmp_path, capsys, rows):
+    catalog, seeds = tmp_path / "catalog.tsv", tmp_path / "seeds.jsonl"
+    catalog.write_text(rows)
+    seeds.write_text(json.dumps({"scheme": "<1>_2", "side": "+"}) + "\n")
+    assert main(["facts", "propagate", str(seeds), "--catalog", str(catalog)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-    assert "degree" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and captured.err == "error: the universe must have a single degree\n"
 
 
 @pytest.mark.parametrize(
@@ -639,6 +663,8 @@ def lcurve_args(tmp_path, lines, g):
             "1 0 0\n# y\n0 \uff11 0\n", "2 0 0 1.0\n",
             "error: lines row 3: '0 \uff11 0' is not 'a b c' in plain reals",
         ),
+        # a non-finite entry is named by its row, before any norm is taken
+        ("inf 0 0\n0 1 0\n", "2 0 0 1.0\n", "error: lines row 1: 'inf 0 0' has a non-finite entry"),
     ],
 )
 def test_trace_lcurve_invalid_input_exit(tmp_path, capsys, lines, g, message):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from functools import reduce
 from pathlib import Path
@@ -26,8 +27,8 @@ from conjquot.tracer import (
     _disc_band,
     _disc_reach,
     _label_runs,
-    _opposite_runs,
     _region_forest,
+    _run_contacts,
     _run_ids_at,
     _sign_runs,
     _trace_once,
@@ -445,6 +446,55 @@ def test_banded_trace_matches_full_grid_oracle():
     assert 0 < errors < len(cases)  # both outcomes are exercised
 
 
+def outcome_forms():
+    """The forms of ``goldens/trace-once-outcomes.txt``: 120 seeded products
+    of 1-6 circles, then x - y, x + y, w^2, the radius-0.5 circle, a cubic,
+    the conics z^2 - x^2 + 0.1y^2 and z^2 - 0.5x^2 + 0.1y^2, and the line
+    pairs z^2 - x^2 and x^2 - y^2."""
+    rng = random.Random(36)
+    forms = [
+        circles_product([
+            (rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), rng.uniform(0.05, 0.5))
+            for _ in range(1 + i % 6)
+        ])
+        for i in range(120)
+    ]
+
+    def quadric(x2, y2, z2):
+        return PolySpec.from_dict(2, {(2, 0, 0): x2, (0, 2, 0): y2, (0, 0, 2): z2})
+
+    cubic = PolySpec.from_dict(3, {(3, 0, 0): 1.0, (1, 0, 2): -1.0, (0, 2, 1): -1.0})
+    return forms + [
+        line(1.0, -1.0, 0.0), line(1.0, 1.0, 0.0), quadric(0.0, 0.0, 1.0), circle(0.0, 0.0, 0.5),
+        cubic, quadric(-1.0, 0.1, 1.0), quadric(-0.5, 0.1, 1.0), quadric(-1.0, 0.0, 1.0),
+        quadric(1.0, -1.0, 0.0),
+    ]
+
+
+def trace_once_outcomes():
+    """One line per form of ``outcome_forms`` and resolution n: the form's
+    index, n, then the forest's code, sorted signs and ambiguous count of
+    ``_trace_once``, or its error."""
+    out = []
+    for i, p in enumerate(outcome_forms()):
+        for n in (1, 2, 3, 7, 16, 33, 64, 97, 128):
+            try:
+                got = _trace_once(p, n)
+                out.append(f"{i} {n} {format_viro(got.forest)} {sorted(got.signs.items())}"
+                           f" {got.ambiguous}")
+            except TraceError as err:
+                out.append(f"{i} {n} error: {err}")
+    return out
+
+
+def test_trace_once_outcomes_golden():
+    """``_trace_once`` on fixed forms at fixed resolutions equals
+    ``goldens/trace-once-outcomes.txt``, the lines ``trace_once_outcomes``
+    wrote, one per line."""
+    golden = Path(__file__).parent / "goldens" / "trace-once-outcomes.txt"
+    assert trace_once_outcomes() == golden.read_text("utf-8").splitlines()
+
+
 def rotated(p, rotation):
     """p with (x, y, z) replaced by ``rotation`` applied to (x, y, z)."""
     axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -678,24 +728,21 @@ def test_label_signs_matches_pixel_labelling_on_random_signs(density):
 
 
 def pixel_opposite_pairs(sg, lab):
-    """Label pairs of 4-adjacent cells of opposite signs, one set for
-    vertical neighbours and one for horizontal ones."""
-    out = []
+    """Label pairs of 4-adjacent cells of opposite signs, vertical and
+    horizontal neighbours alike."""
+    out = set()
     for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
         across = sg[a] * sg[b] < 0
-        pairs = zip(lab[a][across].tolist(), lab[b][across].tolist())
-        out.append({tuple(sorted(q)) for q in pairs})
+        out.update(tuple(sorted(q)) for q in zip(lab[a][across].tolist(), lab[b][across].tolist()))
     return out
 
 
 def assert_run_consumers_match(sg):
     lab = label_signs_by_pixels(sg)[0]
     start, end, sign = _sign_runs(sg)
-    ids = _label_runs(start, end, sign, sg.shape[1])[0]
-    got = [
-        {tuple(sorted(q)) for q in zip(ids[a].tolist(), ids[b].tolist())}
-        for a, b in _opposite_runs(start, end, sign, sg.shape[1])
-    ]
+    joins, (a, b) = _run_contacts(start, end, sign, sg.shape[1])
+    ids = _label_runs(sign, *joins)[0]
+    got = {tuple(sorted(q)) for q in zip(ids[a].tolist(), ids[b].tolist())}
     assert got == pixel_opposite_pairs(sg, lab), sg.shape
     cells = np.random.default_rng(sg.size).permutation(sg.size)
     assert np.array_equal(_run_ids_at(start, end, ids, cells), lab.reshape(-1)[cells]), sg.shape
@@ -862,6 +909,21 @@ def test_l_curve_rejects_degenerate_arrangements():
             PolySpec.from_dict(3, {(3, 0, 0): 1.0}),
             1e-3,
         )
+
+
+def test_l_curve_lines_at_any_scale():
+    # x + y = 0 and y = 0 at any scale: a row is scaled by a power of two
+    # before its norm, which could overflow or underflow.  pytest keeps
+    # warnings off stderr, so they are raised here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e200, 1e-200):
+            res = l_curve_sample([(scale, scale, 0.0), (0.0, 1.0, 0.0)], definite(2), grid=FAST)
+            assert (format_viro(res.trace.scheme), res.trace.resolution) == ("<1>", 256), scale
+        cases = [([(math.inf, 0.0, 0.0), (0.0, 1.0, 0.0)], 0), ([(0.0, 1.0, 0.0), (0.0, math.nan, 1.0)], 1)]
+        for lines, bad in cases:
+            with pytest.raises(TraceError, match=f"^line {bad} is not finite$"):
+                l_curve_sample(lines, definite(2), 1e-3, grid=FAST)
 
 
 def test_l_curve_degree_mismatch():
