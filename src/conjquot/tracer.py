@@ -6,10 +6,11 @@ projective point (u : v : w), w = sqrt(1 - u^2 - v^2), with antipodal
 points of the rim glued.  The grid's coordinates are odd multiples of
 1/n, so its disc cells are decided in integers and it is exactly
 symmetric under (u, v) -> (-u, -v): the lower sheet, w < 0, is the upper
-one turned times (-1)^degree, bit for bit.  Only the upper sheet is
-evaluated, in cache-sized bands, as P(u, v) + w Q(u, v), since w^2 = 1 -
-u^2 - v^2 there: two matrix products each.  A band keeps only its sign
-runs, maximal stretches of one nonzero sign in a row, never a grid array.
+one turned times (-1)^degree, bit for bit.  Half the rows are evaluated, in
+cache-sized bands, on both sheets as P(u, v) +- w Q(u, v), w^2 = 1 - u^2 -
+v^2, by two matrix products a band.  A band keeps only the upper sheet's sign
+runs (maximal stretches of one nonzero sign in a row) of its rows and, read
+off its lower sheet, of their turns; no grid array is made.
 
 That numeric front end, ``_trace_once``, scans once for runs that touch:
 pairs of one sign join runs into components (after He, Chao & Suzuki,
@@ -80,6 +81,8 @@ class PolySpec:
     def __post_init__(self):
         if not self.coeffs:
             raise TraceError("the zero polynomial has no curve")
+        if self.degree > MAX_DEGREE:
+            raise TraceError(f"degree {self.degree} is above the cap of {MAX_DEGREE}")
         for (a, b, c), coef in self.coeffs:
             if a + b + c != self.degree or min(a, b, c) < 0:
                 raise TraceError(f"monomial {(a, b, c)} is not of degree {self.degree}")
@@ -163,13 +166,17 @@ class PolySpec:
             return np.zeros_like(table), math.inf  # every value is refit
         return table, slack
 
-    def evaluate(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """f(u, v, w) at an ``(r, 1)`` column ``u`` by a ``(1, c)`` row ``v``,
-        w the upper sheet's as ``_upper_w`` computes it here, as P(u, v) +
-        w Q(u, v), and the sign of ``evaluate_terms`` at that w at every point
-        of the disc, on any BLAS; off the disc the values are unspecified.  On
-        the sphere w^2 = s = 1 - u^2 - v^2, so f = sum G_c(u, v) w^c is P + w Q
-        with P = sum G_2k s^k and Q = sum G_(2k+1) s^k, as ``_pq`` expands them.
+    def evaluate(self, u: np.ndarray, v: np.ndarray, powers: tuple | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Both sheets' f(u, v, +-w) at an ``(r, 1)`` column ``u`` by a ``(1, c)``
+        row ``v``, w the upper sheet's as ``_upper_w`` computes it here: ``[0]`` is
+        P(u, v) + w Q(u, v) and ``[1]`` is P - w Q, each with the sign of
+        ``evaluate_terms`` at its w at every point of the disc, on any BLAS; off
+        the disc the values are unspecified.  ``powers`` may give the
+        ``_powers`` tables of u and v, and ``out`` a C-contiguous ``(2, r, c)``
+        array for the values; neither changes them.  On the sphere w^2 = s = 1
+        - u^2 - v^2, so f = sum G_c(u, v) w^c is P + w Q with P = sum G_2k s^k
+        and Q = sum G_(2k+1) s^k, as ``_pq`` expands them, and at -w it is P - w Q.
 
         Why (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
         Lemma 3.1): let F be the exact value at the float coordinates, S =
@@ -188,20 +195,24 @@ class PolySpec:
         So, with a unit to spare for the slack's own roundings, f keeps the
         nonzero sign of ``evaluate_terms`` where |f| > gamma(3d + 5) N + (2.6
         d eps + gamma(d + T - 1)) S + 5(d + 2)^2 (T + 1)(1 + S + N) 2^-1075,
-        and takes its value elsewhere.  Partial sums stay below 2N: where 2N
-        plus that slack overflows, the slack is infinite and every value is refit.
+        and takes its value elsewhere.  The lower sheet obeys the same bound:
+        negation is exact, so P - w Q rounds as P + w Q does, ``evaluate_terms``
+        at -w forms (-w)^c = +-w^c bit for bit, and (-w)^2 = w^2.  Partial sums
+        stay below 2N: where 2N plus that slack overflows, the slack is infinite
+        and every value is refit.
         """
-        d, w = self.degree, _upper_w(u, v)
-        table, slack = self._pq
-        x = np.concatenate((u.ravel(), v.ravel()))  # one power table for rows and columns
-        pw = np.ones((d + 1, x.size))
-        for e in range(d):
-            np.multiply(pw[e], x, out=pw[e + 1])
-        f, g = (y @ pw[:, u.size :] for y in pw[:, : u.size].T @ table)  # P, Q: by u, then v
-        f += np.multiply(g, w, out=g)
-        near = np.abs(f) <= slack
+        d, (table, slack) = self.degree, self._pq
+        pu, pv = (_powers(u.ravel(), d), _powers(v.ravel(), d)) if powers is None else powers
+        f = np.matmul(pu[: d + 1].T @ table, pv[: d + 1], out=out)  # P, Q: by u, then v
+        wq = _upper_w(pu[2][:, None], pv[2])  # w, then w Q: one band-sized temporary
+        np.multiply(f[1], wq, out=wq)
+        np.subtract(f[0], wq, out=f[1])
+        f[0] += wq
+        near = (f <= slack) & (f >= -slack)  # |f| <= slack, with no float temporary
         if near.any():
-            f[near] = self.evaluate_terms(*(np.broadcast_to(x, f.shape)[near] for x in (u, v, w)))
+            w = _upper_w(pu[2][:, None], pv[2])
+            at = (np.broadcast_to(x, f.shape)[near] for x in (u, v, np.stack((w, -w))))
+            f[near] = self.evaluate_terms(*at)
         return f
 
 
@@ -253,10 +264,13 @@ def circle(cx: float, cy: float, radius: float) -> PolySpec:
 
 
 # The finest grid a trace may ask for.  A trace keeps sign runs, not pixels: the
-# degree-12 six-circle product peaks at 4.6 MB of allocations there.  The contact
-# scan and the joins peak at 67-92 bytes a run (random signs, a checkerboard), so
+# degree-12 six-circle product peaks at 6.4 MB of allocations there.  The contact
+# scan and the joins peak at 45-56 bytes a run (random signs, a checkerboard), so
 # signs that alternate cell by cell (a checkerboard) would still take gigabytes.
 MAX_RESOLUTION = 8192
+# The largest degree a trace takes: ``_pq``'s expansion grows as d^3, and the axis
+# power table as d.  z^256 - x^256 traces at grids 8 and 16 in 0.4 s; z^1600 - x^1600 took 7 s.
+MAX_DEGREE = 256
 
 
 @dataclass(frozen=True)
@@ -305,9 +319,18 @@ def _disc_axis(n: int) -> np.ndarray:
     return np.arange(1 - n, n, 2) / n
 
 
-def _upper_w(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The upper sheet's w at column ``u`` by row ``v``: sqrt(1 - (u^2 + v^2)), 0 off the disc."""
-    w = u * u + v * v  # one band-sized array, updated in place
+def _powers(x: np.ndarray, d: int) -> np.ndarray:
+    """Rows x^0 .. x^max(d, 2) of a vector ``x`` by repeated products: row 1 is x
+    and row 2 is x * x, bit for bit."""
+    pw = np.ones((max(d, 2) + 1, x.size))
+    for e in range(len(pw) - 1):
+        np.multiply(pw[e], x, out=pw[e + 1])
+    return pw
+
+
+def _upper_w(uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
+    """The upper sheet's w from broadcasting u^2 and v^2: sqrt(1 - (u^2 + v^2)), 0 off the disc."""
+    w = uu + vv  # one band-sized array, updated in place
     return np.sqrt(np.maximum(np.subtract(1.0, w, out=w), 0.0, out=w), out=w)
 
 
@@ -354,9 +377,11 @@ def _run_contacts(start: np.ndarray, end: np.ndarray, sign: np.ndarray, cols: in
     k = np.searchsorted(start, end + cols, side="right") - lo
     # Runs that touch in a row have opposite signs; a run that starts a row
     # touches the previous row's last run only in flat order.
-    beside = np.flatnonzero((end[:-1] + 1 == start[1:]) & (start[1:] % cols != 0))
-    a = np.concatenate([np.repeat(np.arange(len(start)), k), beside])
-    b = np.concatenate([np.repeat(lo - (np.cumsum(k) - k), k) + np.arange(k.sum()), beside + 1])
+    # Run indices are int32: fewer than MAX_RESOLUTION^2 < 2^31 cells.
+    beside = np.flatnonzero((end[:-1] + 1 == start[1:]) & (start[1:] % cols != 0)).astype(np.int32)
+    a = np.concatenate([np.repeat(np.arange(len(start), dtype=np.int32), k), beside])
+    b = np.repeat((lo - (np.cumsum(k) - k)).astype(np.int32), k)
+    b = np.concatenate([b + np.arange(len(b), dtype=np.int32), beside + 1])
     same = sign[a] == sign[b]
     return (a[same], b[same]), (a[~same], b[~same])
 
@@ -480,25 +505,39 @@ ndimage = SimpleNamespace(label=_label_runs)
 
 
 def _trace_once(p: PolySpec, n: int) -> _PixelTopology:
-    # Upper-sheet signs by bands of rows of about _BAND_CELLS cells, cut to the
-    # columns of the band's widest row, so that float values stay in cache.
-    # Cells outside the disc get sign 0.  Only each band's sign runs are kept,
-    # as flat cells of the n-by-n grid; no array of the whole grid is made.
-    axis, (offset, reach) = _disc_axis(n), _disc_reach(n)
-    hi = (n - 1 + reach) // 2  # last disc column of each row
-    runs = []
-    zeros = 0  # exact zeros; the lower sheet's are these turned
-    step = max(1, _BAND_CELLS // n)
-    for r0 in range(0, n, step):
-        c0, band = _disc_band(offset, reach[r0 : r0 + step])
-        f = p.evaluate(axis[r0 : r0 + step, None], axis[None, c0 : n - c0])
-        sg = np.zeros(f.shape, dtype=np.int8)
-        np.subtract(f > 0, f < 0, dtype=np.int8, out=sg, where=band)
-        zeros += int(np.count_nonzero(band & (f == 0.0)))
-        first, last, s = _sign_runs(sg)
-        shift = first // band.shape[1] * 2 * c0 + (r0 * n + c0)  # band cell to grid cell
-        runs.append((first + shift, last + shift, s))
-    start, end, run_sign = (np.concatenate(x) for x in zip(*runs))
+    # Both sheets at the upper half of the rows, by bands of rows of about
+    # _BAND_CELLS cells cut to the columns of the band's widest row, so that
+    # float values stay in cache.  The lower sheet turned, times (-1)^degree, is
+    # the upper one, so a band's lower runs turned are the runs of its turned
+    # rows; an odd grid's middle row is its own turn, read on the upper sheet
+    # only.  Only sign runs are kept, as flat cells of the n-by-n grid, and cut
+    # to each row's disc span at the end: no array of the whole grid is made.
+    axis, reach = _disc_axis(n), _disc_reach(n)[1]
+    lo, hi = (n - 1 - reach) // 2, (n - 1 + reach) // 2  # each row's disc span
+    half, step = (n + 1) // 2, max(1, _BAND_CELLS // n)
+    powers = _powers(axis, p.degree)
+    values, signs = np.empty(2 * step * n), np.empty(2 * step * n, dtype=np.int8)
+    upper, lower = [], []
+    for r0 in range(0, half, step):
+        r = min(step, half - r0)
+        c0 = int(lo[r0 : r0 + r].min())
+        rows, cols, c = slice(r0, r0 + r), slice(c0, n - c0), n - 2 * c0
+        f = p.evaluate(axis[rows, None], axis[None, cols], (powers[:, rows], powers[:, cols]),
+                       values[: 2 * r * c].reshape(2, r, c))
+        sg = np.subtract(f > 0, f < 0, dtype=np.int8, out=signs[: 2 * r * c].reshape(2, r, c))
+        first, last, s = _sign_runs(sg.reshape(2 * r, c)[: r + min(r, n // 2 - r0)])
+        shift = first // c * 2 * c0 + (r0 * n + c0)  # band cell to grid cell
+        k = np.searchsorted(first, r * c)  # the lower sheet's runs from k on
+        upper.append((first[:k] + shift[:k], last[:k] + shift[:k], s[:k]))
+        turn = n * n - 1 + r * n - shift[k:]  # lower band cell to the grid cell of its turn
+        lower.append(((turn - last[k:])[::-1], (turn - first[k:])[::-1],
+                      (-s[k:] if p.degree % 2 else s[k:])[::-1]))
+    start, end, run_sign = (np.concatenate(x) for x in zip(*upper, *lower[::-1]))
+    row = start // n
+    start, end = np.maximum(start, row * n + lo[row]), np.minimum(end, row * n + hi[row])
+    keep = start <= end
+    start, end, run_sign = start[keep], end[keep], run_sign[keep]
+    zeros = int((reach + 1).sum() - (end - start + 1).sum())  # exact zeros: disc cells off every run
 
     # One contact scan serves both sheets.  Upper component c has id c, and
     # its turned copy id m + c, sign times (-1)^degree; 0 is curve and outside.
@@ -595,7 +634,7 @@ def l_curve_epsilon(lines: Sequence[tuple[float, float, float]]) -> float:
     """The default epsilon of :func:`l_curve_sample`: 1e-2 of the 10% quantile
     of the nonzero |line product| on a coarse disc sample, below face values."""
     u, v = _disc_axis(64)[:, None], _disc_axis(64)
-    f = reduce(poly_mul, (line(*c) for c in lines)).evaluate_terms(u, v, _upper_w(u, v))
+    f = reduce(poly_mul, (line(*c) for c in lines)).evaluate_terms(u, v, _upper_w(u * u, v * v))
     samples = np.abs(f[_disc_band(*_disc_reach(64))[1]])
     return 1e-2 * float(np.quantile(samples[samples > 0], 0.1))
 

@@ -598,6 +598,17 @@ def test_trace_poly_non_finite_form_exit(capsys, poly, message):
     assert message in captured.err
 
 
+def test_trace_poly_degree_above_the_cap_exit(capsys):
+    # z^1600 - x^1600 took seconds to expand before it failed to trace; a
+    # degree above the cap is refused before any expansion
+    start = time.perf_counter()
+    code = main(["trace", "poly", "--poly", "0 0 1600 1;1600 0 0 -1", "--grid", "8", "--grid-cap", "16"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and elapsed < 1.0, (code, elapsed)
+    assert captured.out == "" and captured.err == "error: degree 1600 is above the cap of 256\n"
+
+
 @pytest.mark.parametrize(
     "row",
     [
