@@ -13,6 +13,13 @@ one of six ways:
   children (the child's own children escape to the ambient region), or an
   oval grows a new child around a chosen set of its neighbours.
 
+A seventh kind is left out: a top-level oval turned inside out.  Its
+children move to the top level and its former siblings become its
+children; the oval count stays the same and the tracked side flips.
+``enumerate_moves`` does not list it, because every listed move keeps the
+side, and ``relation_search``'s bound relies on that.  The sweep's axiom
+edge ``<9>_2+`` -> ``<1<8>>_1-`` is such a flip.
+
 Every rewrite moves the tracked Euler characteristic by exactly one, and
 the classification follows the sign and the locus:
 

@@ -70,6 +70,7 @@ from .schemes import (
     SchemeCatalogEntry,
     forest_key,
     format_viro,
+    harnack_bound,
     parse_viro,
 )
 
@@ -93,7 +94,7 @@ RHD = RelationSpec(
 
 RELATIONS = {"succ": SUCC, "rhd": RHD}
 
-# Search never leaves the sextic Harnack bound: at most 11 ovals.
+# Search never leaves the sextic Harnack bound, 11 ovals, nor its own degree's.
 MAX_SEARCH_OVALS = 11
 
 
@@ -190,8 +191,9 @@ def relation_search(
     """Breadth-first derivation search over canonical state keys.
 
     Returns a replayable certificate, or None when no path of at most
-    ``max_steps`` moves exists within :data:`MAX_SEARCH_OVALS` ovals;
-    absence of a certificate never means the relation fails to hold.
+    ``max_steps`` moves exists within :data:`MAX_SEARCH_OVALS` ovals and
+    the degree's Harnack bound; absence of a certificate never means the
+    relation fails to hold.
 
     The search never expands a state that cannot reach the target in the
     steps left.  Every move keeps the tracked side and changes the oval
@@ -213,7 +215,8 @@ def relation_search(
     start = state_key(source)
     if start == goal:
         return Certificate(source, target, (), (source,))
-    if target.scheme.oval_count > MAX_SEARCH_OVALS:  # no searched state is the target
+    cap = min(MAX_SEARCH_OVALS, harnack_bound(source.degree))
+    if target.scheme.oval_count > cap:  # no searched state is the target
         return None
     if source.outer_tracked != target.outer_tracked:  # no move changes the side
         return None
@@ -236,7 +239,7 @@ def relation_search(
     def keep(rw: Rewrite, fk: str) -> bool:
         """Claim a forest within the oval cap (one ``(`` per oval), first time only."""
         key = (fk, source.outer_tracked)
-        fresh = fk.count("(") <= MAX_SEARCH_OVALS and key not in seen
+        fresh = fk.count("(") <= cap and key not in seen
         seen.add(key)
         return fresh
 

@@ -17,17 +17,8 @@ pairs of one sign join runs into components (after He, Chao & Suzuki,
 IEEE TIP 17(5), 2008), pairs of opposite signs meet across the curve,
 two halves of one contact table (Kong & Rosenfeld, CVGIP 48(3), 1989).
 Each component stands for two lifts, itself on the upper sheet and its
-turned copy on the lower one.  Rim pairs (the ids of the runs holding p
-and -p) and adjacencies (the ids of the contacts across) are id pairs.
-
-The back end, ``_region_forest``, sees ids only.  Rim pairs of equal
-sign stitch lifts into sphere components, then each component's two
-lifts fold into one projective region, one-sided exactly when one sphere
-component covers it.  For disjoint embedded circles the region graph is
-a tree whose edges are the curve components; the root is the unique
-one-sided region (it carries the one-sided core of the plane), and the
-tree below it is the oval nesting forest, children ordered by region id.
-A region bounded by itself is the one-sided component of an odd curve.
+turned copy on the lower one.  Rim pairs (ids of the runs at p and -p)
+and adjacencies (ids of the contacts across) go to :mod:`conjquot.regions`.
 
 Every result is re-derived at twice the resolution; a trace is reported
 stable only if the two schemes agree, and refinement continues up to a
@@ -42,25 +33,12 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from types import SimpleNamespace
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .domains import OUTER, Path, format_path
-from .schemes import (
-    CurveType,
-    Oval,
-    RealScheme,
-    canonical_key,
-    format_viro,
-    l_curve_bound,
-    plain_digits,
-    plain_real,
-)
-
-
-class TraceError(ValueError):
-    pass
+from .regions import TraceError, _region_forest
+from .schemes import RealScheme, canonical_key, format_viro, l_curve_bound, plain_digits, plain_real
 
 
 class UnstableTraceError(TraceError):
@@ -428,67 +406,6 @@ def _run_ids_at(start: np.ndarray, end: np.ndarray, ids: np.ndarray, cells: np.n
     out = np.zeros(len(cells), dtype=np.int32)
     out[held] = ids[k[held]]
     return out
-
-
-def _region_forest(
-    sign: Sequence[int], rim: Iterable[tuple[int, int]], fold: Iterable[tuple[int, int]],
-    adjacency: Iterable[tuple[int, int]], odd: bool,
-) -> tuple[RealScheme, dict[str, int]]:
-    """The oval forest of a two-sheet region graph of component ids, as in
-    the module docstring, and each region's sign by owner, well defined for
-    an even curve (the antipodal map keeps it) and empty for an ``odd`` one.
-    Component ``c`` has sign ``sign[c]``; rim pairs of opposite signs are
-    adjacent.  Each union keeps the root of its pair's first id."""
-    parent = list(range(len(sign)))
-
-    def find(x: int) -> int:
-        while x != parent[x]:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = list(adjacency)
-    for a, b in rim:
-        if sign[a] == sign[b]:
-            parent[find(b)] = find(a)  # a union that keeps a's root
-        else:
-            edges.append((a, b))
-    sphere = {find(c) for c in range(1, len(sign))}
-    for a, b in fold:
-        parent[find(b)] = find(a)
-    preimages = Counter(find(c) for c in sphere)
-
-    loops, nbrs = set(), {r: set() for r in preimages}
-    for a, b in edges:
-        qa, qb = find(a), find(b)
-        if qa == qb:
-            loops.add(qa)
-        else:
-            nbrs[qa].add(qb)
-            nbrs[qb].add(qa)
-
-    tree = sum(map(len, nbrs.values())) == 2 * (len(nbrs) - 1)
-    if odd and (len(loops) != 1 or not tree):
-        raise TraceError("odd degree curve needs exactly one one-sided component")
-    if not odd and (loops or not tree):
-        raise TraceError("region graph is not a tree")
-    roots = loops if odd else [r for r, k in preimages.items() if k == 1]
-    if len(roots) != 1:
-        raise TraceError("no unique one-sided region")
-    (root,) = roots
-    signs: dict[str, int] = {}
-    seen = {root}  # children go in ascending root id
-
-    def build(region: int, path: Path | None) -> tuple[Oval, ...]:
-        signs[format_path(path)] = sign[region]
-        kids = sorted(nbrs[region] - seen)
-        seen.update(kids)
-        return tuple(Oval(build(c, (path or ()) + (k,))) for k, c in enumerate(kids))
-
-    forest = RealScheme(build(root, OUTER), odd, CurveType.UNKNOWN)
-    if len(seen) != len(nbrs):
-        raise TraceError("region graph is disconnected")
-    return forest, {} if odd else signs
 
 
 def _id_pairs(xs: np.ndarray, ys: np.ndarray, base: int) -> list[tuple[int, int]]:

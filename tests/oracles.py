@@ -16,10 +16,11 @@ tracer's run labeller label pixels with ``scipy.ndimage.label``; the run
 labeller's ids are painted over pixels to be compared with it.  Both
 references read their own rim, fold and adjacency pairs, so they check
 the tracer's numeric front end, but they hand those pairs to the
-tracer's own back end, ``_region_forest``.  That back end is checked
-exactly, on id graphs synthesized from every forest of up to seven
-ovals, by ``tests/test_tracer.py::test_region_forest_rebuilds_every_forest``
-and the tests beside it.
+tracer's own back end, ``conjquot.regions._region_forest``, which imports
+no numpy.  That back end is checked exactly, on id graphs synthesized
+from every forest of up to seven ovals, by
+``tests/test_tracer.py::test_region_forest_rebuilds_every_forest`` and
+the tests beside it.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ from conjquot.propagation import (
     RelationSpec,
     state_key,
 )
-from conjquot.schemes import Oval, RealScheme, canonical_key, forest_key
+from conjquot.regions import _region_forest
+from conjquot.schemes import Oval, RealScheme, canonical_key, forest_key, harnack_bound
 from conjquot.tracer import (
     PolySpec,
     TracerInternalError,
     _label_runs,
     _PixelTopology,
-    _region_forest,
     _run_contacts,
     _sign_runs,
 )
@@ -204,7 +205,8 @@ def relation_search_unpruned(
     start = state_key(source)
     if start == goal:
         return Certificate(source, target, (), (source,))
-    if target.scheme.oval_count > MAX_SEARCH_OVALS:  # no searched state is the target
+    cap = min(MAX_SEARCH_OVALS, harnack_bound(source.degree))
+    if target.scheme.oval_count > cap:  # no searched state is the target
         return None
     seen = {start}
     # A node is (state, move into it, parent node, steps from the source);
@@ -219,7 +221,7 @@ def relation_search_unpruned(
             if m.classification not in rel.allowed:
                 continue
             nxt = m.successor
-            if nxt.scheme.oval_count > MAX_SEARCH_OVALS:
+            if nxt.scheme.oval_count > cap:
                 continue
             key = state_key(nxt)
             if key in seen:

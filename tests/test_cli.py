@@ -743,6 +743,20 @@ def test_symbolic_start_loads_neither_numpy_nor_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_region_back_end_loads_neither_numpy_nor_scipy():
+    # The back end is shared by front ends that need no numpy; the
+    # tracer raises its error type.
+    code = (
+        "import sys, conjquot.regions\n"
+        "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "assert not loaded, f'conjquot.regions loaded {loaded}'\n"
+        "import conjquot.tracer\n"
+        "assert conjquot.tracer.TraceError is conjquot.regions.TraceError\n"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
 def test_package_import_reads_no_seed_file_and_parses_no_code():
     # The sweep's declaration is read on first use; the second half shows
     # that the probe sees the read and the parse when they happen.

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 from dataclasses import replace
 from importlib import resources
@@ -29,6 +30,7 @@ from conjquot.propagation import (
     RHD,
     SUCC,
     fact_key,
+    parse_state_label,
     propagate,
     relation_search,
     replay_fact,
@@ -95,6 +97,16 @@ def test_search_bounded_report():
     assert relation_search(tracked("<5>"), tracked("<1>"), SUCC, max_steps=3) is None
     cert = relation_search(tracked("<5>"), tracked("<1>"), SUCC, max_steps=6)
     assert cert is not None and len(cert.moves) == 4
+
+
+def test_search_stays_within_the_degree_harnack_bound():
+    # A quartic has at most 4 ovals; under the sextic cap of 11 this
+    # certificate went through <3 u 1<1>>, with 5.
+    source, target = (TrackedScheme(parse_viro(c), 4, True) for c in ("<4>", "<1<1>>"))
+    cert = relation_search(source, target, RHD)
+    assert cert is not None and cert.replay(RHD)
+    assert max(s.scheme.oval_count for s in cert.states) <= 4
+    assert cert.records() == relation_search_unpruned(source, target, RHD).records()
 
 
 def _same_answer(source, target, rel, max_steps):
@@ -671,6 +683,20 @@ def test_sweep_exceptions_exact(catalog):
     report = sextic_sweep(catalog)
     assert sorted(report.minus_exceptions) == sorted(EXPECTED_MINUS_EXCEPTIONS)
     assert report.plus_exceptions == ()
+
+
+def test_the_sweep_marks_rest_on_one_seed_and_the_axiom_edge(catalog):
+    # <10>_2+ and the axiom edge <9>_2+ -> <1<8>>_1- alone mark every state
+    # the full declaration marks; without the edge, 50 of the 61 minus-side
+    # marks go, so the four exceptions rest on one hand-verified deformation.
+    with open(GOLDENS / "facts-propagate-sweep-seeds.records.out", encoding="utf-8") as fh:
+        full = {(r["predicate"], *typed_key(parse_state_label(r["scheme"] + r["side"], 6)))
+                for r in map(json.loads, fh)}
+    assert len(full) == 126 and sum(side for *_, side in full) == 61
+    (ten,) = [f for f in SWEEP_DECLARED.seeds if state_label(f.state) == "<10>_2+"]
+    assert set(propagate([ten], SWEEP_DECLARED.axiom_edges, SUCC, catalog).facts) == full
+    no_edge = propagate(SWEEP_DECLARED.seeds, (), SUCC, catalog)
+    assert len(no_edge) == 76 and sum(side for *_, side in no_edge.facts) == 11
 
 
 def test_sweep_covers_both_sides(catalog):

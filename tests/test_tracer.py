@@ -14,6 +14,7 @@ import pytest
 
 import conjquot
 from conjquot.domains import OUTER, format_path, iter_ovals
+from conjquot.regions import _region_forest
 from conjquot.schemes import CurveType, RealScheme, format_viro, forest_key, iter_forests, parse_viro
 from conjquot.tracer import (
     _BAND_CELLS,
@@ -29,7 +30,6 @@ from conjquot.tracer import (
     _disc_reach,
     _label_runs,
     _powers,
-    _region_forest,
     _run_contacts,
     _run_ids_at,
     _sign_runs,
