@@ -20,7 +20,7 @@ for the imaginary pairs).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from .domains import Path, format_path, iter_ovals
@@ -45,27 +45,20 @@ class BaseCurveSpec:
 
     scheme: RealScheme
     degree: int
-    basepoints: tuple[tuple[Path | str, int], ...]
+    basepoints: Mapping[Path | str, int] | None = field(default=None, hash=False)
 
-    def __init__(
-        self,
-        scheme: RealScheme,
-        degree: int,
-        basepoints: Mapping[Path | str, int] | None = None,
-    ):
-        if degree < 1:
-            raise ConstructionError(f"a base curve needs degree >= 1, got {degree}")
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "degree", degree)
-        items = tuple(sorted((basepoints or {}).items(), key=str))
-        object.__setattr__(self, "basepoints", items)
-        for key, n in items:
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ConstructionError(f"a base curve needs degree >= 1, got {self.degree}")
+        object.__setattr__(self, "basepoints", dict(self.basepoints or {}))
+        paths = {path for path, _ in iter_ovals(self.scheme)}
+        for key, n in sorted(self.basepoints.items(), key=str):
             if n < 0:
                 raise ConstructionError("basepoint counts must be >= 0")
             if key == PSEUDOLINE:
-                if not scheme.pseudoline:
+                if not self.scheme.pseudoline:
                     raise ConstructionError("no pseudoline to carry basepoints")
-            elif key not in {path for path, _ in iter_ovals(scheme)}:
+            elif key not in paths:
                 raise ConstructionError(f"no oval at path {format_path(key)}")
 
     @property
@@ -75,13 +68,7 @@ class BaseCurveSpec:
 
     @property
     def total_basepoints(self) -> int:
-        return sum(n for _, n in self.basepoints)
-
-    def count_at(self, key: Path | str) -> int:
-        for k, n in self.basepoints:
-            if k == key:
-                return n
-        return 0
+        return sum(self.basepoints.values())
 
 
 @dataclass(frozen=True)
@@ -103,16 +90,18 @@ def _require_codable(kind: str, ovals: int) -> None:
         raise ConstructionError(f"the {kind}-curve has {ovals} ovals, more than {MAX_OVALS}")
 
 
+def _require_total(b: BaseCurveSpec) -> None:
+    if b.total_basepoints != b.d:
+        raise ConstructionError(f"basepoints total {b.total_basepoints}, expected d = {b.d}")
+
+
 def perturb_v(b: BaseCurveSpec) -> PerturbResult:
     """The v-curve: d disjoint empty ovals around the basepoints.
 
     Always of type 1; its Arnold surface on the orientable side is
     isotopic to the base curve and bounds an orientable handlebody.
     """
-    if b.total_basepoints != b.d:
-        raise ConstructionError(
-            f"basepoints total {b.total_basepoints}, expected d = {b.d}"
-        )
+    _require_total(b)
     _require_codable("v", b.d)
     scheme = RealScheme(tuple(Oval() for _ in range(b.d)), False, CurveType.ONE)
     return PerturbResult(
@@ -133,38 +122,32 @@ def perturb_u(b: BaseCurveSpec) -> PerturbResult:
     """
     if b.scheme.pseudoline and b.degree % 2 == 0:
         raise ConstructionError("an even-degree base curve has no pseudoline")
-    if b.total_basepoints != b.d:
-        raise ConstructionError(
-            f"basepoints total {b.total_basepoints}, expected d = {b.d}"
-        )
+    _require_total(b)
     # Every basepoint becomes a bead, every unmarked oval a nested pair.
-    marked = sum(1 for key, n in b.basepoints if key != PSEUDOLINE and n)
-    lone_pseudoline = b.scheme.pseudoline and not b.count_at(PSEUDOLINE)
-    _require_codable("u", b.d + 2 * (b.scheme.oval_count - marked) + lone_pseudoline)
+    marked = {key for key, n in b.basepoints.items() if key != PSEUDOLINE and n}
+    rp = b.basepoints.get(PSEUDOLINE, 0)
+    lone_pseudoline = b.scheme.pseudoline and not rp
+    _require_codable("u", b.d + 2 * (b.scheme.oval_count - len(marked)) + lone_pseudoline)
+    if any(path[:i] in marked for path in marked for i in range(1, len(path))):
+        raise ConstructionError(
+            "basepoints on nested ovals: the bead region of the inner "
+            "oval is not well defined"
+        )
 
     def transform(path: Path, oval: Oval) -> list[Oval]:
-        r = b.count_at(path)
         kids: list[Oval] = []
         for i, child in enumerate(oval.children):
             kids.extend(transform(path + (i,), child))
+        r = b.basepoints.get(path, 0)
         if r >= 1:
-            if any(b.count_at(path + sub) for sub, _ in iter_ovals(RealScheme(oval.children))):
-                raise ConstructionError(
-                    "basepoints on nested ovals: the bead region of the inner "
-                    "oval is not well defined"
-                )
             return [Oval() for _ in range(r)] + kids
         return [Oval((Oval(tuple(kids)),))]
 
     roots: list[Oval] = []
     for i, r in enumerate(b.scheme.roots):
         roots.extend(transform((i,), r))
-    if b.scheme.pseudoline:
-        rp = b.count_at(PSEUDOLINE)
-        if rp >= 1:
-            roots.extend(Oval() for _ in range(rp))
-        else:
-            roots.append(Oval())  # boundary of the one-sided neighbourhood
+    if b.scheme.pseudoline:  # its beads, or the boundary of its one-sided neighbourhood
+        roots.extend(Oval() for _ in range(max(rp, 1)))
     return PerturbResult(
         RealScheme(tuple(roots), False, b.scheme.curve_type),
         handlebody_orientable=b.scheme.curve_type is CurveType.ONE,
@@ -192,11 +175,22 @@ def quotient_Y_minus(
         raise ConstructionError("the branch surface needs a component")
     if kind == "u" and b_type is CurveType.UNKNOWN:
         raise ConstructionError("the u-curve quotient needs the base type")
-    if kind == "u" and b_type is CurveType.TWO:
-        r = word(cp2=b_genus, cp2bar=b_genus)
-    else:
-        r = word(s2xs2=b_genus)
-    return q.doubled() + r + word(s1xs3=components_k - 1)
+    piece = CurveType.TWO if kind == "u" and b_type is CurveType.TWO else CurveType.ONE
+    return _handlebody_side(q, b_genus, [piece], components_k - 1)
+
+
+def _handlebody_side(
+    q: FourManifoldWord, genus: int, types: list[CurveType], handles: int
+) -> FourManifoldWord:
+    """2Q # R_1 # ... # handles(S1xS3): R_i is g copies of CP2 # CP2bar for
+    a piece of type 2 and of S2xS2 for a piece of type 1."""
+    r = word()
+    for t in dict.fromkeys(types):  # one word per type, in the pieces' order
+        if t not in (CurveType.ONE, CurveType.TWO):
+            raise ConstructionError("doubled fibers need a known dividing type")
+        n = genus * types.count(t)
+        r = r + (word(cp2=n, cp2bar=n) if t is CurveType.TWO else word(s2xs2=n))
+    return q.doubled() + r + word(s1xs3=handles)
 
 
 @dataclass(frozen=True)
@@ -269,17 +263,8 @@ def fibered_quotient(f: FiberedSpec) -> FiberedResult:
         raise ConstructionError("the branch locus needs at least one fiber")
     if f.quotient_q.simply_connected is False:
         raise ConstructionError("the quotient of the total space must be simply connected")
-    g = f.fiber_genus
-    r_word = word()
-    for ct in f.double_fiber_types:
-        if ct is CurveType.TWO:
-            r_word = r_word + word(cp2=g, cp2bar=g)
-        elif ct is CurveType.ONE:
-            r_word = r_word + word(s2xs2=g)
-        else:
-            raise ConstructionError("doubled fibers need a known dividing type")
-    r_word = r_word + word(s2xs2=g * f.s)
-    y_minus = f.quotient_q.doubled() + r_word + word(s1xs3=f.r + f.s - 1)
+    types = [*f.double_fiber_types, *[CurveType.ONE] * f.s]
+    y_minus = _handlebody_side(f.quotient_q, f.fiber_genus, types, f.r + f.s - 1)
 
     surgeries = [(f"A{i + 1}", 1) for i in range(f.r)]
     surgeries += [(f"B{j + 1}", 2) for j in range(f.s)]

@@ -18,7 +18,7 @@ IEEE TIP 17(5), 2008), pairs of opposite signs meet across the curve,
 two halves of one contact table (Kong & Rosenfeld, CVGIP 48(3), 1989).
 Each component stands for two lifts, itself on the upper sheet and its
 turned copy on the lower one.  Rim pairs (ids of the runs at p and -p)
-and adjacencies (ids of the contacts across) go to :mod:`conjquot.regions`.
+and adjacencies (ids of the contacts across) go to :mod:`conjquot.region_graph`.
 
 Every result is re-derived at twice the resolution; a trace is reported
 stable only if the two schemes agree, and refinement continues up to a
@@ -37,7 +37,7 @@ from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .regions import TraceError, _region_forest
+from .region_graph import TraceError, _region_forest
 from .schemes import RealScheme, canonical_key, format_viro, l_curve_bound, plain_digits, plain_real
 
 

@@ -16,7 +16,7 @@ tracer's run labeller label pixels with ``scipy.ndimage.label``; the run
 labeller's ids are painted over pixels to be compared with it.  Both
 references read their own rim, fold and adjacency pairs, so they check
 the tracer's numeric front end, but they hand those pairs to the
-tracer's own back end, ``conjquot.regions._region_forest``, which imports
+tracer's own back end, ``conjquot.region_graph._region_forest``, which imports
 no numpy.  That back end is checked exactly, on id graphs synthesized
 from every forest of up to seven ovals, by
 ``tests/test_tracer.py::test_region_forest_rebuilds_every_forest`` and
@@ -49,7 +49,7 @@ from conjquot.propagation import (
     RelationSpec,
     state_key,
 )
-from conjquot.regions import _region_forest
+from conjquot.region_graph import _region_forest
 from conjquot.schemes import Oval, RealScheme, canonical_key, forest_key, harnack_bound
 from conjquot.tracer import (
     PolySpec,

@@ -460,6 +460,39 @@ def test_construct_u_basepoints_named_twice_exit(capsys):
     assert err.startswith("error: ") and "twice" in err and "Traceback" not in err
 
 
+def test_construct_u_with_a_basepoint_on_each_of_many_ovals(capsys):
+    # Basepoints are looked up by path, not found by a walk of the forest per key.
+    points = ",".join(f"{i}:1" for i in range(63 * 63))
+    start = time.perf_counter()
+    code, out = run(
+        capsys, "construct", "u", "<3969>", "--base-degree", "63", "--basepoints", points,
+        "--format", "records",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert records(out)[0]["scheme"] == "<3969>"
+
+
+def test_construct_u_wrong_total_on_a_large_base_exit(capsys):
+    points = ",".join(f"{i}:1" for i in range(2000))
+    start = time.perf_counter()
+    argv = ["construct", "u", "<32000>", "--base-degree", "63", "--basepoints", points]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == "error: basepoints total 2000, expected d = 3969\n"
+
+
+def test_construct_u_basepoints_on_a_grandchild_exit(capsys):
+    # The outer marked oval is two levels above the inner one, not its parent.
+    argv = ["construct", "u", "<1<1<1>>>", "--base-degree", "2", "--basepoints", "0:2,0.0.0:2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: basepoints on nested ovals: the bead region of the inner oval is not well defined\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -747,11 +780,34 @@ def test_region_back_end_loads_neither_numpy_nor_scipy():
     # The back end is shared by front ends that need no numpy; the
     # tracer raises its error type.
     code = (
-        "import sys, conjquot.regions\n"
+        "import sys, conjquot.region_graph\n"
         "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
-        "assert not loaded, f'conjquot.regions loaded {loaded}'\n"
+        "assert not loaded, f'conjquot.region_graph loaded {loaded}'\n"
         "import conjquot.tracer\n"
-        "assert conjquot.tracer.TraceError is conjquot.regions.TraceError\n"
+        "assert conjquot.tracer.TraceError is conjquot.region_graph.TraceError\n"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_loading_the_tracer_shadows_no_package_export():
+    # Importing a submodule binds it on the package, so a submodule named
+    # like an export other than itself would replace that export once
+    # something loads it.
+    code = (
+        "import importlib, pkgutil, sys, conjquot\n"
+        "assert 'conjquot.tracer' not in sys.modules\n"
+        "before = {n: getattr(conjquot, n) for n in conjquot.__all__ if n in vars(conjquot)}\n"
+        "import conjquot.tracer\n"
+        "moved = [n for n in before if getattr(conjquot, n) is not before[n]]\n"
+        "assert not moved, f'import conjquot.tracer replaced {moved}'\n"
+        "assert conjquot.regions is conjquot.domains.regions\n"
+        "lazy = [n for n in conjquot.__all__ if n not in before and n != 'tracer']\n"
+        "assert all(getattr(conjquot, n) is getattr(conjquot.tracer, n) for n in lazy)\n"
+        "named = {m.name for m in pkgutil.iter_modules(conjquot.__path__)} & set(conjquot.__all__)\n"
+        "clash = [n for n in sorted(named)\n"
+        "         if getattr(conjquot, n) is not importlib.import_module('conjquot.' + n)]\n"
+        "assert not clash, f'submodules named like other exports: {clash}'\n"
     )
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr

@@ -14,7 +14,7 @@ import pytest
 
 import conjquot
 from conjquot.domains import OUTER, format_path, iter_ovals
-from conjquot.regions import _region_forest
+from conjquot.region_graph import _region_forest
 from conjquot.schemes import CurveType, RealScheme, format_viro, forest_key, iter_forests, parse_viro
 from conjquot.tracer import (
     _BAND_CELLS,
