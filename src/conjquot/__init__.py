@@ -63,28 +63,23 @@ from .propagation import (
     relation_search,
     sextic_sweep,
 )
-from .constructions import (
-    BaseCurveSpec,
-    FiberedSpec,
-    fibered_quotient,
-    imaginary_curve_image,
-    perturb_u,
-    perturb_v,
-    quotient_Y_minus,
-)
-# The tracer needs numpy; it is loaded on first use (PEP 562),
-# so the symbolic half starts without it.
-_TRACER_NAMES = ("GridConfig", "PolySpec", "TraceResult", "l_curve_sample", "trace_scheme")
+# The constructions and the tracer (which needs numpy) load on first use
+# (PEP 562), so a command that runs neither starts without them.
+_LAZY = {
+    **dict.fromkeys(("constructions", "BaseCurveSpec", "FiberedSpec", "fibered_quotient",
+                     "imaginary_curve_image", "perturb_u", "perturb_v", "quotient_Y_minus"),
+                    "constructions"),
+    **dict.fromkeys(("tracer", "GridConfig", "PolySpec", "TraceResult", "l_curve_sample",
+                     "trace_scheme"), "tracer"),
+}
 
-__all__ = sorted(
-    {name for name in dir() if not name.startswith("_")} | {"tracer", *_TRACER_NAMES}
-)
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_LAZY))
 
 
 def __getattr__(name: str):
-    if name == "tracer" or name in _TRACER_NAMES:
-        import importlib
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        tracer = importlib.import_module(".tracer", __name__)
-        return tracer if name == "tracer" else getattr(tracer, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + _LAZY[name], __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

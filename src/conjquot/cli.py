@@ -11,12 +11,11 @@ prints.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from typing import Sequence
 
-from . import constructions, domains, fourman, moves, propagation, schemes
+from . import domains, fourman, moves, propagation, schemes
 from .domains import Side, TrackedScheme
 from .schemes import CurveType, parse_viro, plain_digits, plain_real
 
@@ -27,6 +26,7 @@ EXIT_UNSTABLE = 3
 
 def _emit(records: list[dict], fmt: str) -> None:
     if fmt == "records":
+        import json  # only records need it, so a table prints without it
         for rec in records:
             print(json.dumps(rec, sort_keys=True))
         return
@@ -110,6 +110,7 @@ def cmd_moves_enumerate(args) -> tuple[list[dict], int]:
 def _run_moves(args) -> tuple[list[TrackedScheme], list[moves.MoveRecord]]:
     """Apply the move file from the start state, a bad line raising ValueError
     that names it; returns the states visited (start first) and the moves made."""
+    import json
     states = [_start(args.code, args.degree, args.side)]
     made = []
     with open(args.moves, encoding="utf-8") as fh:
@@ -210,6 +211,7 @@ def cmd_k3_classify(args) -> tuple[list[dict], int]:
 
 
 def cmd_construct_v(args) -> tuple[list[dict], int]:
+    from . import constructions
     base = parse_viro(args.base)
     count = args.base_degree ** 2
     points = (
@@ -221,6 +223,7 @@ def cmd_construct_v(args) -> tuple[list[dict], int]:
 
 
 def cmd_construct_u(args) -> tuple[list[dict], int]:
+    from . import constructions
     base = parse_viro(args.base)
     points: dict = {}
     if args.basepoints:
@@ -237,6 +240,7 @@ def cmd_construct_u(args) -> tuple[list[dict], int]:
 
 
 def cmd_construct_fibered(args) -> tuple[list[dict], int]:
+    from . import constructions
     types = tuple(
         CurveType(t) for t in (args.double_fiber_types.split(",") if args.double_fiber_types else [])
     )
@@ -252,6 +256,7 @@ def cmd_construct_fibered(args) -> tuple[list[dict], int]:
 
 
 def cmd_construct_imaginary(args) -> tuple[list[dict], int]:
+    from . import constructions
     stmt = constructions.imaginary_curve_image(
         args.base_degree, args.real_intersections, not args.not_simply_connected
     )

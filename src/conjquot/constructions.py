@@ -20,9 +20,9 @@ for the imaginary pairs).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
+from ._values import asdict, dataclass, field
 from .domains import Path, format_path, iter_ovals
 from .fourman import FourManifoldWord, word
 from .schemes import MAX_OVALS, CurveType, Oval, RealScheme, format_viro
@@ -53,6 +53,8 @@ class BaseCurveSpec:
         object.__setattr__(self, "basepoints", dict(self.basepoints or {}))
         paths = {path for path, _ in iter_ovals(self.scheme)}
         for key, n in sorted(self.basepoints.items(), key=str):
+            if type(n) is not int:  # a bool is not one
+                raise ConstructionError(f"basepoint counts must be integers, got {n!r}")
             if n < 0:
                 raise ConstructionError("basepoint counts must be >= 0")
             if key == PSEUDOLINE:
@@ -212,6 +214,8 @@ class FiberedSpec:
     elliptic_name: str | None = None
 
     def __post_init__(self):
+        if self.fiber_genus < 0:
+            raise ConstructionError(f"fiber genus must be >= 0, got {self.fiber_genus}")
         if self.imaginary_pairs < 0:
             raise ConstructionError("imaginary pair count must be >= 0")
         if self.r + self.s > MAX_OVALS:  # one printed surgery per fiber

@@ -20,9 +20,9 @@ region is a disc minus its child discs, so a class has
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._values import dataclass
 from .schemes import Oval, RealScheme, plain_digits
 
 OUTER = None  # region owner marker

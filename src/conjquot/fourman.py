@@ -21,8 +21,8 @@ chi(X) = 24 and sigma(X) = -16, the K3 lattice (3, 19).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
 
+from ._values import asdict, dataclass, replace
 from .domains import (
     Orientability,
     Side,

@@ -52,11 +52,11 @@ key; only the listed moves are built, each carrying its successor.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import accumulate
 from typing import Callable, ClassVar, Iterable, Sequence
 
+from ._values import asdict, dataclass, field, fields
 from .domains import OUTER, Path, Side, TrackedScheme, euler_W, format_path, parse_path
 # canonical_key is not called here; perfbench's key span hooks this module's name.
 from .schemes import CurveType, Oval, RealScheme, canonical_key, forest_key, tree_key

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from importlib import resources
 from typing import Iterable, Sequence
 
 from . import fourman
+from ._values import dataclass, field
 from .domains import Orientability, Side, TrackedScheme, arnold_descriptor, euler_W
 from .moves import (
     DECREASING,

@@ -29,11 +29,12 @@ counts and Euler characteristics (:mod:`conjquot.domains`) read only roots.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from importlib import resources
 from typing import Iterable, Iterator
+
+from ._values import dataclass, field
 
 
 class CurveType(Enum):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from types import SimpleNamespace
@@ -37,6 +36,7 @@ from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
+from ._values import dataclass
 from .region_graph import TraceError, _region_forest
 from .schemes import RealScheme, canonical_key, format_viro, l_curve_bound, plain_digits, plain_real
 

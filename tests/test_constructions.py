@@ -93,6 +93,13 @@ def test_u_rejects_nested_basepoints():
         perturb_u(base("<1<1>>_1", 4, {(0,): 8, (0, 0): 8}))
 
 
+@pytest.mark.parametrize("count", [4.0, True, "4"])
+@pytest.mark.parametrize("construct", [perturb_v, perturb_u])
+def test_basepoint_counts_must_be_integers(construct, count):
+    with pytest.raises(ConstructionError, match="basepoint counts must be integers"):
+        construct(base("<1>", 2, {(0,): count}))
+
+
 def test_u_oval_count_rule():
     spec = base("<2 u 1<1>>_1", 4, {(0,): 16})
     res = perturb_u(spec)
@@ -188,6 +195,11 @@ def test_fibered_multiplicity_list_grows():
         )
     )
     assert res.y_plus.result == "E(2)_3,0"
+
+
+def test_fibered_refuses_a_negative_fiber_genus():
+    with pytest.raises(ConstructionError, match="fiber genus must be >= 0, got -1"):
+        FiberedSpec(S4, -1, (CurveType.ONE,))
 
 
 def test_fibered_validates_inputs():

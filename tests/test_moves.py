@@ -1,7 +1,7 @@
 import json
 import random
 import time
-from dataclasses import replace
+from conjquot._values import replace
 
 import pytest
 from hypothesis import given, settings

@@ -1,7 +1,7 @@
 import copy
 import json
 import random
-from dataclasses import replace
+from conjquot._values import replace
 from importlib import resources
 from pathlib import Path
 

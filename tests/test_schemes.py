@@ -1,5 +1,5 @@
 import random
-from dataclasses import FrozenInstanceError
+from conjquot._values import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
