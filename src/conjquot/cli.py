@@ -241,9 +241,11 @@ def cmd_construct_u(args) -> tuple[list[dict], int]:
 
 def cmd_construct_fibered(args) -> tuple[list[dict], int]:
     from . import constructions
-    types = tuple(
-        CurveType(t) for t in (args.double_fiber_types.split(",") if args.double_fiber_types else [])
-    )
+    text = args.double_fiber_types
+    values = text.split(",") if text else []
+    if not set(values) <= {"1", "2"}:
+        raise ValueError(f"--double-fiber-types: each type must be 1 or 2, got {text!r}")
+    types = tuple(map(CurveType, values))
     spec = constructions.FiberedSpec(
         quotient_q=fourman.parse_word(args.quotient),
         fiber_genus=args.fiber_genus,
@@ -271,7 +273,10 @@ def cmd_trace_poly(args) -> tuple[list[dict], int]:
             spec = tracer.PolySpec.from_text(fh.read())
     else:
         spec = tracer.PolySpec.from_text(args.poly.replace(";", "\n"))
-    result = tracer.trace_scheme(spec, tracer.GridConfig(args.grid, args.grid_cap))
+    try:
+        result = tracer.trace_scheme(spec, tracer.GridConfig(args.grid, args.grid_cap))
+    except tracer.UnstableTraceError as err:
+        return [{"error": str(err)}], EXIT_UNSTABLE
     return [result.record()], EXIT_OK if result.stable else EXIT_UNSTABLE
 
 

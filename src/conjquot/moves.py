@@ -46,14 +46,15 @@ outcome: it skips a candidate that a swap of identical siblings maps onto
 an earlier one, and never generates a family of a class not asked for.
 It dedupes the rest on the successor's forest key, spliced from cached
 keys with no oval built, and lets its caller refuse a candidate on that
-key; only the listed moves are built, each carrying its successor.
+key; only the listed moves are built, each carrying its successor.  That
+dedupe alone picks a sibling split's keep set: of a keep set and its
+complement, which split alike, the one of least mask comes first.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain, product
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from ._values import asdict, dataclass, field, fields
@@ -241,7 +242,7 @@ def _siblings(roots: tuple[Oval, ...], region: Path) -> tuple[Oval, ...]:
 
 def _edit(
     roots: tuple[Oval, ...], rw: Rewrite
-) -> tuple[Path, tuple[int, ...], dict[int, tuple[Oval, ...]], tuple[tuple[Oval, ...], ...]]:
+) -> tuple[Path, set[int], dict[int, tuple[Oval, ...]], tuple[tuple[Oval, ...], ...]]:
     """A rewrite as one edit of one sibling list: ``(region, drop, rebuilt,
     added)`` drops the siblings indexed by ``drop`` from the list under
     ``region``, replaces sibling ``k`` by an oval with children ``rebuilt[k]``
@@ -250,19 +251,19 @@ def _edit(
     if isinstance(rw, AddEmpty):
         if rw.region is not None:
             _get(roots, rw.region)
-        return rw.region or (), (), {}, ((),)
+        return rw.region or (), set(), {}, ((),)
 
     if isinstance(rw, DeleteEmpty):
         if _get(roots, rw.oval).children:
             raise MoveError("only a childless oval can be deleted")
-        return rw.oval[:-1], (rw.oval[-1],), {}, ()
+        return rw.oval[:-1], {rw.oval[-1]}, {}, ()
 
     if isinstance(rw, FuseSiblings):
         a, b = rw.first, rw.second
         if a[:-1] != b[:-1] or a == b:
             raise MoveError("fusion needs two distinct ovals in one region")
         oa, ob = _get(roots, a), _get(roots, b)
-        return a[:-1], (a[-1], b[-1]), {}, (oa.children + ob.children,)
+        return a[:-1], {a[-1], b[-1]}, {}, (oa.children + ob.children,)
 
     if isinstance(rw, FuseParentChild):
         if rw.child[:-1] != rw.parent:
@@ -271,7 +272,7 @@ def _edit(
         ci = rw.child[-1]
         fused = parent.children[:ci] + parent.children[ci + 1 :]
         # the child's own children escape to the ambient region
-        return rw.parent[:-1], (), {rw.parent[-1]: fused}, tuple(c.children for c in child.children)
+        return rw.parent[:-1], set(), {rw.parent[-1]: fused}, tuple(c.children for c in child.children)
 
     if isinstance(rw, SplitSibling):
         oval = _get(roots, rw.oval)
@@ -282,7 +283,7 @@ def _edit(
             raise MoveError("keep indices must be distinct")
         first = tuple(c for k, c in enumerate(oval.children) if k in keep)
         second = tuple(c for k, c in enumerate(oval.children) if k not in keep)
-        return rw.oval[:-1], (rw.oval[-1],), {}, (first, second)
+        return rw.oval[:-1], {rw.oval[-1]}, {}, (first, second)
 
     if isinstance(rw, SplitNest):
         region = rw.oval[:-1]
@@ -293,7 +294,7 @@ def _edit(
             raise MoveError("enclosed ovals must be distinct")
         oval = _get(roots, rw.oval)
         enclosed = tuple(_get(roots, p) for p in rw.enclosed)
-        drop = (rw.oval[-1], *(p[-1] for p in rw.enclosed))
+        drop = {rw.oval[-1], *(p[-1] for p in rw.enclosed)}
         return region, drop, {}, (oval.children + (Oval(enclosed),),)
 
     raise MoveError(f"unknown rewrite {rw!r}")
@@ -378,23 +379,15 @@ def apply(t: TrackedScheme, m: MoveRecord) -> TrackedScheme:
 # ------------------------------------------------------------ enumeration
 
 
-def _grouped_subsets(items: Sequence[tuple[Path, str]]) -> Iterable[tuple[Path, ...]]:
-    """Subsets of addressed ovals, one per multiset of subtree shapes."""
-    groups: dict[str, list[Path]] = {}
-    for path, key in items:
-        groups.setdefault(key, []).append(path)
-    keys = sorted(groups)
-
-    def rec(i: int) -> Iterable[tuple[Path, ...]]:
-        if i == len(keys):
-            yield ()
-            return
-        paths = groups[keys[i]]
-        for rest in rec(i + 1):
-            for n in range(len(paths) + 1):
-                yield tuple(paths[:n]) + rest
-
-    return rec(0)
+def _grouped_subsets(items: Sequence[tuple[object, str]]) -> Iterable[tuple]:
+    """Subsets of items, one per multiset of shapes: the first n of each
+    shape, shapes in key order, the first shape's count varying fastest."""
+    groups: dict[str, list] = {}
+    for item, key in items:
+        groups.setdefault(key, []).append(item)
+    # product varies its last factor fastest: give it the shapes reversed
+    prefixes = [[g[:n] for n in range(len(g) + 1)] for _, g in sorted(groups.items(), reverse=True)]
+    return (tuple(chain.from_iterable(reversed(c))) for c in product(*prefixes))
 
 
 def _ranks(siblings: tuple[Oval, ...]) -> list[int]:
@@ -419,10 +412,6 @@ def _canonical_ovals(siblings: tuple[Oval, ...], prefix: Path = ()):
             yield from _canonical_ovals(o.children, path)
 
 
-def _mask(indices: Iterable[int]) -> int:
-    return sum(1 << i for i in indices)
-
-
 def enumerate_moves(
     t: TrackedScheme, allowed: frozenset[Classification] = ALL_CLASSES, *, splits: bool = True,
     keep: Callable[[Rewrite, str], bool] | None = None,
@@ -440,8 +429,10 @@ def enumerate_moves(
     or with a child, splits at a level).  A dedupe on the kind and the
     spliced successor forest key, which fix the class, drops coincidences
     no symmetry explains, so the list is each outcome's first candidate,
-    as without pruning.  Only listed moves are built.  ``keep(rewrite,
-    key)``, if given, is asked first; a refused candidate is not listed.
+    as without pruning, and alone picks each sibling split's keep set, of
+    it and its complement the one of least mask.  Only listed moves are
+    built.  ``keep(rewrite, key)``, if given, is asked first; a refused
+    candidate is not listed.
     """
     roots = t.scheme.roots
     ovals = list(_canonical_ovals(roots))
@@ -479,20 +470,11 @@ def enumerate_moves(
         for path, oval in ovals:
             if not allows(SplitSibling, path[:-1]):
                 continue
-            kids = oval.children
-            shapes: dict[str, list[int]] = {}
-            for i, c in enumerate(kids):
-                shapes.setdefault(c.key, []).append(i)
-            keeps = []
-            for s in _grouped_subsets([((i,), c.key) for i, c in enumerate(kids)]):
-                kept = sorted(i for (i,) in s)
-                taken = Counter(kids[i].key for i in kept)
-                # A keep set and its complement give the same split: keep the
-                # one whose least-mask representative has the smaller mask.
-                rest = [i for key, ix in shapes.items() for i in ix[: len(ix) - taken[key]]]
-                if _mask(rest) >= _mask(kept):
-                    keeps.append((_mask(kept), tuple(kept)))
-            candidates.extend(SplitSibling(path, kept) for _, kept in sorted(keeps))
+            # Keep sets in mask order, as descending index lists.  No rule
+            # skips a keep set's complement here: timed, it cost what it saved.
+            kids = [(i, c.key) for i, c in enumerate(oval.children)]
+            keeps = sorted((tuple(sorted(s)) for s in _grouped_subsets(kids)), key=lambda k: k[::-1])
+            candidates.extend(SplitSibling(path, kept) for kept in keeps)
 
         for path, _ in ovals:
             region = path[:-1]
@@ -604,7 +586,7 @@ class LogTransformEvent:
 
 
 def _transport(
-    path: Path, region: Path, drop: tuple[int, ...], rebuilt: dict[int, tuple[Oval, ...]]
+    path: Path, region: Path, drop: set[int], rebuilt: dict[int, tuple[Oval, ...]]
 ) -> Path | None:
     """Follow an oval's path through a sibling-list edit; None if the edit
     drops or rebuilds the oval or an ancestor."""

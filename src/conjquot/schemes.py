@@ -367,7 +367,12 @@ def load_catalog(lines: Iterable[str]) -> tuple[SchemeCatalogEntry, ...]:
         if len(fields) != 4 or not plain_digits(fields[1]):
             raise ValueError(f"bad catalog row: {raw!r}")
         code, degree, curve_type, tag = fields
-        entries.append(SchemeCatalogEntry(code, int(degree), CurveType(curve_type), tag))
+        try:
+            if curve_type not in ("1", "2"):
+                raise ValueError(f"type must be 1 or 2, got {curve_type!r}")
+            entries.append(SchemeCatalogEntry(code, int(degree), CurveType(curve_type), tag))
+        except ValueError as err:
+            raise ValueError(f"bad catalog row: {raw!r}: {err}") from None
     return tuple(entries)
 
 

@@ -81,14 +81,6 @@ def forests_isomorphic(a: tuple[Oval, ...], b: tuple[Oval, ...]) -> bool:
     return False
 
 
-def schemes_isomorphic(a: RealScheme, b: RealScheme) -> bool:
-    return (
-        a.pseudoline == b.pseudoline
-        and a.curve_type == b.curve_type
-        and forests_isomorphic(a.roots, b.roots)
-    )
-
-
 # ---------------------------------------------------- cached oval fields
 
 

@@ -411,6 +411,23 @@ def test_catalog_degree_is_plain_digits_exit(tmp_path, capsys, command, degree):
     assert line.startswith("error: bad catalog row: ") and degree in line
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("<1>\t6\t3\tx", "type must be 1 or 2, got '3'"),
+        ("<12>\t6\t2\tx", "<12> violates the Harnack bound"),
+        ("<1\t6\t2\tx", "expected '>' (at position 2)"),
+    ],
+)
+def test_catalog_entry_errors_name_the_row_exit(tmp_path, capsys, row, reason):
+    # A row that splits into four fields but makes no entry is a bad row
+    # too, and its message says why without naming Python's enum.
+    path = tmp_path / "catalog.tsv"
+    path.write_text(row + "\n", encoding="utf-8")
+    assert main(["sweep", "sextics", "--catalog", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: bad catalog row: {row + chr(10)!r}: {reason}\n")
+
+
 def test_k3_classify(capsys):
     code, out = run(capsys, "k3", "classify", "--xr", "S10+S0", "--format", "records")
     assert code == 0
@@ -537,6 +554,13 @@ def test_construct_fibered_negative_genus_exit(capsys):
     assert capsys.readouterr() == ("", "error: fiber genus must be >= 0, got -1\n")
 
 
+def test_construct_fibered_bad_double_fiber_type_exit(capsys):
+    argv = ["fibered", "--quotient", "S4", "--fiber-genus", "1", "--double-fiber-types", "1,3"]
+    assert main(["construct", *argv]) == 2
+    err = "error: --double-fiber-types: each type must be 1 or 2, got '1,3'\n"
+    assert capsys.readouterr() == ("", err)
+
+
 def test_construct_fibered(capsys):
     code, out = run(
         capsys, "construct", "fibered", "--quotient", "S4", "--fiber-genus", "1",
@@ -563,6 +587,19 @@ def test_trace_poly_unstable_exit(capsys):
         "--grid", "64", "--grid-cap", "64", "--format", "records",
     )
     assert code == 3
+
+
+def test_trace_poly_without_any_scheme_is_untrustworthy_exit(capsys):
+    # The line x = y is valid input; no resolution up to the cap traces it,
+    # which is an untrustworthy trace (exit 3, a record), not invalid input.
+    code, out = run(
+        capsys, "trace", "poly", "--poly", "1 0 0 1;0 1 0 -1",
+        "--grid", "64", "--grid-cap", "128", "--format", "records",
+    )
+    assert code == 3
+    (rec,) = records(out)
+    assert rec["error"].startswith("64: odd degree curve needs exactly one one-sided component")
+    assert capsys.readouterr().err == ""
 
 
 CUBIC_POLY = str(Path(__file__).parent / "goldens" / "cubic.poly")

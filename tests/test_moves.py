@@ -182,6 +182,20 @@ def test_split_sibling_enumeration_on_many_identical_children(outer):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("code, count", [("<1000>", 1005), ("<1<1000>>", 1509)])
+def test_wide_forest_enumerates_in_quadratic_time(code, count):
+    # A nest split encloses n of a thousand identical siblings for each n, and
+    # each candidate's splice tests every sibling for being dropped: a tuple
+    # of dropped indices made that cubic, about 7 s a forest on a 2-core
+    # machine, where a set takes about 1 s.
+    t = TrackedScheme(parse_viro(code), 100)
+    start = time.perf_counter()
+    ms = enumerate_moves(t)
+    elapsed = time.perf_counter() - start
+    assert len(ms) == count
+    assert elapsed < 4.0
+
+
 HIGH_SYMMETRY = ("<10>", "<1<9>>", "<9 u 1<1>>", "<1<14>>")
 
 

@@ -8,7 +8,8 @@ attribute, a method or property as an attribute.  Imports and
 ``__all__`` do not count: an export is not a use.  Tests, perfbench and
 scripts do not count either, so code that only its own tests call fails
 here.  A name that something outside ``src/`` needs on purpose goes into
-:data:`KEPT` with its reason.
+:data:`KEPT` with its reason.  The test references in ``tests/oracles.py``
+pass the same gate against ``tests/``: an oracle no test loads is deleted.
 
 The check matches names, not bindings.  A same-named local hides a
 module-level miss, and a same-named attribute of any object hides a
@@ -92,3 +93,21 @@ def test_every_kept_name_exists_and_is_unreached():
     assert set(KEPT) <= set(defined), sorted(set(KEPT) - set(defined))
     reached = sorted(key for key in KEPT if _reached(key[1], names, attrs))
     assert reached == [], f"these have a caller in src/ now; drop them from KEPT: {reached}"
+
+
+def test_every_oracle_is_loaded_in_tests():
+    # Reach or remove for the test references: each module-level function of
+    # tests/oracles.py is loaded by name in tests/, outside its own definition.
+    tests = Path(__file__).resolve().parent
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    functions = {node.name for node in oracles.body if isinstance(node, ast.FunctionDef)}
+    loaded = set()
+    for path in sorted(tests.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            loaded |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            } - {getattr(top, "name", None)}
+    unloaded = sorted(functions - loaded)
+    assert unloaded == [], "delete these, or call them from a test: " + ", ".join(unloaded)
