@@ -55,7 +55,8 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import accumulate, chain, product
-from typing import Callable, ClassVar, Iterable, Sequence
+from operator import getitem
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from ._values import asdict, dataclass, field, fields
 from .domains import OUTER, Path, Side, TrackedScheme, euler_W, format_path, parse_path
@@ -379,15 +380,39 @@ def apply(t: TrackedScheme, m: MoveRecord) -> TrackedScheme:
 # ------------------------------------------------------------ enumeration
 
 
-def _grouped_subsets(items: Sequence[tuple[object, str]]) -> Iterable[tuple]:
+def _grouped_subsets(items: Sequence[tuple[object, str]]) -> Iterator[tuple]:
     """Subsets of items, one per multiset of shapes: the first n of each
     shape, shapes in key order, the first shape's count varying fastest."""
     groups: dict[str, list] = {}
     for item, key in items:
         groups.setdefault(key, []).append(item)
+    if not groups:
+        yield ()
+        return
+    first, *rest = [tuple(g) for _, g in sorted(groups.items())]
     # product varies its last factor fastest: give it the shapes reversed
-    prefixes = [[g[:n] for n in range(len(g) + 1)] for _, g in sorted(groups.items(), reverse=True)]
-    return (tuple(chain.from_iterable(reversed(c))) for c in product(*prefixes))
+    for counts in product(*[range(len(g) + 1) for g in reversed(rest)]):
+        tail = tuple(chain.from_iterable(map(getitem, rest, map(slice, reversed(counts)))))
+        for n in range(len(first) + 1):
+            yield first[:n] + tail
+
+
+def _keep_sets(kids: tuple[Oval, ...]) -> Iterator[tuple[int, ...]]:
+    """A sibling split's keep sets, one per multiset of shapes (the first
+    children of each shape), in mask order with no mask built.  The next
+    set adds the lowest child the last one left out and keeps every kept
+    child above it; below it, it keeps exactly the children of the shapes
+    it keeps, that child's among them."""
+    shapes = [c.key for c in kids]
+    keep: tuple[int, ...] = ()
+    while True:
+        yield keep
+        i = next((k for k, kept in enumerate(keep) if k != kept), len(keep))
+        if i == len(kids):
+            return
+        above = keep[i:]
+        live = {shapes[k] for k in above} | {shapes[i]}
+        keep = (*(k for k in range(i) if shapes[k] in live), i, *above)
 
 
 def _ranks(siblings: tuple[Oval, ...]) -> list[int]:
@@ -430,51 +455,52 @@ def enumerate_moves(
     spliced successor forest key, which fix the class, drops coincidences
     no symmetry explains, so the list is each outcome's first candidate,
     as without pruning, and alone picks each sibling split's keep set, of
-    it and its complement the one of least mask.  Only listed moves are
+    it and its complement the one of least mask.  Each candidate is deduped
+    as it is generated, so no candidate list is held.  Only listed moves are
     built.  ``keep(rewrite, key)``, if given, is asked first; a refused
     candidate is not listed.
     """
     roots = t.scheme.roots
     ovals = list(_canonical_ovals(roots))
     regions = [(), *(path for path, _ in ovals)]
-    candidates: list[Rewrite] = []
 
     def allows(kind: type, region: Path) -> bool:
         return _class_at(t, kind, region) in allowed
 
-    candidates.extend(AddEmpty(r or None) for r in regions if allows(AddEmpty, r))
+    def candidates() -> Iterator[Rewrite]:
+        for region in regions:
+            if allows(AddEmpty, region):
+                yield AddEmpty(region or None)
 
-    for path, oval in ovals:
-        if not oval.children and allows(DeleteEmpty, path[:-1]):
-            candidates.append(DeleteEmpty(path))
-
-    for region in regions:
-        if not allows(FuseSiblings, region):
-            continue
-        sibs = _siblings(roots, region)
-        ranks = _ranks(sibs)
-        for i in range(len(sibs)):
-            if ranks[i]:
-                continue
-            for j in range(i + 1, len(sibs)):
-                if not ranks[j] or (ranks[j] == 1 and sibs[j].key == sibs[i].key):
-                    candidates.append(FuseSiblings(region + (i,), region + (j,)))
-
-    for path, oval in ovals:
-        if allows(FuseParentChild, path[:-1]):
-            for ci, rank in enumerate(_ranks(oval.children)):
-                if not rank:
-                    candidates.append(FuseParentChild(path, path + (ci,)))
-
-    if splits:
         for path, oval in ovals:
-            if not allows(SplitSibling, path[:-1]):
+            if not oval.children and allows(DeleteEmpty, path[:-1]):
+                yield DeleteEmpty(path)
+
+        for region in regions:
+            if not allows(FuseSiblings, region):
                 continue
-            # Keep sets in mask order, as descending index lists.  No rule
-            # skips a keep set's complement here: timed, it cost what it saved.
-            kids = [(i, c.key) for i, c in enumerate(oval.children)]
-            keeps = sorted((tuple(sorted(s)) for s in _grouped_subsets(kids)), key=lambda k: k[::-1])
-            candidates.extend(SplitSibling(path, kept) for kept in keeps)
+            sibs = _siblings(roots, region)
+            ranks = _ranks(sibs)
+            for i in range(len(sibs)):
+                if ranks[i]:
+                    continue
+                for j in range(i + 1, len(sibs)):
+                    if not ranks[j] or (ranks[j] == 1 and sibs[j].key == sibs[i].key):
+                        yield FuseSiblings(region + (i,), region + (j,))
+
+        for path, oval in ovals:
+            if allows(FuseParentChild, path[:-1]):
+                for ci, rank in enumerate(_ranks(oval.children)):
+                    if not rank:
+                        yield FuseParentChild(path, path + (ci,))
+
+        if not splits:
+            return
+        for path, oval in ovals:
+            # No rule skips a keep set's complement: timed, it cost what it saved.
+            if allows(SplitSibling, path[:-1]):
+                for kept in _keep_sets(oval.children):
+                    yield SplitSibling(path, kept)
 
         for path, _ in ovals:
             region = path[:-1]
@@ -486,11 +512,11 @@ def enumerate_moves(
                 if k != path[-1]
             ]
             for subset in _grouped_subsets(neighbours):
-                candidates.append(SplitNest(path, subset))
+                yield SplitNest(path, subset)
 
     moves = []
     seen: set[tuple[type, str]] = set()
-    for rw in candidates:
+    for rw in candidates():
         fk = _successor_key(roots, rw)
         key = (type(rw), fk)
         if key in seen:

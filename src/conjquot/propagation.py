@@ -16,7 +16,12 @@ Two graph semantics are exposed:
   below (exactly along SUCC, where each move lowers the Euler
   characteristic).  The search skips every state whose bound exceeds the
   steps left; a state on a shortest path never does, so the certificate
-  is the one the uncut search finds.
+  is the one the uncut search finds.  The same bound cuts before a
+  successor exists: a move's class fixes how it changes both integers, up
+  to fusion or split, so the search generates only the move families, and
+  builds only the successors, that can still reach the target.  Anything
+  cut would fail the state cut, and no move onto the target is cut, so the
+  certificate stays the same.
 
 * :func:`propagate` closes a set of facts over the catalog of realizable
   (scheme, type) states.  Here edges are discriminant walls, and the
@@ -28,8 +33,9 @@ Two graph semantics are exposed:
   This asymmetry is what keeps facts at a type-1 state from leaking to
   the type-2 state of the same forest.
 
-Both enumerate only the relation's classes, propagation splits only from
-a type-2 state, and both judge a successor by its key before building it.
+Both enumerate only the relation's classes (the search only those that can
+still reach its target), propagation splits only from a type-2 state, and
+both judge a successor by its key before building it.
 
 Facts always carry a replayable path: a chain of move records and axiom
 edges back to a seed.  One step check serves search certificates and
@@ -96,6 +102,20 @@ RELATIONS = {"succ": SUCC, "rhd": RHD}
 
 # Search never leaves the sextic Harnack bound, 11 ovals, nor its own degree's.
 MAX_SEARCH_OVALS = 11
+
+# What a move of each class changes: (class, oval count, tracked Euler
+# characteristic, whether it is a split).  Births add an oval and deaths
+# remove one; a band move fuses two ovals or splits one in two.
+_CLASS_STEPS = (
+    (Classification.M0, 1, 1, False),
+    (Classification.M2_INV, 1, -1, False),
+    (Classification.M0_INV, -1, -1, False),
+    (Classification.M2, -1, 1, False),
+    (Classification.M1, -1, -1, False),
+    (Classification.M1, 1, -1, True),
+    (Classification.M1_INV, -1, 1, False),
+    (Classification.M1_INV, 1, 1, True),
+)
 
 
 def state_key(t: TrackedScheme) -> tuple[str, bool]:
@@ -206,6 +226,20 @@ def relation_search(
     at depth d is L - d moves from the target, so it and every state
     before it pass the cut: the search meets the target through the same
     parents, in the same order, as the search without the cut.
+
+    The bound also cuts before successors exist.  A move's class fixes its
+    change of chi (-1 for the DECREASING classes, +1 otherwise) and its
+    change of n up to two values (+1 for a birth, -1 for a death, -1 for a
+    fusion and +1 for a split), so an expansion generates only the classes,
+    and splits only if some split, whose successors can be the target or
+    within the steps left of it.  A successor whose spliced key is not the
+    target's is built only if its oval count is within the steps left of
+    the target's, and at least one step is left.  States leave the queue
+    in depth order, so the steps left never grow: a successor cut at one
+    expansion fails the state cut wherever it is met later, and the queue
+    receives the same states in the same order.  A move onto the target
+    has the target's n and chi, so it is never cut, and the first one
+    enumerated is still the one found.
     """
     if source.degree != target.degree:
         raise ValueError("relation search needs equal degrees")
@@ -236,12 +270,20 @@ def relation_search(
         return None
     seen = {start}
 
+    def reaches(n: int, chi: int) -> bool:
+        """Whether a successor with n ovals and tracked chi can be the
+        target or reach it in the ``left`` steps after it."""
+        return (n, chi) == (goal_n, goal_chi) or bound(n, chi) <= left
+
     def keep(rw: Rewrite, fk: str) -> bool:
-        """Claim a forest within the oval cap (one ``(`` per oval), first time only."""
+        """Claim a forest within the oval cap (one ``(`` per oval), first
+        time only; build it only if it is the target or its oval count is
+        within the steps left of the target's, and at least one step away."""
         key = (fk, source.outer_tracked)
-        fresh = fk.count("(") <= cap and key not in seen
+        n = fk.count("(")
+        fresh = n <= cap and key not in seen
         seen.add(key)
-        return fresh
+        return fresh and (key == goal or max(abs(n - goal_n), 1) <= left)
 
     # A node is (state, move into it, parent node, steps from the source,
     # tracked chi); the path is read back through the parents once, at the goal.
@@ -249,7 +291,12 @@ def relation_search(
     while frontier:
         node = frontier.popleft()
         state, _, _, steps, chi = node
-        for m in enumerate_moves(state, rel.allowed, keep=keep):
+        left, n = max_steps - steps - 1, state.scheme.oval_count
+        near = [(c, split) for c, dn, dchi, split in _CLASS_STEPS
+                if c in rel.allowed and reaches(n + dn, chi + dchi)]
+        allowed = frozenset(c for c, _ in near)
+        splits = any(split for _, split in near)
+        for m in enumerate_moves(state, allowed, splits=splits, keep=keep):
             nxt = m.successor
             nxt_chi = chi + m.delta_chi_tracked
             child = (nxt, m, node, steps + 1, nxt_chi)
@@ -261,7 +308,7 @@ def relation_search(
                     if move is not None:
                         moves.append(move)
                 return Certificate(source, target, tuple(moves[::-1]), tuple(states[::-1]))
-            if bound(nxt.scheme.oval_count, nxt_chi) <= max_steps - steps - 1:
+            if bound(nxt.scheme.oval_count, nxt_chi) <= left:
                 frontier.append(child)
     return None
 

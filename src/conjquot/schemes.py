@@ -365,14 +365,14 @@ def load_catalog(lines: Iterable[str]) -> tuple[SchemeCatalogEntry, ...]:
             continue
         fields = line.split("\t")
         if len(fields) != 4 or not plain_digits(fields[1]):
-            raise ValueError(f"bad catalog row: {raw!r}")
+            raise ValueError(f"bad catalog row: {line!r}")
         code, degree, curve_type, tag = fields
         try:
             if curve_type not in ("1", "2"):
                 raise ValueError(f"type must be 1 or 2, got {curve_type!r}")
             entries.append(SchemeCatalogEntry(code, int(degree), CurveType(curve_type), tag))
         except ValueError as err:
-            raise ValueError(f"bad catalog row: {raw!r}: {err}") from None
+            raise ValueError(f"bad catalog row: {line!r}: {err}") from None
     return tuple(entries)
 
 

@@ -425,7 +425,7 @@ def test_catalog_entry_errors_name_the_row_exit(tmp_path, capsys, row, reason):
     path = tmp_path / "catalog.tsv"
     path.write_text(row + "\n", encoding="utf-8")
     assert main(["sweep", "sextics", "--catalog", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: bad catalog row: {row + chr(10)!r}: {reason}\n")
+    assert capsys.readouterr() == ("", f"error: bad catalog row: {row!r}: {reason}\n")
 
 
 def test_k3_classify(capsys):

@@ -38,7 +38,7 @@ from conjquot.propagation import (
     state_label,
     typed_key,
 )
-from conjquot.schemes import CurveType, RealScheme, iter_forests, load_catalog, parse_viro
+from conjquot.schemes import CurveType, RealScheme, forest_key, iter_forests, load_catalog, parse_viro
 
 from oracles import relation_search_unpruned
 
@@ -162,6 +162,48 @@ def test_search_cut_skips_hopeless_queries(monkeypatch):
     assert len(enumerated) == 1
     assert relation_search(tracked("<2 u 1<1>>"), tracked("<1<1<1>>>"), RHD, max_steps=2) is None
     assert len(enumerated) == 2
+
+
+def test_the_search_class_table_names_every_move():
+    # The family cut reads each class's oval-count and Euler-characteristic
+    # change from one table; every enumerated move must be one of its rows.
+    rows = set()
+    for roots in iter_forests(6):
+        for outer in (False, True):
+            t = TrackedScheme(RealScheme(roots), 6, outer)
+            for m in enumerate_moves(t):
+                dn = m.successor.scheme.oval_count - t.scheme.oval_count
+                rows.add((m.classification, dn, m.delta_chi_tracked, isinstance(m.rewrite, SPLITS)))
+    assert rows == set(propagation._CLASS_STEPS)
+
+
+def test_search_work_counts_on_short_budgets(monkeypatch, catalog):
+    # Every catalog forest to two targets in at most two moves, both
+    # relations and both sides.  The search generates only the move
+    # families, and builds only the successors, that can still reach the
+    # target: cutting states alone, it made the same 108 enumerations but
+    # 2,259 key splices and 1,468 builds.
+    counts = dict.fromkeys(("enumerate", "splice", "build"), 0)
+
+    def counted(name, fn):
+        def call(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return call
+
+    monkeypatch.setattr(propagation, "enumerate_moves", counted("enumerate", enumerate_moves))
+    monkeypatch.setattr(moves, "_successor_key", counted("splice", moves._successor_key))
+    monkeypatch.setattr(moves, "make_move", counted("build", make_move))
+    sources = {forest_key(e.scheme): e.scheme for e in catalog}.values()
+    found = 0
+    for target in ("<5 u 1<1>>", "<2 u 1<3>>"):
+        for scheme in sources:
+            for outer in (False, True):
+                for rel in (SUCC, RHD):
+                    source = TrackedScheme(scheme, 6, outer)
+                    found += relation_search(source, tracked(target, outer), rel, 2) is not None
+    assert found == 73
+    assert counts == {"enumerate": 108, "splice": 729, "build": 299}
 
 
 # ------------------------------------------------------------- propagation
