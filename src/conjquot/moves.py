@@ -439,7 +439,7 @@ def _canonical_ovals(siblings: tuple[Oval, ...], prefix: Path = ()):
 
 def enumerate_moves(
     t: TrackedScheme, allowed: frozenset[Classification] = ALL_CLASSES, *, splits: bool = True,
-    keep: Callable[[Rewrite, str], bool] | None = None,
+    keep: Callable[[Rewrite, str], bool] | None = None, depth_cap: int | None = None,
 ) -> list[MoveRecord]:
     """All applicable rewrites of a class in ``allowed`` (no split unless
     ``splits``), deduplicated up to identical-sibling symmetry, in a
@@ -456,20 +456,30 @@ def enumerate_moves(
     no symmetry explains, so the list is each outcome's first candidate,
     as without pruning, and alone picks each sibling split's keep set, of
     it and its complement the one of least mask.  Each candidate is deduped
-    as it is generated, so no candidate list is held.  Only listed moves are
-    built.  ``keep(rewrite, key)``, if given, is asked first; a refused
-    candidate is not listed.
+    as it is generated, so no candidate list is held, and the dedupe set
+    starts afresh at each kind: a kind's candidates come out together.  Only
+    listed moves are built.  ``keep(rewrite, key)``, if given, is asked
+    first; a refused candidate is not listed.
+
+    ``depth_cap``, if given, leaves out candidates whose successor nests
+    deeper than it: births at a level at or below the cap, nest splits of
+    an oval at level L with L + 1 > cap, and their non-empty enclosures
+    with L + 2 > cap.  For a caller whose ``keep`` refuses every successor
+    deeper than the cap the list is unchanged: a candidate left out can
+    only have deduped candidates of its kind and key, which share its
+    successor and are refused.
     """
     roots = t.scheme.roots
     ovals = list(_canonical_ovals(roots))
     regions = [(), *(path for path, _ in ovals)]
+    cap = float("inf") if depth_cap is None else depth_cap
 
     def allows(kind: type, region: Path) -> bool:
         return _class_at(t, kind, region) in allowed
 
     def candidates() -> Iterator[Rewrite]:
         for region in regions:
-            if allows(AddEmpty, region):
+            if len(region) < cap and allows(AddEmpty, region):
                 yield AddEmpty(region or None)
 
         for path, oval in ovals:
@@ -504,7 +514,10 @@ def enumerate_moves(
 
         for path, _ in ovals:
             region = path[:-1]
-            if not allows(SplitNest, region):
+            if len(path) + 1 > cap or not allows(SplitNest, region):
+                continue
+            if len(path) + 2 > cap:  # the new child encloses nothing
+                yield SplitNest(path, ())
                 continue
             neighbours = [
                 (region + (k,), o.key)
@@ -515,13 +528,14 @@ def enumerate_moves(
                 yield SplitNest(path, subset)
 
     moves = []
-    seen: set[tuple[type, str]] = set()
+    kind, seen = None, set()
     for rw in candidates():
+        if type(rw) is not kind:
+            kind, seen = type(rw), set()
         fk = _successor_key(roots, rw)
-        key = (type(rw), fk)
-        if key in seen:
+        if fk in seen:
             continue
-        seen.add(key)
+        seen.add(fk)
         if keep is None or keep(rw, fk):
             moves.append(make_move(t, rw))
     return moves

@@ -33,9 +33,12 @@ Two graph semantics are exposed:
   This asymmetry is what keeps facts at a type-1 state from leaking to
   the type-2 state of the same forest.
 
-Both enumerate only the relation's classes (the search only those that can
-still reach its target), propagation splits only from a type-2 state, and
-both judge a successor by its key before building it.
+Both enumerate only the relation's move families that can still matter,
+through one family cut over :data:`_CLASS_STEPS`: the search those that
+can reach its target, the closure those whose successors' cell holds a
+state not marked yet, and births and nest splits only as deep as that
+cell's forests.  Propagation splits only from a type-2 state, and both
+judge a successor by its key before building it.
 
 Facts always carry a replayable path: a chain of move records and axiom
 edges back to a seed.  One step check serves search certificates and
@@ -50,11 +53,11 @@ holds the states reached, never a verdict): one step check per fact.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from enum import Enum
 from functools import cache
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import fourman
 from ._values import dataclass, field
@@ -116,6 +119,19 @@ _CLASS_STEPS = (
     (Classification.M1_INV, -1, 1, False),
     (Classification.M1_INV, 1, 1, True),
 )
+_BAND = (Classification.M1, Classification.M1_INV)
+
+
+def _family_cut(
+    allowed: frozenset[Classification], n: int, chi: int, lands: Callable[[int, int, bool], bool]
+) -> tuple[frozenset[Classification], bool]:
+    """The classes of ``allowed``, and whether splits, with a row of
+    :data:`_CLASS_STEPS` whose successor from a state with n ovals and
+    tracked chi ``lands(n', chi', fusion)`` admits: n' ovals and tracked
+    chi', reached by a fusion or not."""
+    near = [(c, split) for c, dn, dchi, split in _CLASS_STEPS
+            if c in allowed and lands(n + dn, chi + dchi, c in _BAND and not split)]
+    return frozenset(c for c, _ in near), any(split for _, split in near)
 
 
 def state_key(t: TrackedScheme) -> tuple[str, bool]:
@@ -291,11 +307,10 @@ def relation_search(
     while frontier:
         node = frontier.popleft()
         state, _, _, steps, chi = node
-        left, n = max_steps - steps - 1, state.scheme.oval_count
-        near = [(c, split) for c, dn, dchi, split in _CLASS_STEPS
-                if c in rel.allowed and reaches(n + dn, chi + dchi)]
-        allowed = frozenset(c for c, _ in near)
-        splits = any(split for _, split in near)
+        left = max_steps - steps - 1
+        allowed, splits = _family_cut(
+            rel.allowed, state.scheme.oval_count, chi, lambda n, chi, _: reaches(n, chi)
+        )
         for m in enumerate_moves(state, allowed, splits=splits, keep=keep):
             nxt = m.successor
             nxt_chi = chi + m.delta_chi_tracked
@@ -337,6 +352,8 @@ class Fact:
 
 
 FactKey = tuple[str, str, str, bool]
+# A cell of states: tracked side, oval count and tracked Euler characteristic.
+Cell = tuple[bool, int, int]
 
 
 def fact_key(fact: Fact) -> FactKey:
@@ -396,19 +413,60 @@ def propagate(
     universe of realizable typed states.
 
     Monotone and idempotent: rerunning on its own output adds nothing.
+
+    A move is enumerated only if it can still mark a state.  Its class
+    fixes the cell, (side, oval count, tracked chi), its successor lands
+    in (:data:`_CLASS_STEPS`), so a family is generated only if its cell
+    holds a universe state the fact's predicate has not marked, of type 2
+    after a fusion; and births and nest splits, the only moves that nest
+    deeper, only up to the deepest universe forest in the cells the
+    relation's growing families reach.  Each candidate cut lands outside
+    the universe or on marked states, so ``keep`` would refuse it, and it
+    could only have deduped candidates of its kind and successor key,
+    refused alike: the listed moves, their order and the facts are those of
+    the uncut closure.
     """
     index, degree = _universe_index(universe)
 
     def outside(t: TrackedScheme) -> bool:
         return t.degree != degree or t.scheme.curve_type not in index.get(forest_key(t.scheme), ())
 
+    # Each universe forest's cell by side; per cell and "of type 2 only",
+    # the universe's states (and per predicate those marked); per cell, the
+    # deepest forest.
+    cells: dict[tuple[str, bool], Cell] = {}
+    states: Counter = Counter()
+    marked: Counter = Counter()
+    deepest: Counter = Counter()
+    for fk, scheme in {forest_key(e.scheme): e.scheme for e in universe}.items():
+        n, depth = scheme.oval_count, scheme.depth
+        for outer in (False, True):
+            cell = (outer, n, euler_W(TrackedScheme(scheme, degree, outer)))
+            cells[fk, outer] = cell
+            states[(*cell, False)] += len(index[fk])
+            states[(*cell, True)] += CurveType.TWO in index[fk]
+            deepest[cell] = max(deepest[cell], depth)
+    growing = [(dn, dchi) for c, dn, dchi, _ in _CLASS_STEPS if dn > 0 and c in rel.allowed]
+
     table = FactTable()
-    work: deque[Fact] = deque()
+    work: deque[tuple[Fact, Cell]] = deque()
+
+    def mark(fact: Fact, cell: Cell) -> None:
+        """Add a fact of the universe, if new, to the table, counted in its
+        state's cell, and to the queue."""
+        if table.add(fact):
+            pred = fact.predicate.value
+            marked[(pred, *cell, False)] += 1
+            marked[(pred, *cell, True)] += fact.state.scheme.curve_type is CurveType.TWO
+            work.append((fact, cell))
+
+    def cell_of(t: TrackedScheme) -> Cell:
+        return cells[forest_key(t.scheme), t.outer_tracked]
+
     for fact in seeds:
         if outside(fact.state):
             raise ValueError(f"seed {state_label(fact.state)} is not in the degree-{degree} universe")
-        if table.add(fact):
-            work.append(fact)
+        mark(fact, cell_of(fact.state))
     axioms: dict[tuple[str, str, bool], list[TrackedScheme]] = {}
     for src, dst in axiom_edges:
         for end in (src, dst):
@@ -419,13 +477,11 @@ def propagate(
                 )
         axioms.setdefault(typed_key(src), []).append(dst)
 
-    def extend(dst: TrackedScheme, provenance: str, head: dict) -> None:
+    def extend(dst: TrackedScheme, cell: Cell, provenance: str, head: dict) -> None:
         """Add the fact, new as its caller checked, that one more step,
-        ``head``, carries from the fact popped last to ``dst``."""
+        ``head``, carries from the fact popped last to ``dst`` in ``cell``."""
         step = {**head, "from": source, "to": state_label(dst)}
-        new = Fact(dst, fact.predicate, provenance, fact.path + (step,))
-        table.add(new)
-        work.append(new)
+        mark(Fact(dst, fact.predicate, provenance, fact.path + (step,)), cell)
 
     def landings(after: CurveType, fk: str) -> list[CurveType]:
         """The universe types of ``fk`` a successor of type ``after`` lands on, not marked yet."""
@@ -436,18 +492,30 @@ def propagate(
     def keep(rw: Rewrite, fk: str) -> bool:
         return bool(landings(type_after(rw), fk))
 
+    def lands(n: int, chi: int, fusion: bool) -> bool:
+        """Whether the cell of n ovals and tracked chi on the popped fact's
+        side holds a state, of type 2 after a fusion, it has not marked."""
+        cell = (side, n, chi, fusion)
+        return states[cell] > marked[(fact.predicate.value, *cell)]
+
     while work:
-        fact = work.popleft()
+        fact, (side, n, chi) = work.popleft()
         state = fact.state
         source = fact.path[-1]["to"] if fact.path else state_label(state)
-        for m in enumerate_moves(state, rel.allowed, splits=_splits_from(state), keep=keep):
+        allowed, splits = _family_cut(rel.allowed, n, chi, lands)
+        cap = max((deepest[side, n + dn, chi + dchi] for dn, dchi in growing), default=0)
+        found = enumerate_moves(
+            state, allowed, splits=splits and _splits_from(state), keep=keep, depth_cap=cap
+        ) if allowed else ()
+        for m in found:
             after = m.successor
+            cell = (side, after.scheme.oval_count, chi + m.delta_chi_tracked)
             for ct in landings(after.scheme.curve_type, forest_key(after.scheme)):
-                target = TrackedScheme(after.scheme.with_type(ct), degree, state.outer_tracked)
-                extend(target, "propagated", {"edge": "move", **m.record()})
+                target = TrackedScheme(after.scheme.with_type(ct), degree, side)
+                extend(target, cell, "propagated", {"edge": "move", **m.record()})
         for dst in axioms.get(typed_key(state), ()):  # trusted non-move edges
             if (fact.predicate.value, *typed_key(dst)) not in table.facts:
-                extend(dst, "axiom-edge", {"edge": "axiom"})
+                extend(dst, cell_of(dst), "axiom-edge", {"edge": "axiom"})
     return table
 
 

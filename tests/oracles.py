@@ -7,7 +7,11 @@ counting cells of the resulting square complex, the values each oval
 caches are recomputed by walking its whole subtree, and move enumeration
 builds a candidate at every index before deduplicating outcomes.
 Derivation search has a reference too: the breadth-first search without
-its distance cut, which expands every state up to the step budget.  The
+its distance cut, which expands every state up to the step budget.  So
+has the fact closure: the same breadth-first closure over every move
+``enumerate_moves`` lists at its default arguments, with no family cut,
+no depth cap and no ``keep``, each move then filtered by the relation,
+the split rule and the landing rule.  The
 pixel tracer has two references, both of which evaluate and label both
 sheets term by term: one on the whole square grid at once, deduplicating
 antipodal pairs over every disc cell, and the banded two-sheet tracer
@@ -26,12 +30,14 @@ the tests beside it.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 
 import numpy as np
 from scipy import ndimage
 
 from conjquot.domains import TrackedScheme, iter_ovals
 from conjquot.moves import (
+    SPLITS,
     AddEmpty,
     DeleteEmpty,
     FuseParentChild,
@@ -46,8 +52,14 @@ from conjquot.propagation import (
     MAX_SEARCH_OVALS,
     SUCC,
     Certificate,
+    Fact,
+    FactTable,
     RelationSpec,
+    _lands_on,
+    _splits_from,
     state_key,
+    state_label,
+    typed_key,
 )
 from conjquot.region_graph import _region_forest
 from conjquot.schemes import Oval, RealScheme, canonical_key, forest_key, harnack_bound
@@ -230,6 +242,55 @@ def relation_search_unpruned(
                 return Certificate(source, target, tuple(moves[::-1]), tuple(states[::-1]))
             frontier.append(child)
     return None
+
+
+# ------------------------------------------------------------ fact closure
+
+
+@cache
+def _all_moves(state: TrackedScheme) -> list[MoveRecord]:
+    """``enumerate_moves`` at its default arguments, once per stored state."""
+    return enumerate_moves(state)
+
+
+def propagate_uncut(seeds, axiom_edges, rel: RelationSpec, universe) -> FactTable:
+    """Breadth-first closure of the seed facts over every move that
+    ``enumerate_moves`` lists at its default arguments and over the axiom
+    edges: a move counts if its class is in ``rel``, it is no split from a
+    state not of type 2, and it lands on a universe state (forest, type in
+    value order, side) not marked yet.  Inputs are taken as valid."""
+    types: dict[str, set] = {}
+    for e in universe:
+        types.setdefault(forest_key(e.scheme), set()).add(e.curve_type)
+    table, work = FactTable(), deque()
+    for fact in seeds:
+        if table.add(fact):
+            work.append(fact)
+    axioms: dict[tuple, list] = {}
+    for src, dst in axiom_edges:
+        axioms.setdefault(typed_key(src), []).append(dst)
+    while work:
+        fact = work.popleft()
+        state = fact.state
+        source = fact.path[-1]["to"] if fact.path else state_label(state)
+        steps = []
+        for m in _all_moves(state):
+            if m.classification not in rel.allowed:
+                continue
+            if isinstance(m.rewrite, SPLITS) and not _splits_from(state):
+                continue
+            after = m.successor.scheme
+            for ct in sorted(types.get(forest_key(after), ()), key=lambda c: c.value):
+                if _lands_on(after.curve_type, ct):
+                    dst = TrackedScheme(after.with_type(ct), state.degree, state.outer_tracked)
+                    steps.append((dst, "propagated", {"edge": "move", **m.record()}))
+        steps += [(dst, "axiom-edge", {"edge": "axiom"}) for dst in axioms.get(typed_key(state), ())]
+        for dst, provenance, head in steps:
+            step = {**head, "from": source, "to": state_label(dst)}
+            new = Fact(dst, fact.predicate, provenance, fact.path + (step,))
+            if table.add(new):
+                work.append(new)
+    return table
 
 
 # -------------------------------------------------------- circle layouts

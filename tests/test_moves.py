@@ -211,6 +211,35 @@ def test_enumeration_dedupes_each_candidate_as_it_comes():
     assert peak < 700_000
 
 
+def test_enumeration_drops_a_kinds_keys_when_the_kind_is_done():
+    # A kind's candidates come out together and no key matches across
+    # kinds, so each kind dedupes on a set of its own: on <1<300>> the
+    # sibling splits' keys were still held through the nest splits, a
+    # traced peak of about 400,000 bytes against about 250,000.
+    t = TrackedScheme(parse_viro("<1<300>>"), 100)
+    tracemalloc.start()
+    try:
+        assert enumerate_moves(t, keep=lambda rw, fk: False) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320_000
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_depth_cap_leaves_out_only_deeper_moves(outer):
+    # Births and nest splits that nest deeper than the cap are never
+    # generated; every move whose successor is within the cap is listed as
+    # without it, in the same order.
+    for roots in iter_forests(6):
+        t = TrackedScheme(RealScheme(roots), 6, outer)
+        full = [(m.record(), m.successor.scheme.depth) for m in enumerate_moves(t)]
+        for cap in range(1, 5):
+            capped = [(m.record(), m.successor.scheme.depth) for m in enumerate_moves(t, depth_cap=cap)]
+            assert [m for m in capped if m[1] <= cap] == [m for m in full if m[1] <= cap]
+            assert all(depth > cap for m, depth in full if (m, depth) not in capped)
+
+
 HIGH_SYMMETRY = ("<10>", "<1<9>>", "<9 u 1<1>>", "<1<14>>")
 
 

@@ -40,7 +40,7 @@ from conjquot.propagation import (
 )
 from conjquot.schemes import CurveType, RealScheme, forest_key, iter_forests, load_catalog, parse_viro
 
-from oracles import relation_search_unpruned
+from oracles import propagate_uncut, relation_search_unpruned
 
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -274,6 +274,47 @@ def test_closure_and_search_build_only_the_successors_they_keep(monkeypatch, cat
     built.clear()
     cert = relation_search(tracked("<10>_2"), tracked("<1<1<1>>>"), SUCC)
     assert cert is not None and len(cert.moves) == 9 and len(built) <= 400
+
+
+def test_sweep_closure_work_counts(monkeypatch, catalog):
+    # The closure generates a move family only if its cell still holds a
+    # state it can mark, and births and nest splits only as deep as the
+    # universe's forests there: uncut, it made 126 enumerations and 1,042
+    # key splices for the same 161 builds.
+    counts = dict.fromkeys(("enumerate", "splice", "build"), 0)
+
+    def counted(name, fn):
+        def call(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return call
+
+    monkeypatch.setattr(propagation, "enumerate_moves", counted("enumerate", enumerate_moves))
+    monkeypatch.setattr(moves, "_successor_key", counted("splice", moves._successor_key))
+    monkeypatch.setattr(moves, "make_move", counted("build", make_move))
+    table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, SUCC, catalog)
+    assert len(table) == 126
+    assert counts == {"enumerate": 100, "splice": 424, "build": 161}
+
+
+def _declaration_subsets():
+    """The sweep's declaration whole, each of its seeds alone, each axiom
+    edge alone with a seed at its source, and each item left out, as
+    (seeds, axiom edges)."""
+    items = [*SWEEP_DECLARED.seeds, *SWEEP_DECLARED.axiom_edges]
+    alone = [[x] if isinstance(x, Fact) else [Fact(x[0], Predicate.ARNOLD_STANDARD, "lcurve-seed"), x]
+             for x in items]
+    for pick in [items, *alone, *(items[:i] + items[i + 1:] for i in range(len(items)))]:
+        yield [x for x in pick if isinstance(x, Fact)], [x for x in pick if not isinstance(x, Fact)]
+
+
+@pytest.mark.parametrize("rel", [SUCC, RHD], ids=["succ", "rhd"])
+def test_closure_matches_the_uncut_reference(catalog, rel):
+    # The family cut and the depth cap only skip moves that mark nothing, so
+    # every fact and its path are those of the closure over every move.
+    for seeds, edges in _declaration_subsets():
+        got = propagate(seeds, edges, rel, catalog).records()
+        assert got == propagate_uncut(seeds, edges, rel, catalog).records()
 
 
 def test_propagate_empty_seeds():
