@@ -28,8 +28,8 @@ the classification follows the sign and the locus:
   and ``M1^-1`` when it gains;
 * death of a non-tracked disc is ``M2``, its birth ``M2^-1``.
 
-The class is read off the depth parity of the level a rewrite changes,
-before it is applied; the Euler characteristic of the result checks it.
+A kind's class, in the kind table :data:`KINDS`, is read off the depth
+parity of the level it changes before it applies; the result's chi checks it.
 
 Thus {M0^-1, M1, M2^-1} are the moves with delta = -1 on the tracked
 side.  After any fusion the curve is of dividing type 2; every other move
@@ -132,20 +132,27 @@ class SplitNest:
 
 Rewrite = AddEmpty | DeleteEmpty | FuseSiblings | FuseParentChild | SplitSibling | SplitNest
 
-FUSIONS = (FuseSiblings, FuseParentChild)
-SPLITS = (SplitSibling, SplitNest)
+# One row per rewrite kind: its record name, its level as a depth below
+# its edited list, its class at a tracked level and at another, and its
+# change of oval count.  The level is the one a birth or death changes, or
+# that a band move takes Euler characteristic from: the fused ovals'
+# interiors, a sibling split's region, a nest split's oval.
+BAND = (Classification.M1, Classification.M1_INV)
+KINDS = {
+    AddEmpty: ("add_empty", 0, Classification.M2_INV, Classification.M0, 1),
+    DeleteEmpty: ("delete_empty", 1, Classification.M0_INV, Classification.M2, -1),
+    FuseSiblings: ("fuse_siblings", 1, *BAND, -1),
+    FuseParentChild: ("fuse_parent_child", 2, *BAND, -1),
+    SplitSibling: ("split_sibling", 0, *BAND, 1),
+    SplitNest: ("split_nest", 1, *BAND, 1),
+}
+# A band move fuses two ovals into one or splits one in two.
+FUSIONS = tuple(k for k, row in KINDS.items() if row[2:4] == BAND and row[4] < 0)
+SPLITS = tuple(k for k, row in KINDS.items() if row[2:4] == BAND and row[4] > 0)
 
 # ------------------------------------------------------------ record codec
 
-_KINDS = {
-    "add_empty": AddEmpty,
-    "delete_empty": DeleteEmpty,
-    "fuse_siblings": FuseSiblings,
-    "fuse_parent_child": FuseParentChild,
-    "split_sibling": SplitSibling,
-    "split_nest": SplitNest,
-}
-_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+_NAMED = {row[0]: kind for kind, row in KINDS.items()}
 
 
 def _indices(values: list) -> tuple[int, ...]:
@@ -168,7 +175,7 @@ _PATH_CODEC = (format_path, parse_path)
 
 def rewrite_record(rw: Rewrite) -> dict:
     """The external record of a rewrite: its kind, then its fields."""
-    rec = {"kind": _KIND_OF[type(rw)]}
+    rec = {"kind": KINDS[type(rw)][0]}
     for f in fields(rw):
         encode, _ = _FIELD_CODECS.get(f.name, _PATH_CODEC)
         rec[f.name] = encode(getattr(rw, f.name))
@@ -179,7 +186,7 @@ def rewrite_from_record(rec: dict) -> Rewrite:
     """Inverse of :func:`rewrite_record`; a malformed record raises
     :class:`MoveError`.  Whether the rewrite applies is checked later."""
     try:
-        cls = _KINDS[rec["kind"]]
+        cls = _NAMED[rec["kind"]]
         args = {}
         for f in fields(cls):
             value = rec[f.name]
@@ -325,24 +332,9 @@ def _successor_key(roots: tuple[Oval, ...], rw: Rewrite) -> str:
     return "".join(sorted(_splice(roots, _edit(roots, rw), *_KEY)))
 
 
-# A rewrite's level as a depth below its edited list, then its class at a
-# tracked level and at another.  The level is the one a birth or death
-# changes, or that a band move takes Euler characteristic from: the fused
-# ovals' interiors, a sibling split's region, a nest split's oval.
-_M1 = (Classification.M1, Classification.M1_INV)
-_CLASSES = {
-    AddEmpty: (0, Classification.M2_INV, Classification.M0),
-    DeleteEmpty: (1, Classification.M0_INV, Classification.M2),
-    FuseSiblings: (1, *_M1),
-    FuseParentChild: (2, *_M1),
-    SplitSibling: (0, *_M1),
-    SplitNest: (1, *_M1),
-}
-
-
 def _class_at(t: TrackedScheme, kind: type, region: Path) -> Classification:
-    depth, tracked, other = _CLASSES[kind]
-    return tracked if t.is_tracked_level(len(region) + depth) else other
+    _, level, tracked, other, _ = KINDS[kind]
+    return tracked if t.is_tracked_level(len(region) + level) else other
 
 
 def type_after(rw: Rewrite) -> CurveType:

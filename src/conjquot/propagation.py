@@ -34,11 +34,12 @@ Two graph semantics are exposed:
   the type-2 state of the same forest.
 
 Both enumerate only the relation's move families that can still matter,
-through one family cut over :data:`_CLASS_STEPS`: the search those that
-can reach its target, the closure those whose successors' cell holds a
-state not marked yet, and births and nest splits only as deep as that
-cell's forests.  Propagation splits only from a type-2 state, and both
-judge a successor by its key before building it.
+through one family cut over :data:`_CLASS_STEPS`, read off the kind
+table :data:`moves.KINDS`: the search those that can reach its target,
+the closure those whose successors' cell holds a state not marked yet,
+and births and nest splits only as deep as that cell's forests.
+Propagation splits only from a type-2 state, and both judge a successor
+by its key before building it.
 
 Facts always carry a replayable path: a chain of move records and axiom
 edges back to a seed.  One step check serves search certificates and
@@ -63,7 +64,9 @@ from . import fourman
 from ._values import dataclass, field
 from .domains import Orientability, Side, TrackedScheme, arnold_descriptor, euler_W
 from .moves import (
+    BAND,
     DECREASING,
+    KINDS,
     SPLITS,
     Classification,
     MoveError,
@@ -106,20 +109,12 @@ RELATIONS = {"succ": SUCC, "rhd": RHD}
 # Search never leaves the sextic Harnack bound, 11 ovals, nor its own degree's.
 MAX_SEARCH_OVALS = 11
 
-# What a move of each class changes: (class, oval count, tracked Euler
-# characteristic, whether it is a split).  Births add an oval and deaths
-# remove one; a band move fuses two ovals or splits one in two.
-_CLASS_STEPS = (
-    (Classification.M0, 1, 1, False),
-    (Classification.M2_INV, 1, -1, False),
-    (Classification.M0_INV, -1, -1, False),
-    (Classification.M2, -1, 1, False),
-    (Classification.M1, -1, -1, False),
-    (Classification.M1, 1, -1, True),
-    (Classification.M1_INV, -1, 1, False),
-    (Classification.M1_INV, 1, 1, True),
-)
-_BAND = (Classification.M1, Classification.M1_INV)
+# What a move of each class changes, read off the kind table: (class, oval
+# count, tracked Euler characteristic, whether it is a split), once each.
+_CLASS_STEPS = tuple(dict.fromkeys(
+    (c, dn, -1 if c in DECREASING else 1, kind in SPLITS)
+    for kind, (_, _, *classes, dn) in KINDS.items() for c in classes
+))
 
 
 def _family_cut(
@@ -130,7 +125,7 @@ def _family_cut(
     tracked chi ``lands(n', chi', fusion)`` admits: n' ovals and tracked
     chi', reached by a fusion or not."""
     near = [(c, split) for c, dn, dchi, split in _CLASS_STEPS
-            if c in allowed and lands(n + dn, chi + dchi, c in _BAND and not split)]
+            if c in allowed and lands(n + dn, chi + dchi, c in BAND and not split)]
     return frozenset(c for c, _ in near), any(split for _, split in near)
 
 
@@ -416,15 +411,15 @@ def propagate(
 
     A move is enumerated only if it can still mark a state.  Its class
     fixes the cell, (side, oval count, tracked chi), its successor lands
-    in (:data:`_CLASS_STEPS`), so a family is generated only if its cell
-    holds a universe state the fact's predicate has not marked, of type 2
-    after a fusion; and births and nest splits, the only moves that nest
-    deeper, only up to the deepest universe forest in the cells the
-    relation's growing families reach.  Each candidate cut lands outside
-    the universe or on marked states, so ``keep`` would refuse it, and it
-    could only have deduped candidates of its kind and successor key,
-    refused alike: the listed moves, their order and the facts are those of
-    the uncut closure.
+    in (:data:`_CLASS_STEPS`, read off :data:`moves.KINDS`), so a family is
+    generated only if its cell holds a universe state the fact's predicate
+    has not marked, of type 2 after a fusion; and births and nest splits,
+    the only moves that nest deeper, only up to the deepest universe
+    forest in the cells the relation's growing families reach.  Each
+    candidate cut lands outside the universe or on marked states, so
+    ``keep`` would refuse it, and it could only have deduped candidates of
+    its kind and successor key, refused alike: the listed moves, their
+    order and the facts are those of the uncut closure.
     """
     index, degree = _universe_index(universe)
 
@@ -451,22 +446,22 @@ def propagate(
     table = FactTable()
     work: deque[tuple[Fact, Cell]] = deque()
 
-    def mark(fact: Fact, cell: Cell) -> None:
+    def mark(fact: Fact) -> None:
         """Add a fact of the universe, if new, to the table, counted in its
-        state's cell, and to the queue."""
-        if table.add(fact):
-            pred = fact.predicate.value
+        state's cell, and to the queue with that cell."""
+        key = fact_key(fact)
+        if key not in table.facts:
+            table.facts[key] = fact
+            pred, fk, ct, side = key
+            cell = cells[fk, side]
             marked[(pred, *cell, False)] += 1
-            marked[(pred, *cell, True)] += fact.state.scheme.curve_type is CurveType.TWO
+            marked[(pred, *cell, True)] += ct == CurveType.TWO.value
             work.append((fact, cell))
-
-    def cell_of(t: TrackedScheme) -> Cell:
-        return cells[forest_key(t.scheme), t.outer_tracked]
 
     for fact in seeds:
         if outside(fact.state):
             raise ValueError(f"seed {state_label(fact.state)} is not in the degree-{degree} universe")
-        mark(fact, cell_of(fact.state))
+        mark(fact)
     axioms: dict[tuple[str, str, bool], list[TrackedScheme]] = {}
     for src, dst in axiom_edges:
         for end in (src, dst):
@@ -477,11 +472,11 @@ def propagate(
                 )
         axioms.setdefault(typed_key(src), []).append(dst)
 
-    def extend(dst: TrackedScheme, cell: Cell, provenance: str, head: dict) -> None:
-        """Add the fact, new as its caller checked, that one more step,
-        ``head``, carries from the fact popped last to ``dst`` in ``cell``."""
+    def extend(dst: TrackedScheme, provenance: str, head: dict) -> None:
+        """Mark the fact that one more step, ``head``, carries from the fact
+        popped last to ``dst``."""
         step = {**head, "from": source, "to": state_label(dst)}
-        mark(Fact(dst, fact.predicate, provenance, fact.path + (step,)), cell)
+        mark(Fact(dst, fact.predicate, provenance, fact.path + (step,)))
 
     def landings(after: CurveType, fk: str) -> list[CurveType]:
         """The universe types of ``fk`` a successor of type ``after`` lands on, not marked yet."""
@@ -509,13 +504,11 @@ def propagate(
         ) if allowed else ()
         for m in found:
             after = m.successor
-            cell = (side, after.scheme.oval_count, chi + m.delta_chi_tracked)
             for ct in landings(after.scheme.curve_type, forest_key(after.scheme)):
                 target = TrackedScheme(after.scheme.with_type(ct), degree, side)
-                extend(target, cell, "propagated", {"edge": "move", **m.record()})
+                extend(target, "propagated", {"edge": "move", **m.record()})
         for dst in axioms.get(typed_key(state), ()):  # trusted non-move edges
-            if (fact.predicate.value, *typed_key(dst)) not in table.facts:
-                extend(dst, cell_of(dst), "axiom-edge", {"edge": "axiom"})
+            extend(dst, "axiom-edge", {"edge": "axiom"})
     return table
 
 

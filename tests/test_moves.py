@@ -2,6 +2,7 @@ import json
 import random
 import time
 import tracemalloc
+from typing import get_args
 from conjquot._values import replace
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from conjquot.domains import Side, TrackedScheme, euler_W, iter_ovals
 from conjquot.moves import (
     DECREASING,
+    FUSIONS,
+    KINDS,
     SPLITS,
     AddEmpty,
     Classification,
@@ -19,6 +22,7 @@ from conjquot.moves import (
     FuseSiblings,
     MoveError,
     MoveRecord,
+    Rewrite,
     SplitNest,
     SplitSibling,
     _edit,
@@ -31,6 +35,7 @@ from conjquot.moves import (
     ledger_effect,
     make_move,
     rewrite_from_record,
+    rewrite_record,
     _successor_key,
     trace_records,
 )
@@ -106,6 +111,31 @@ def test_type_rules():
     assert apply(t, fuse).scheme.curve_type is CurveType.TWO
     delete = next(m for m in enumerate_moves(t) if isinstance(m.rewrite, DeleteEmpty))
     assert apply(t, delete).scheme.curve_type is CurveType.UNKNOWN
+
+
+def test_the_kind_table_has_one_row_per_rewrite_kind():
+    # The record codec, the class, the fusion flag and the class steps all
+    # read this table: a kind must have one row, a distinct record name, and
+    # the classes and oval-count change its moves show.
+    kinds = get_args(Rewrite)
+    assert len(KINDS) == len(kinds) and set(KINDS) == set(kinds)
+    names = [row[0] for row in KINDS.values()]
+    assert len(set(names)) == len(names)
+    band = [k for k, row in KINDS.items() if row[2:4] == (Classification.M1, Classification.M1_INV)]
+    assert set(FUSIONS) == {k for k in band if KINDS[k][4] == -1}
+    assert set(SPLITS) == {k for k in band if KINDS[k][4] == 1}
+    assert set(FUSIONS) | set(SPLITS) == set(band)
+    shown = set()
+    for roots in iter_forests(5):
+        for outer in (False, True):
+            t = TrackedScheme(RealScheme(roots), 6, outer)
+            for m in enumerate_moves(t):
+                kind = type(m.rewrite)
+                name, *_, dn = KINDS[kind]
+                assert rewrite_record(m.rewrite)["kind"] == name
+                assert m.successor.scheme.oval_count - t.scheme.oval_count == dn
+                shown.add((kind, m.classification))
+    assert shown == {(k, c) for k, row in KINDS.items() for c in row[2:4]}
 
 
 def test_every_move_changes_chi_by_one():

@@ -297,6 +297,32 @@ def test_sweep_closure_work_counts(monkeypatch, catalog):
     assert counts == {"enumerate": 100, "splice": 424, "build": 161}
 
 
+@pytest.mark.parametrize("rel, facts, work", [
+    (SUCC, 126, {"enumerate": 100, "keep": 315, "splice": 424, "build": 161}),
+    (RHD, 130, {"enumerate": 97, "keep": 352, "splice": 461, "build": 187}),
+], ids=["succ", "rhd"])
+def test_closure_work_counts_on_the_packaged_declaration(monkeypatch, catalog, rel, facts, work):
+    # The closure's work under each relation, with the candidates it offers
+    # to ``keep``: the key splices less those the dedupe drops.
+    counts = dict.fromkeys(work, 0)
+
+    def counted(name, fn):
+        def call(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return call
+
+    def enumerate_counting_keep(t, allowed, **kw):
+        return enumerate_moves(t, allowed, **{**kw, "keep": counted("keep", kw["keep"])})
+
+    monkeypatch.setattr(propagation, "enumerate_moves", counted("enumerate", enumerate_counting_keep))
+    monkeypatch.setattr(moves, "_successor_key", counted("splice", moves._successor_key))
+    monkeypatch.setattr(moves, "make_move", counted("build", make_move))
+    table = propagate(SWEEP_DECLARED.seeds, SWEEP_DECLARED.axiom_edges, rel, catalog)
+    assert len(table) == facts
+    assert counts == work
+
+
 def _declaration_subsets():
     """The sweep's declaration whole, each of its seeds alone, each axiom
     edge alone with a seed at its source, and each item left out, as
