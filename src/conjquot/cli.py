@@ -158,7 +158,7 @@ def cmd_search_derive(args) -> tuple[list[dict], int]:
 
 def cmd_facts_propagate(args) -> tuple[list[dict], int]:
     catalog = _load_catalog(args.catalog)
-    _, degree = propagation._universe_index(catalog)  # the catalog's one degree
+    degree = propagation._universe(frozenset(catalog))[0]  # the catalog's one degree
     rel = propagation.RELATIONS[args.relation]
     with open(args.seeds, encoding="utf-8") as fh:
         declared = propagation.Declared.from_records(fh, degree)

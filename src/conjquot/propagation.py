@@ -359,12 +359,13 @@ def fact_key(fact: Fact) -> FactKey:
 class FactTable:
     facts: dict[FactKey, Fact] = field(default_factory=dict)
 
-    def add(self, fact: Fact) -> bool:
+    def add(self, fact: Fact) -> FactKey | None:
+        """Add a fact new to the table and return its key; None if it is there."""
         key = fact_key(fact)
         if key in self.facts:
-            return False
+            return None
         self.facts[key] = fact
-        return True
+        return key
 
     def marked(
         self,
@@ -383,19 +384,29 @@ class FactTable:
         return [f.record() for _, f in sorted(self.facts.items())]
 
 
-def _universe_index(
-    universe: Sequence[SchemeCatalogEntry],
-) -> tuple[dict[str, tuple[CurveType, ...]], int]:
-    """Each forest key of the universe with its types in value order, once
-    each, and the universe's one degree."""
-    degrees = {e.degree for e in universe}
+@cache
+def _universe(entries: frozenset[SchemeCatalogEntry]) -> tuple[int, dict, Counter, Counter]:
+    """The universe of realizable typed states a catalog's entries give,
+    built once per distinct catalog: its one degree; each typed state's
+    cell by its :func:`typed_key`; per cell and "of type 2 only", how many
+    states it holds; per cell, its deepest forest."""
+    degrees = {e.degree for e in entries}
     if len(degrees) != 1:
         raise ValueError("the universe must have a single degree")
-    types: dict[str, set[CurveType]] = {}
-    for e in universe:
-        types.setdefault(forest_key(e.scheme), set()).add(e.curve_type)
-    index = {fk: tuple(sorted(ts, key=lambda c: c.value)) for fk, ts in types.items()}
-    return index, degrees.pop()
+    degree = degrees.pop()
+    forests: dict[str, tuple[RealScheme, set[str]]] = {}  # each forest with its types
+    for e in entries:
+        forests.setdefault(forest_key(e.scheme), (e.scheme, set()))[1].add(e.curve_type.value)
+    cells: dict[tuple[str, str, bool], Cell] = {}
+    deepest: Counter = Counter()
+    for fk, (scheme, types) in forests.items():
+        for outer in (False, True):
+            cell = (outer, scheme.oval_count, euler_W(TrackedScheme(scheme, degree, outer)))
+            cells.update(((fk, ct, outer), cell) for ct in types)
+            deepest[cell] = max(deepest[cell], scheme.depth)
+    states = Counter((*cell, False) for cell in cells.values())
+    states.update((*cell, True) for (_, ct, _), cell in cells.items() if ct == CurveType.TWO.value)
+    return degree, cells, states, deepest
 
 
 def propagate(
@@ -405,7 +416,8 @@ def propagate(
     universe: Sequence[SchemeCatalogEntry],
 ) -> FactTable:
     """Close the seed facts under wall edges and axiom edges inside the
-    universe of realizable typed states.
+    universe of realizable typed states, built once per catalog: a second
+    closure over the same entries, in any order, reuses their cells.
 
     Monotone and idempotent: rerunning on its own output adds nothing.
 
@@ -421,26 +433,13 @@ def propagate(
     its kind and successor key, refused alike: the listed moves, their
     order and the facts are those of the uncut closure.
     """
-    index, degree = _universe_index(universe)
+    degree, cells, states, deepest = _universe(frozenset(universe))
 
-    def outside(t: TrackedScheme) -> bool:
-        return t.degree != degree or t.scheme.curve_type not in index.get(forest_key(t.scheme), ())
+    def check(t: TrackedScheme, what: str) -> None:
+        if t.degree != degree or typed_key(t) not in cells:
+            raise ValueError(f"{what}{state_label(t)} is not in the degree-{degree} universe")
 
-    # Each universe forest's cell by side; per cell and "of type 2 only",
-    # the universe's states (and per predicate those marked); per cell, the
-    # deepest forest.
-    cells: dict[tuple[str, bool], Cell] = {}
-    states: Counter = Counter()
-    marked: Counter = Counter()
-    deepest: Counter = Counter()
-    for fk, scheme in {forest_key(e.scheme): e.scheme for e in universe}.items():
-        n, depth = scheme.oval_count, scheme.depth
-        for outer in (False, True):
-            cell = (outer, n, euler_W(TrackedScheme(scheme, degree, outer)))
-            cells[fk, outer] = cell
-            states[(*cell, False)] += len(index[fk])
-            states[(*cell, True)] += CurveType.TWO in index[fk]
-            deepest[cell] = max(deepest[cell], depth)
+    marked: Counter = Counter()  # by predicate and cell, as ``states`` counts the universe
     growing = [(dn, dchi) for c, dn, dchi, _ in _CLASS_STEPS if dn > 0 and c in rel.allowed]
 
     table = FactTable()
@@ -449,27 +448,20 @@ def propagate(
     def mark(fact: Fact) -> None:
         """Add a fact of the universe, if new, to the table, counted in its
         state's cell, and to the queue with that cell."""
-        key = fact_key(fact)
-        if key not in table.facts:
-            table.facts[key] = fact
-            pred, fk, ct, side = key
-            cell = cells[fk, side]
-            marked[(pred, *cell, False)] += 1
-            marked[(pred, *cell, True)] += ct == CurveType.TWO.value
+        key = table.add(fact)  # (predicate, *typed key), or None if known
+        if key:
+            cell = cells[key[1:]]
+            marked[(key[0], *cell, False)] += 1
+            marked[(key[0], *cell, True)] += key[2] == CurveType.TWO.value
             work.append((fact, cell))
 
     for fact in seeds:
-        if outside(fact.state):
-            raise ValueError(f"seed {state_label(fact.state)} is not in the degree-{degree} universe")
+        check(fact.state, "seed ")
         mark(fact)
     axioms: dict[tuple[str, str, bool], list[TrackedScheme]] = {}
     for src, dst in axiom_edges:
         for end in (src, dst):
-            if outside(end):
-                raise ValueError(
-                    f"axiom edge {state_label(src)} -> {state_label(dst)}: "
-                    f"{state_label(end)} is not in the degree-{degree} universe"
-                )
+            check(end, f"axiom edge {state_label(src)} -> {state_label(dst)}: ")
         axioms.setdefault(typed_key(src), []).append(dst)
 
     def extend(dst: TrackedScheme, provenance: str, head: dict) -> None:
@@ -480,9 +472,9 @@ def propagate(
 
     def landings(after: CurveType, fk: str) -> list[CurveType]:
         """The universe types of ``fk`` a successor of type ``after`` lands on, not marked yet."""
-        pred, side = fact.predicate.value, fact.state.outer_tracked
-        return [ct for ct in index.get(fk, ())
-                if _lands_on(after, ct) and (pred, fk, ct.value, side) not in table.facts]
+        pred = fact.predicate.value
+        return [ct for ct in (CurveType.ONE, CurveType.TWO) if _lands_on(after, ct)
+                and (fk, ct.value, side) in cells and (pred, fk, ct.value, side) not in table.facts]
 
     def keep(rw: Rewrite, fk: str) -> bool:
         return bool(landings(type_after(rw), fk))
@@ -677,9 +669,9 @@ def sextic_sweep(catalog: Sequence[SchemeCatalogEntry]) -> SweepReport:
     """
     if {e.degree for e in catalog} != {SWEEP_DEGREE}:
         raise ValueError(f"the sextic sweep needs a catalog of degree-{SWEEP_DEGREE} rows only")
-    index, _ = _universe_index(catalog)
+    cells = _universe(frozenset(catalog))[1]
     for want in _sweep_named_rows():  # the exceptions too, though never marked
-        if want.curve_type not in index.get(forest_key(want), ()):
+        if (forest_key(want), want.curve_type.value, False) not in cells:
             raise ValueError(f"catalog is missing the required entry {format_viro(want)}")
     declared = _sweep_declared()
     table = propagate(declared.seeds, declared.axiom_edges, SUCC, catalog)

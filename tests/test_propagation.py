@@ -343,6 +343,41 @@ def test_closure_matches_the_uncut_reference(catalog, rel):
         assert got == propagate_uncut(seeds, edges, rel, catalog).records()
 
 
+def test_the_universe_is_built_once_per_catalog(monkeypatch, catalog):
+    # Each of the catalog's 55 distinct forests gets its cell on both sides
+    # once, not once per row (130); a second closure over the same rows, in
+    # any order, computes no cell.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return euler_W(*args)
+
+    monkeypatch.setattr(propagation, "euler_W", counted)
+    propagation._universe.cache_clear()
+    propagate([], [], SUCC, catalog)
+    assert len(calls) == 110
+    calls.clear()
+    propagate([], [], SUCC, catalog[::-1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("rel", [SUCC, RHD], ids=["succ", "rhd"])
+def test_closures_over_two_catalogs_read_their_own_universe(catalog, rel):
+    # The universe is cached by the catalog's rows, not by its degree: in
+    # one process, closures over the packaged catalog and over its rows of
+    # at most 3 ovals, in both orders, each match the uncut closure over
+    # their own catalog (42 and 8 facts under SUCC, 130 and 14 under RHD).
+    small = [e for e in catalog if e.scheme.oval_count <= 3]
+    seeds = [Fact(tracked("<3>_2", outer), Predicate.ARNOLD_STANDARD, "lcurve-seed")
+             for outer in (False, True)]
+    for order in ((catalog, small), (small, catalog)):
+        for universe in order:
+            got = propagate(seeds, [], rel, universe).records()
+            assert got == propagate_uncut(seeds, [], rel, universe).records()
+    assert len(propagate(seeds, [], rel, small)) < len(propagate(seeds, [], rel, catalog))
+
+
 def test_propagate_empty_seeds():
     table = propagate([], [], SUCC, small_catalog())
     assert len(table) == 0

@@ -56,20 +56,33 @@ def sample_id(x) -> str:
     return type(x).__qualname__
 
 
-SAMPLES = build_samples()
-SAMPLE = {sample_id(x): x for x in SAMPLES}
+# Parametrized by class name, with the samples built in a fixture, so that a
+# fault in the code that builds them fails each test rather than collection.
+NAMES = sorted(c.__qualname__ for c in BUILT)
+FROZEN = sorted(c.__qualname__ for c in BUILT if c not in MUTABLE)
+
+
+@pytest.fixture(scope="module")
+def samples() -> list:
+    return build_samples()
+
+
+@pytest.fixture(scope="module")
+def sample(samples) -> dict:
+    return {sample_id(x): x for x in samples}
 
 
 def hashed_fields(x) -> tuple:
     return tuple(getattr(x, f.name) for f in fields(x) if (f.compare if f.hash is None else f.hash))
 
 
-def test_every_value_class_has_one_sample():
-    assert sorted(map(sample_id, SAMPLES)) == sorted(c.__qualname__ for c in BUILT)
+def test_every_value_class_has_one_sample(samples):
+    assert sorted(map(sample_id, samples)) == sorted(c.__qualname__ for c in BUILT)
 
 
-@pytest.mark.parametrize("x", SAMPLES, ids=sample_id)
-def test_hash_is_the_hash_of_the_hashed_fields(x):
+@pytest.mark.parametrize("name", NAMES)
+def test_hash_is_the_hash_of_the_hashed_fields(sample, name):
+    x = sample[name]
     if type(x) in MUTABLE:
         assert type(x).__hash__ is None
         with pytest.raises(TypeError):
@@ -84,39 +97,41 @@ def test_hash_is_the_hash_of_the_hashed_fields(x):
         assert hash(x) == want
 
 
-def test_hash_pins_without_field_flags():
+def test_hash_pins_without_field_flags(sample):
     assert hash(Oval()) == hash(((),))
     assert hash(moves.AddEmpty((0,))) == hash(((0,),))
-    move = SAMPLE["MoveRecord"]
+    move = sample["MoveRecord"]
     assert hash(move) == hash((move.rewrite, move.classification, move.delta_chi_tracked))
-    spec = SAMPLE["BaseCurveSpec"]  # basepoints are compared, but left out of the hash
+    spec = sample["BaseCurveSpec"]  # basepoints are compared, but left out of the hash
     assert hash(spec) == hash((spec.scheme, spec.degree))
 
 
-@pytest.mark.parametrize("x", SAMPLES, ids=sample_id)
-def test_equality_is_by_class_and_compared_fields(x):
+@pytest.mark.parametrize("name", NAMES)
+def test_equality_is_by_class_and_compared_fields(sample, name):
+    x = sample[name]
     twin = copy.copy(x)
     assert twin is not x and twin == x and not twin != x
     compared = tuple(getattr(x, f.name) for f in fields(x) if f.compare)
     assert x != compared and x != object()
 
 
-def test_values_of_two_classes_with_the_same_fields_differ():
+def test_values_of_two_classes_with_the_same_fields_differ(sample):
     assert moves.AddEmpty(region=(0,)) != moves.DeleteEmpty(oval=(0,))
     assert moves.AddEmpty(region=(0,)) == moves.AddEmpty(region=(0,))
-    move = SAMPLE["MoveRecord"]
+    move = sample["MoveRecord"]
     assert replace(move, successor=None) == move  # successor is not compared
     assert replace(move, delta_chi_tracked=move.delta_chi_tracked + 2) != move
 
 
-@pytest.mark.parametrize("x", SAMPLES, ids=sample_id)
-def test_repr_shows_the_repr_fields(x):
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_shows_the_repr_fields(sample, name):
+    x = sample[name]
     shown = ", ".join(f"{f.name}={getattr(x, f.name)!r}" for f in fields(x) if f.repr)
     assert repr(x) == f"{type(x).__qualname__}({shown})"
 
 
-def test_repr_hides_a_move_successor():
-    state = SAMPLE["TrackedScheme"]
+def test_repr_hides_a_move_successor(sample):
+    state = sample["TrackedScheme"]
     move = moves.MoveRecord(moves.AddEmpty(None), moves.Classification.M0, 1, state)
     assert repr(move) == (
         "MoveRecord(rewrite=AddEmpty(region=None), "
@@ -124,8 +139,9 @@ def test_repr_hides_a_move_successor():
     )
 
 
-@pytest.mark.parametrize("x", [x for x in SAMPLES if type(x) not in MUTABLE], ids=sample_id)
-def test_frozen_values_refuse_assignment_and_deletion(x):
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_values_refuse_assignment_and_deletion(sample, name):
+    x = sample[name]
     name = fields(x)[0].name
     value = getattr(x, name)
     assert issubclass(FrozenInstanceError, AttributeError)
