@@ -1,10 +1,9 @@
-"""Value classes without ``dataclasses``, which compiles six methods per
-frozen class and imports ``inspect``.  Each class here compiles only its
-``__init__``; the other methods are shared, read the class's field
-tuples, and give the equality, hashes and reprs ``dataclasses`` gives.
-Unsupported: inheritance, ``InitVar``, keyword-only fields, ``__match_args__``."""
+"""Value classes without ``dataclasses`` (six methods per frozen class, and
+``inspect``).  One ``exec`` per class compiles its ``__init__``, ``__eq__``,
+``__repr__`` and, if frozen, ``__hash__``; the frozen ``__setattr__`` and
+``__delattr__`` and the slotted ``__setstate__`` are shared: they read nothing
+per class.  Unsupported: inheritance, ``InitVar``, keyword-only fields, ``__match_args__``."""
 
-from operator import attrgetter
 from types import SimpleNamespace
 
 _MISSING, _FACTORY = object(), object()  # no default; the field's factory makes it
@@ -32,26 +31,6 @@ def replace(value, /, **changes):
     return value.__class__(**kept | changes)
 
 
-def _eq(self, other):
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    compared = self.__value_compared__
-    return compared(self) == compared(other)
-
-
-def _hash(self):
-    return hash(self.__value_hashed__(self))
-
-
-def _hash_one(self):  # attrgetter of one name returns the value, not a tuple
-    return hash((self.__value_hashed__(self),))
-
-
-def _repr(self):
-    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__value_shown__)
-    return f"{self.__class__.__qualname__}({shown})"
-
-
 def _frozen(self, name, *value):
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
@@ -61,9 +40,9 @@ def _setstate(self, state):  # (None, slot values), set past the frozen __setatt
         object.__setattr__(self, name, value)
 
 
-def _init(cls, fs: tuple[SimpleNamespace, ...]):
-    # The one compiled function.  An init=False field is made by its
-    # factory or set by __post_init__.
+def _compile(cls, fs: tuple[SimpleNamespace, ...], frozen: bool) -> None:
+    # The class's one exec.  An init=False field is made by its factory or
+    # set by __post_init__.
     env, params, lines = {"_set": object.__setattr__, "_FACTORY": _FACTORY}, [], []
     for f in fs:
         name, default = f.name, f"_dflt_{f.name}"
@@ -76,11 +55,25 @@ def _init(cls, fs: tuple[SimpleNamespace, ...]):
             params.append(name if f.default is _MISSING else f"{name}={default}")
         else:
             continue
-        lines.append(f"_set(self, {name!r}, {value})")  # past a frozen __setattr__
-    lines += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
-    exec(f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(lines), env)
-    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    return env["__init__"]
+        lines.append(f" _set(self, {name!r}, {value})")  # past a frozen __setattr__
+    lines += [" self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    compared = "".join(f"{{0}}.{f.name}," for f in fs if f.compare)
+    hashed = "".join(f"self.{f.name}," for f in fs if (f.compare if f.hash is None else f.hash))
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fs if f.repr)
+    exec("\n".join([
+        f"def __init__(self, {', '.join(params)}):", *lines,
+        "def __eq__(self, other):",
+        " if other.__class__ is self.__class__:",
+        f"  return ({compared.format('self')}) == ({compared.format('other')})",
+        " return NotImplemented",
+        "def __repr__(self):",
+        ' return f"{self.__class__.__qualname__}(' + shown + ')"',
+        f"def __hash__(self): return hash(({hashed}))" if frozen else "__hash__ = None",
+    ]), env)
+    for name in ("__init__", "__eq__", "__repr__", "__hash__"):
+        setattr(cls, name, env[name])
+        if env[name]:  # a mutable class's __hash__ is None
+            env[name].__qualname__ = f"{cls.__qualname__}.{name}"
 
 
 def dataclass(cls=None, /, *, frozen: bool = False, slots: bool = False):
@@ -98,22 +91,13 @@ def dataclass(cls=None, /, *, frozen: bool = False, slots: bool = False):
             setattr(cls, name, fs[-1].default)
         elif name in cls.__dict__:
             delattr(cls, name)
-    fs = tuple(fs)
-    compared = [f.name for f in fs if f.compare]
-    if len(compared) == 1:  # a getter of one name returns no tuple: add one the sides share
-        compared.append("__class__")
-    hashed = [f.name for f in fs if (f.compare if f.hash is None else f.hash)]
-    cls.__value_fields__, cls.__value_shown__ = fs, tuple(f.name for f in fs if f.repr)
-    cls.__value_compared__, cls.__value_hashed__ = attrgetter(*compared), attrgetter(*hashed)
-    cls.__init__, cls.__repr__, cls.__eq__ = _init(cls, fs), _repr, _eq
-    cls.__hash__ = (_hash if len(hashed) > 1 else _hash_one) if frozen else None
+    cls.__value_fields__ = fs = tuple(fs)
+    _compile(cls, fs, frozen)
     if frozen:
         cls.__setattr__ = cls.__delattr__ = _frozen
     if not slots:
         return cls
     names = tuple(f.name for f in fs)
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__", *names)}
-    body.update(__slots__=names, __setstate__=_setstate)  # copy and pickle restore through it
-    remade = type(cls)(cls.__name__, cls.__bases__, body)
-    remade.__qualname__ = cls.__qualname__
-    return remade
+    body.update(__slots__=names, __setstate__=_setstate, __qualname__=cls.__qualname__)
+    return type(cls)(cls.__name__, cls.__bases__, body)  # copy and pickle restore through _setstate

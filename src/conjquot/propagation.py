@@ -57,7 +57,6 @@ import math
 from collections import Counter, deque
 from enum import Enum
 from functools import cache
-from importlib import resources
 from typing import Callable, Iterable, Sequence
 
 from . import fourman
@@ -629,6 +628,7 @@ EXPECTED_MINUS_EXCEPTIONS = ("<1 u 1<9>>_1", "<1 u 1<8>>_2", "<1<9>>_2", "<1<8>>
 @cache
 def _sweep_declared() -> Declared:
     """The sweep's declaration, read from its packaged seed file on first use."""
+    from importlib import resources
     text = resources.files("conjquot.data").joinpath("sextic-seeds.jsonl").read_text("utf-8")
     return Declared.from_records(text.splitlines(), SWEEP_DEGREE)
 

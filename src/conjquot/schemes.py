@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import cache
-from importlib import resources
 from typing import Iterable, Iterator
 
 from ._values import dataclass, field
@@ -378,6 +377,7 @@ def load_catalog(lines: Iterable[str]) -> tuple[SchemeCatalogEntry, ...]:
 
 def default_catalog() -> tuple[SchemeCatalogEntry, ...]:
     """The packaged catalog of nonempty sextic schemes with types."""
+    from importlib import resources
     text = resources.files("conjquot.data").joinpath("sextics.tsv").read_text("utf-8")
     return load_catalog(text.splitlines())
 

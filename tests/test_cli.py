@@ -820,8 +820,8 @@ def test_symbolic_start_loads_neither_numpy_nor_scipy():
 
 
 def test_symbolic_start_loads_no_dataclasses_json_or_constructions():
-    # Value classes compile only their __init__, a table prints without
-    # json, and the constructions load with the first construct command.
+    # Value classes compile their methods without dataclasses, a table prints
+    # without json, and the constructions load with the first construct command.
     code = (
         "import sys, conjquot.cli\n"
         "assert conjquot.cli.main(['scheme', 'parse', '<1 u 1<9>>_1']) == 0\n"
@@ -830,6 +830,18 @@ def test_symbolic_start_loads_no_dataclasses_json_or_constructions():
         "assert not loaded, f'symbolic start loaded {loaded}'\n"
     )
     done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_no_importlib_resources():
+    # The packaged data files are read through importlib.resources on first
+    # use.  No site: a .pth file in site-packages may load it in any process.
+    code = (
+        "import sys, conjquot.cli\n"
+        "assert 'importlib.resources' not in sys.modules\n"
+        "assert len(conjquot.schemes.default_catalog()) == 65\n"
+    )
+    done = fresh_python("-S", "-c", code)
     assert done.returncode == 0, done.stderr
 
 

@@ -113,6 +113,13 @@ def test_equality_is_by_class_and_compared_fields(sample, name):
     assert twin is not x and twin == x and not twin != x
     compared = tuple(getattr(x, f.name) for f in fields(x) if f.compare)
     assert x != compared and x != object()
+    for f in fields(x):  # a copy with one field changed to a value equal to nothing else
+        twin = copy.copy(x)
+        object.__setattr__(twin, f.name, object())
+        assert (twin == x, twin != x) == (not f.compare, f.compare), f.name
+    cls = type(x)  # each method compiled for the class, as dataclasses names it
+    for method in ("__init__", "__eq__", "__repr__", "__hash__")[:3 if cls in MUTABLE else 4]:
+        assert vars(cls)[method].__qualname__ == f"{cls.__qualname__}.{method}"
 
 
 def test_values_of_two_classes_with_the_same_fields_differ(sample):
