@@ -55,7 +55,6 @@ from .propagation import (
     Declared,
     Fact,
     FactTable,
-    Predicate,
     RHD,
     RelationSpec,
     SUCC,

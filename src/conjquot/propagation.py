@@ -31,7 +31,8 @@ Two graph semantics are exposed:
   fanning out to every realizable type of the target scheme.  Births and
   deaths of empty ovals do not constrain the type and fan out likewise.
   This asymmetry is what keeps facts at a type-1 state from leaking to
-  the type-2 state of the same forest.
+  the type-2 state of the same forest.  A fact carries one label, printed
+  as ArnoldStandard under either relation.
 
 Both enumerate only the relation's move families that can still matter,
 through one family cut over :data:`_CLASS_STEPS`, read off the kind
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from enum import Enum
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
@@ -84,11 +84,6 @@ from .schemes import (
     harnack_bound,
     parse_viro,
 )
-
-
-class Predicate(Enum):
-    ARNOLD_STANDARD = "ArnoldStandard"
-    SW_VANISH = "SWVanish"
 
 
 @dataclass(frozen=True)
@@ -197,13 +192,14 @@ class Certificate:
 
     def replay(self, rel: RelationSpec = SUCC) -> bool:
         state = self.states[0]
-        if state_key(state) != state_key(self.source) or len(self.states) != len(self.moves) + 1:
+        start = (state_key(state), state.degree) == (state_key(self.source), self.source.degree)
+        if not start or len(self.states) != len(self.moves) + 1:
             return False
         for m, expected in zip(self.moves, self.states[1:]):
             state = _step(state, m, expected, rel)
             if state is None:
                 return False
-        return state_key(state) == state_key(self.target)
+        return (state_key(state), state.degree) == (state_key(self.target), self.target.degree)
 
     def records(self) -> list[dict]:
         return [
@@ -324,14 +320,15 @@ def relation_search(
 
 # ------------------------------------------------------------------- facts
 
+PREDICATE = "ArnoldStandard"  # the one property a fact carries, under either relation
+
 
 @dataclass(frozen=True)
 class Fact:
-    """A predicate attached to one realizable typed state, with the chain
-    of walls (or axiom edges) that established it."""
+    """Standardness of the Arnold surface at one realizable typed state,
+    with the chain of walls (or axiom edges) that established it."""
 
     state: TrackedScheme
-    predicate: Predicate
     provenance: str  # "lcurve-seed" | "pencil-perturbation-seed" | "axiom-edge" | "propagated"
     path: tuple[dict, ...] = ()
 
@@ -339,42 +336,30 @@ class Fact:
         return {
             "scheme": format_viro(self.state.scheme),
             "side": self.state.tracked_label,
-            "predicate": self.predicate.value,
+            "predicate": PREDICATE,
             "provenance": self.provenance,
             "path": list(self.path),
         }
 
 
-FactKey = tuple[str, str, str, bool]
 # A cell of states: tracked side, oval count and tracked Euler characteristic.
 Cell = tuple[bool, int, int]
 
 
-def fact_key(fact: Fact) -> FactKey:
-    return (fact.predicate.value, *typed_key(fact.state))
-
-
 @dataclass
 class FactTable:
-    facts: dict[FactKey, Fact] = field(default_factory=dict)
+    facts: dict[tuple[str, str, bool], Fact] = field(default_factory=dict)
 
-    def add(self, fact: Fact) -> FactKey | None:
-        """Add a fact new to the table and return its key; None if it is there."""
-        key = fact_key(fact)
+    def add(self, fact: Fact) -> tuple[str, str, bool] | None:
+        """Add a fact new to the table and return its typed key; None if it is there."""
+        key = typed_key(fact.state)
         if key in self.facts:
             return None
         self.facts[key] = fact
         return key
 
-    def marked(
-        self,
-        scheme: RealScheme,
-        outer_tracked: bool,
-        predicate: Predicate = Predicate.ARNOLD_STANDARD,
-    ) -> Fact | None:
-        return self.facts.get(
-            (predicate.value, forest_key(scheme), scheme.curve_type.value, outer_tracked)
-        )
+    def marked(self, scheme: RealScheme, outer_tracked: bool) -> Fact | None:
+        return self.facts.get((forest_key(scheme), scheme.curve_type.value, outer_tracked))
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -423,35 +408,35 @@ def propagate(
     A move is enumerated only if it can still mark a state.  Its class
     fixes the cell, (side, oval count, tracked chi), its successor lands
     in (:data:`_CLASS_STEPS`, read off :data:`moves.KINDS`), so a family is
-    generated only if its cell holds a universe state the fact's predicate
-    has not marked, of type 2 after a fusion; and births and nest splits,
-    the only moves that nest deeper, only up to the deepest universe
-    forest in the cells the relation's growing families reach.  Each
+    generated only if its cell holds a universe state not marked yet, of
+    type 2 after a fusion; and births and nest splits, the only moves that
+    nest deeper, only up to the deepest universe forest in the cells the
+    relation's growing families reach.  Each
     candidate cut lands outside the universe or on marked states, so
     ``keep`` would refuse it, and it could only have deduped candidates of
     its kind and successor key, refused alike: the listed moves, their
     order and the facts are those of the uncut closure.
     """
     degree, cells, states, deepest = _universe(frozenset(universe))
+    unmarked = states.copy()  # by cell and "of type 2 only", as ``states`` counts the universe
 
     def check(t: TrackedScheme, what: str) -> None:
         if t.degree != degree or typed_key(t) not in cells:
             raise ValueError(f"{what}{state_label(t)} is not in the degree-{degree} universe")
 
-    marked: Counter = Counter()  # by predicate and cell, as ``states`` counts the universe
     growing = [(dn, dchi) for c, dn, dchi, _ in _CLASS_STEPS if dn > 0 and c in rel.allowed]
 
     table = FactTable()
     work: deque[tuple[Fact, Cell]] = deque()
 
     def mark(fact: Fact) -> None:
-        """Add a fact of the universe, if new, to the table, counted in its
-        state's cell, and to the queue with that cell."""
-        key = table.add(fact)  # (predicate, *typed key), or None if known
+        """Add a fact of the universe, if new, to the table, off its cell's
+        count of unmarked states, and to the queue with that cell."""
+        key = table.add(fact)  # the typed key, or None if known
         if key:
-            cell = cells[key[1:]]
-            marked[(key[0], *cell, False)] += 1
-            marked[(key[0], *cell, True)] += key[2] == CurveType.TWO.value
+            cell = cells[key]
+            unmarked[(*cell, False)] -= 1
+            unmarked[(*cell, True)] -= key[1] == CurveType.TWO.value
             work.append((fact, cell))
 
     for fact in seeds:
@@ -467,22 +452,20 @@ def propagate(
         """Mark the fact that one more step, ``head``, carries from the fact
         popped last to ``dst``."""
         step = {**head, "from": source, "to": state_label(dst)}
-        mark(Fact(dst, fact.predicate, provenance, fact.path + (step,)))
+        mark(Fact(dst, provenance, fact.path + (step,)))
 
     def landings(after: CurveType, fk: str) -> list[CurveType]:
         """The universe types of ``fk`` a successor of type ``after`` lands on, not marked yet."""
-        pred = fact.predicate.value
         return [ct for ct in (CurveType.ONE, CurveType.TWO) if _lands_on(after, ct)
-                and (fk, ct.value, side) in cells and (pred, fk, ct.value, side) not in table.facts]
+                and (key := (fk, ct.value, side)) in cells and key not in table.facts]
 
     def keep(rw: Rewrite, fk: str) -> bool:
         return bool(landings(type_after(rw), fk))
 
     def lands(n: int, chi: int, fusion: bool) -> bool:
         """Whether the cell of n ovals and tracked chi on the popped fact's
-        side holds a state, of type 2 after a fusion, it has not marked."""
-        cell = (side, n, chi, fusion)
-        return states[cell] > marked[(fact.predicate.value, *cell)]
+        side holds a state, of type 2 after a fusion, not marked yet."""
+        return unmarked[(side, n, chi, fusion)] > 0
 
     while work:
         fact, (side, n, chi) = work.popleft()
@@ -516,27 +499,27 @@ class Declared:
 
     seeds: tuple[Fact, ...]
     axiom_edges: tuple[tuple[TrackedScheme, TrackedScheme], ...] = ()
-    # The seeds' fact keys with provenance, the seed states by (predicate,
-    # label) and the edge targets by (typed key of the source, label).
+    # The seeds by typed key, degree and provenance, the seed states by
+    # label and the edge targets by (typed key of the source, label).
     _index: tuple = field(init=False, repr=False, compare=False)
-    # The state each prefix verified by replay_fact reaches, by (relation,
-    # predicate, degree), then (((start,), repr(step 0)), ...): the repr of
-    # a step of JSON values pins their content, types and order.
+    # The state each prefix verified by replay_fact reaches, by relation,
+    # then (((start,), repr(step 0)), ...): the repr of a step of JSON
+    # values pins their content, types and order.
     _reached: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", (
-            {(fact_key(f), f.provenance) for f in self.seeds},
-            {(f.predicate, state_label(f.state)): f.state for f in self.seeds},
+            {(typed_key(f.state), f.state.degree, f.provenance) for f in self.seeds},
+            {state_label(f.state): f.state for f in self.seeds},
             {(typed_key(a), state_label(b)): b for a, b in self.axiom_edges},
         ))
 
     @classmethod
     def from_records(cls, lines: Iterable[str], degree: int) -> Declared:
         """Decode a seed file: JSON lines ``{"scheme", "side"}`` with an
-        optional ``"predicate"`` (ArnoldStandard) and ``"provenance"``
-        (lcurve-seed), and axiom edges ``{"edge": "axiom", "from", "to"}``
-        between state labels.  A bad line raises ValueError naming it."""
+        optional ``"predicate"``, which must be ArnoldStandard, and
+        ``"provenance"`` (lcurve-seed), and axiom edges ``{"edge": "axiom",
+        "from", "to"}`` between state labels.  A bad line raises ValueError naming it."""
         import json  # only seed files need it, so importing the package skips it
         seeds, axioms = [], []
         for num, ln in enumerate(lines, 1):
@@ -556,9 +539,10 @@ class Declared:
                 provenance = rec.get("provenance", "lcurve-seed")
                 if not isinstance(provenance, str):
                     raise ValueError(f"provenance {provenance!r} is not a string")
-                predicate = Predicate(rec.get("predicate", Predicate.ARNOLD_STANDARD.value))
+                if rec.get("predicate", PREDICATE) != PREDICATE:
+                    raise ValueError(f"predicate must be {PREDICATE!r}, got {rec['predicate']!r}")
                 state = TrackedScheme(parse_viro(rec["scheme"]), degree, rec["side"] == "-")
-                seeds.append(Fact(state, predicate, provenance))
+                seeds.append(Fact(state, provenance))
             except ValueError as err:
                 raise ValueError(f"seed line {num}: {err}") from None
         return cls(tuple(seeds), tuple(axioms))
@@ -567,14 +551,15 @@ class Declared:
 def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared | None = None) -> bool:
     """Re-run a fact's path with the one step check against ``declared``,
     by default the sweep's one cached declaration, so that every default
-    call resumes from the same memo.  The path must start at a seed of the
-    fact's predicate, on its stored forest; each step must start where the
-    last one ended and be a ``"move"`` or an ``"axiom"`` edge; a move must
-    pass :func:`_step`, and a split must start from a type-2 state; an
-    axiom step must be a declared edge from the state reached, and lands on
-    the edge's own target; and the path must end on the fact's typed state
-    (forest, dividing type and side).  A pathless fact must be a seed, with
-    its provenance.  A malformed or non-applying path gives False, never an
+    call resumes from the same memo.  The path must start at a declared
+    seed, on its stored forest; each step must start where the last one
+    ended and be a ``"move"`` or an ``"axiom"`` edge; a move must pass
+    :func:`_step` to its label read at the reached state's degree, and a
+    split must start from a type-2 state; an axiom step must be a declared
+    edge from the state reached, and lands on the edge's own target; and
+    the path must end on the fact's typed state (forest, dividing type and
+    side) and degree.  A pathless fact must be a seed, with its degree and
+    provenance.  A malformed or non-applying path gives False, never an
     error.
 
     Replay resumes after the longest prefix of the path that ``declared``
@@ -584,13 +569,12 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared | None 
     declared = declared or _sweep_declared()
     seed_keys, starts, targets = declared._index
     if not fact.path:
-        return (fact_key(fact), fact.provenance) in seed_keys
-    degree = fact.state.degree
+        return (typed_key(fact.state), fact.state.degree, fact.provenance) in seed_keys
     try:
-        memo = declared._reached.setdefault((rel, fact.predicate, degree), {})
+        memo = declared._reached.setdefault(rel, {})
         label = fact.path[0]["from"]
         key = (label,)
-        state = starts[(fact.predicate, label)]  # a KeyError if not a declared seed
+        state = starts[label]  # a KeyError if not a declared seed
         for step in fact.path:
             key = key, repr(step)
             reached = memo.get(key)
@@ -605,7 +589,7 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared | None 
                     m = MoveRecord.from_record(step)
                     if isinstance(m.rewrite, SPLITS) and not _splits_from(state):
                         return False
-                    expected = parse_state_label(step["to"], degree)
+                    expected = parse_state_label(step["to"], state.degree)
                 reached = _step(state, m, expected, rel)
                 if reached is None:
                     return False
@@ -614,7 +598,7 @@ def replay_fact(fact: Fact, rel: RelationSpec = SUCC, declared: Declared | None 
             label = step["to"]
     except (KeyError, TypeError, ValueError):
         return False
-    return typed_key(state) == typed_key(fact.state)
+    return typed_key(state) == typed_key(fact.state) and state.degree == fact.state.degree
 
 
 # ------------------------------------------------------------------- sweep

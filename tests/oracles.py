@@ -287,7 +287,7 @@ def propagate_uncut(seeds, axiom_edges, rel: RelationSpec, universe) -> FactTabl
         steps += [(dst, "axiom-edge", {"edge": "axiom"}) for dst in axioms.get(typed_key(state), ())]
         for dst, provenance, head in steps:
             step = {**head, "from": source, "to": state_label(dst)}
-            new = Fact(dst, fact.predicate, provenance, fact.path + (step,))
+            new = Fact(dst, provenance, fact.path + (step,))
             if table.add(new):
                 work.append(new)
     return table

@@ -296,6 +296,8 @@ def test_facts_propagate(tmp_path, capsys):
         {"edge": "axiom", "to": "<1<8>>_1-"},
         {"scheme": "<1>", "side": "+", "predicate": 5},
         {"scheme": "<1>", "side": "+", "provenance": 5},
+        # The closure carries standardness alone, under any predicate name.
+        {"scheme": "<10>_2", "side": "+", "predicate": "SWVanish"},
     ],
 )
 def test_facts_propagate_bad_seed_line_exit(tmp_path, capsys, line):
@@ -798,8 +800,8 @@ def test_every_export_resolves():
 SRC = str(Path(conjquot.__file__).parents[1])
 
 
-def fresh_python(*args):
-    env = {**os.environ, "PYTHONPATH": SRC}
+def fresh_python(*args, **env):
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
@@ -901,6 +903,20 @@ def test_package_import_reads_no_seed_file_and_parses_no_code():
     )
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
+
+
+def test_records_are_the_same_under_any_hash_seed():
+    # Sets and string-keyed dicts iterate in hash order; none of it may
+    # reach the sweep's records or a closure's.
+    seeds = str(Path(__file__).parent / "goldens" / "sweep-seeds.jsonl")
+    code = (
+        "from conjquot.cli import main\n"
+        "assert main(['sweep', 'sextics', '--format', 'records']) == 0\n"
+        f"assert main(['facts', 'propagate', {seeds!r}, '--relation', 'rhd', '--format', 'records']) == 0\n"
+    )
+    runs = [fresh_python("-c", code, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert [done.returncode for done in runs] == [0, 0], [done.stderr for done in runs]
+    assert runs[0].stdout == runs[1].stdout != ""
 
 
 def test_trace_error_exit_in_fresh_interpreter():

@@ -26,10 +26,8 @@ from conjquot.propagation import (
     SWEEP_DECLARED,
     Declared,
     Fact,
-    Predicate,
     RHD,
     SUCC,
-    fact_key,
     parse_state_label,
     propagate,
     relation_search,
@@ -86,6 +84,26 @@ def test_certificate_with_a_nonapplying_move_does_not_replay():
     bogus = MoveRecord(DeleteEmpty((7,)), Classification.M0_INV, -1)
     assert not replace(cert, moves=(bogus, *cert.moves[1:])).replay(SUCC)
     assert not replace(cert, moves=cert.moves[1:]).replay(SUCC)
+
+
+def test_certificate_replay_pins_the_degree():
+    # Every move keeps the degree, so states of another degree than the
+    # source's, or a target of another, are not what the moves reach.
+    cert = relation_search(tracked("<10>_2"), tracked("<1<1<1>>>"), SUCC)
+    assert cert is not None and len(cert.moves) == 9 and cert.replay(SUCC)
+
+    def octic(t):
+        return replace(t, degree=8)
+
+    corpus = {
+        "source and target at degree 8": replace(
+            cert, source=octic(cert.source), target=octic(cert.target)
+        ),
+        "states at degree 8": replace(cert, states=tuple(map(octic, cert.states))),
+        "target at degree 8": replace(cert, target=octic(cert.target)),
+    }
+    replays = {name: c.replay(SUCC) for name, c in corpus.items()}
+    assert replays == dict.fromkeys(corpus, False)
 
 
 def test_search_degree_mismatch():
@@ -222,7 +240,7 @@ def small_catalog():
 
 def test_propagate_marks_fusion_chain():
     catalog = small_catalog()
-    seeds = [Fact(tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "lcurve-seed")]
+    seeds = [Fact(tracked("<10>_2"), "lcurve-seed")]
     table = propagate(seeds, [], SUCC, catalog)
     marked = {state_label(f.state) for f in table.facts.values()}
     assert "<10>_2+" in marked and "<9>_2+" in marked and "<7>_2+" in marked
@@ -328,7 +346,7 @@ def _declaration_subsets():
     edge alone with a seed at its source, and each item left out, as
     (seeds, axiom edges)."""
     items = [*SWEEP_DECLARED.seeds, *SWEEP_DECLARED.axiom_edges]
-    alone = [[x] if isinstance(x, Fact) else [Fact(x[0], Predicate.ARNOLD_STANDARD, "lcurve-seed"), x]
+    alone = [[x] if isinstance(x, Fact) else [Fact(x[0], "lcurve-seed"), x]
              for x in items]
     for pick in [items, *alone, *(items[:i] + items[i + 1:] for i in range(len(items)))]:
         yield [x for x in pick if isinstance(x, Fact)], [x for x in pick if not isinstance(x, Fact)]
@@ -369,7 +387,7 @@ def test_closures_over_two_catalogs_read_their_own_universe(catalog, rel):
     # at most 3 ovals, in both orders, each match the uncut closure over
     # their own catalog (42 and 8 facts under SUCC, 130 and 14 under RHD).
     small = [e for e in catalog if e.scheme.oval_count <= 3]
-    seeds = [Fact(tracked("<3>_2", outer), Predicate.ARNOLD_STANDARD, "lcurve-seed")
+    seeds = [Fact(tracked("<3>_2", outer), "lcurve-seed")
              for outer in (False, True)]
     for order in ((catalog, small), (small, catalog)):
         for universe in order:
@@ -386,7 +404,7 @@ def test_propagate_empty_seeds():
 def test_propagate_axiom_edges_cross_sides():
     # The sweep's declared edge, so that the fact replays.
     catalog = [*small_catalog(), *load_catalog(["<1<8>>\t6\t1\tt"])]
-    seeds = [Fact(tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "lcurve-seed")]
+    seeds = [Fact(tracked("<10>_2"), "lcurve-seed")]
     axiom = [(tracked("<9>_2"), tracked("<1<8>>_1", outer=True))]
     table = propagate(seeds, axiom, SUCC, catalog)
     fact = table.marked(parse_viro("<1<8>>_1"), True)
@@ -401,7 +419,7 @@ def test_propagate_is_idempotent(catalog, data):
     picked = data.draw(st.sets(st.integers(0, len(states) - 1), min_size=1, max_size=4))
     rel = data.draw(st.sampled_from([SUCC, RHD]))
     seeds = [
-        Fact(TrackedScheme(scheme, 6, outer), Predicate.ARNOLD_STANDARD, "lcurve-seed")
+        Fact(TrackedScheme(scheme, 6, outer), "lcurve-seed")
         for scheme, outer in (states[i] for i in sorted(picked))
     ]
     table1 = propagate(seeds, [], rel, catalog)
@@ -412,7 +430,7 @@ def test_propagate_is_idempotent(catalog, data):
 def test_propagate_rejects_foreign_seed():
     with pytest.raises(ValueError):
         propagate(
-            [Fact(tracked("<10>_1"), Predicate.ARNOLD_STANDARD, "lcurve-seed")],
+            [Fact(tracked("<10>_1"), "lcurve-seed")],
             [],
             SUCC,
             small_catalog(),
@@ -421,14 +439,14 @@ def test_propagate_rejects_foreign_seed():
 
 def test_propagate_rejects_a_seed_of_another_degree():
     # <10>_2 is a universe forest and type; only the degree is foreign.
-    seed = Fact(TrackedScheme(parse_viro("<10>_2"), 8), Predicate.ARNOLD_STANDARD, "lcurve-seed")
+    seed = Fact(TrackedScheme(parse_viro("<10>_2"), 8), "lcurve-seed")
     with pytest.raises(ValueError, match="seed <10>_2\\+ is not in the degree-6 universe"):
         propagate([seed], [], SUCC, small_catalog())
 
 
 @pytest.mark.parametrize("foreign", ["from", "to"])
 def test_propagate_rejects_an_axiom_end_of_another_degree(foreign):
-    seeds = [Fact(tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "lcurve-seed")]
+    seeds = [Fact(tracked("<10>_2"), "lcurve-seed")]
     ends = {"from": tracked("<9>_2"), "to": tracked("<8>_2")}
     ends[foreign] = TrackedScheme(ends[foreign].scheme, 8)
     with pytest.raises(ValueError, match="axiom edge .* is not in the degree-6 universe"):
@@ -443,8 +461,8 @@ def test_propagate_rejects_a_mixed_degree_universe():
 
 def test_propagated_facts_replay(catalog):
     seeds = [
-        Fact(tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
-        Fact(tracked("<10>_2", outer=True), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
+        Fact(tracked("<10>_2"), "lcurve-seed"),
+        Fact(tracked("<10>_2", outer=True), "lcurve-seed"),
     ]
     table = propagate(seeds, [], SUCC, catalog)
     assert len(table) > 20
@@ -473,7 +491,7 @@ def _one_step_fact(source, rewrite, target, outer=False):
     m = make_move(tracked(source, outer), rewrite)
     side = "-" if outer else "+"
     step = {"edge": "move", **m.record(), "from": source + side, "to": target + side}
-    return Fact(tracked(target, outer), Predicate.ARNOLD_STANDARD, "propagated", (step,))
+    return Fact(tracked(target, outer), "propagated", (step,))
 
 
 def _split_fact(source_type):
@@ -487,7 +505,7 @@ def _split_fact(source_type):
         {"edge": "move", **death.record(), "from": "<1<1<1>>>_1+", "to": middle},
         {"edge": "move", **split.record(), "from": middle, "to": "<1<2>>_2+"},
     )
-    return Fact(tracked("<1<2>>_2"), Predicate.ARNOLD_STANDARD, "propagated", path)
+    return Fact(tracked("<1<2>>_2"), "propagated", path)
 
 
 def test_replay_fact_pins_the_typed_end_state(sweep_fact):
@@ -500,6 +518,8 @@ def test_replay_fact_pins_the_typed_end_state(sweep_fact):
     corpus = {
         "flipped side": replace(fact, state=flipped),
         "swapped type": replace(fact, state=retyped),
+        "degree 8": replace(fact, state=replace(state, degree=8)),
+        "degree 40": replace(fact, state=replace(state, degree=40)),
         "swapped steps": replace(fact, path=(path[1], path[0], *path[2:])),
         "outside SUCC": _with_step(fact, 0, classification="M2^-1"),
         "no such oval": _with_step(fact, 0, rewrite={"kind": "delete_empty", "oval": "9.9.9"}),
@@ -512,16 +532,16 @@ def test_replay_fact_pins_the_typed_end_state(sweep_fact):
         ),
         "undeclared axiom edge": Fact(
             tracked("<1<9>>_2", outer=True),
-            Predicate.ARNOLD_STANDARD,
             "axiom-edge",
             ({"edge": "axiom", "from": "<10>_2+", "to": "<1<9>>_2-"},),
         ),
         "undeclared seed": Fact(
-            tracked("<1<9>>_2", outer=True), Predicate.ARNOLD_STANDARD, "lcurve-seed"
+            tracked("<1<9>>_2", outer=True), "lcurve-seed"
         ),
         "seed of another provenance": Fact(
-            tracked("<10>_2"), Predicate.ARNOLD_STANDARD, "pencil-perturbation-seed"
+            tracked("<10>_2"), "pencil-perturbation-seed"
         ),
+        "seed of another degree": Fact(TrackedScheme(parse_viro("<10>_2"), 8), "lcurve-seed"),
     }
     replays = {name: replay_fact(f, SUCC) for name, f in corpus.items()}
     assert replays == dict.fromkeys(corpus, False)
@@ -551,7 +571,7 @@ def test_sweep_seeds_file_declares_the_sweep_inputs():
         declared = Declared.from_records(fh, 6)
 
     def keys(d):
-        seeds = [(fact_key(f), f.provenance) for f in d.seeds]
+        seeds = [(typed_key(f.state), f.provenance) for f in d.seeds]
         return seeds, [(typed_key(a), typed_key(b)) for a, b in d.axiom_edges]
 
     assert keys(declared) == keys(SWEEP_DECLARED)
@@ -579,17 +599,16 @@ def test_replay_fact_rejects_forgeries_against_a_user_declaration():
     to_nine = {"edge": "move", **death.record(), "from": "<10>_2+", "to": "<9>_2+"}
     corpus = {
         "forged seed": Fact(
-            tracked("<10>_2", outer=True), Predicate.ARNOLD_STANDARD, "lcurve-seed"
+            tracked("<10>_2", outer=True), "lcurve-seed"
         ),
         "path from a forged seed": _one_step_fact("<9>_1", DeleteEmpty((0,)), "<8>_2"),
         "forged axiom step": Fact(
             tracked("<1<8>>_1", outer=True),
-            Predicate.ARNOLD_STANDARD,
             "axiom-edge",
             (to_nine, {"edge": "axiom", "from": "<9>_2+", "to": "<1<8>>_1-"}),
         ),
     }
-    step_fact = Fact(tracked("<9>_2"), Predicate.ARNOLD_STANDARD, "propagated", (to_nine,))
+    step_fact = Fact(tracked("<9>_2"), "propagated", (to_nine,))
     assert replay_fact(step_fact, SUCC, user)
     # Each forgery is sound against the sweep's declaration, which has that
     # seed and that edge; only the user's declaration rejects it.
@@ -658,6 +677,7 @@ def _replay_corpus(facts):
         _split_fact(1),
         replace(child, state=replace(state, outer_tracked=not state.outer_tracked)),
         replace(child, state=replace(state, scheme=state.scheme.with_type(other_type))),
+        replace(child, state=replace(state, degree=8)),
         replace(child, path=(child.path[1], child.path[0], *child.path[2:])),
         _with_step(child, 0, classification="M2^-1"),
         _with_step(child, -1, classification="M2^-1"),
@@ -668,7 +688,6 @@ def _replay_corpus(facts):
         _one_step_fact("<1<10>>_2", DeleteEmpty((0, 0)), "<1<9>>_2", outer=True),
         Fact(
             tracked("<1<9>>_2", outer=True),
-            Predicate.ARNOLD_STANDARD,
             "axiom-edge",
             ({"edge": "axiom", "from": "<10>_2+", "to": "<1<9>>_2-"},),
         ),
@@ -676,13 +695,12 @@ def _replay_corpus(facts):
     user = Declared.from_records(['{"scheme": "<10>_2", "side": "+"}'], 6)
     death = make_move(tracked("<10>_2"), DeleteEmpty((0,)))
     to_nine = {"edge": "move", **death.record(), "from": "<10>_2+", "to": "<9>_2+"}
-    step_fact = Fact(tracked("<9>_2"), Predicate.ARNOLD_STANDARD, "propagated", (to_nine,))
+    step_fact = Fact(tracked("<9>_2"), "propagated", (to_nine,))
     forged_by_user = [
-        Fact(tracked("<10>_2", outer=True), Predicate.ARNOLD_STANDARD, "lcurve-seed"),
+        Fact(tracked("<10>_2", outer=True), "lcurve-seed"),
         _one_step_fact("<9>_1", DeleteEmpty((0,)), "<8>_2"),
         Fact(
             tracked("<1<8>>_1", outer=True),
-            Predicate.ARNOLD_STANDARD,
             "axiom-edge",
             (to_nine, {"edge": "axiom", "from": "<9>_2+", "to": "<1<8>>_1-"}),
         ),
@@ -834,8 +852,9 @@ def test_the_sweep_marks_rest_on_one_seed_and_the_axiom_edge(catalog):
     # the full declaration marks; without the edge, 50 of the 61 minus-side
     # marks go, so the four exceptions rest on one hand-verified deformation.
     with open(GOLDENS / "facts-propagate-sweep-seeds.records.out", encoding="utf-8") as fh:
-        full = {(r["predicate"], *typed_key(parse_state_label(r["scheme"] + r["side"], 6)))
-                for r in map(json.loads, fh)}
+        golden = list(map(json.loads, fh))
+    assert {r["predicate"] for r in golden} == {"ArnoldStandard"}
+    full = {typed_key(parse_state_label(r["scheme"] + r["side"], 6)) for r in golden}
     assert len(full) == 126 and sum(side for *_, side in full) == 61
     (ten,) = [f for f in SWEEP_DECLARED.seeds if state_label(f.state) == "<10>_2+"]
     assert set(propagate([ten], SWEEP_DECLARED.axiom_edges, SUCC, catalog).facts) == full

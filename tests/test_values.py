@@ -23,7 +23,7 @@ def build_samples() -> list:
     """One instance of each value class, made as the package makes them."""
     state = domains.TrackedScheme(parse_viro("<2 u 1<1>>_1"), 6, True)
     move = moves.enumerate_moves(state)[0]
-    fact = propagation.Fact(state, propagation.Predicate.ARNOLD_STANDARD, "lcurve-seed")
+    fact = propagation.Fact(state, "lcurve-seed")
     report = schemes.validate(parse_viro("<12>"), 6)
     spec = constructions.BaseCurveSpec(parse_viro("<1>_1"), 2, {(0,): 4})
     fibered = constructions.FiberedSpec(fourman.S4, 1, (CurveType.ONE,), elliptic_name="E(1)")
